@@ -10,11 +10,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import serialize
 from .experiments import (
+    SEED_ENV_VAR,
     ExperimentConfig,
     SWEEP_CSV_COLUMNS,
     build_experiment_instance,
@@ -31,6 +33,8 @@ EXIT_INFEASIBLE = 2
 
 
 def _load_config(args) -> ExperimentConfig:
+    """Config from preset, file or defaults; then the ``TIERCAST_SEED``
+    environment variable; then the flags, which take precedence."""
     if args.preset:
         config = preset_config(args.preset)
     elif args.config:
@@ -38,6 +42,9 @@ def _load_config(args) -> ExperimentConfig:
     else:
         config = ExperimentConfig()
     overrides = {}
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if env_seed is not None:
+        overrides["master_seed"] = int(env_seed)
     for name in (
         "scenario",
         "n_users",

@@ -3,15 +3,16 @@
 Each figure-reproduction preset pins one sweep axis over Table-style default
 settings: small scale is 50 users / 10 cells / 5 views, large scale is
 500 / 100 / 20, with 50,000 RBs per cell, 2 Mb basic and enhanced views, and
-a 1,000 m map. The master seed may be overridden with the ``TIERCAST_SEED``
-environment variable.
+a 1,000 m map. The command line reads the ``TIERCAST_SEED`` environment
+variable as the master seed; ``--master-seed`` takes precedence over it, and
+it over the config file or preset. A config built in code keeps the master
+seed it is given.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,9 +86,6 @@ class ExperimentConfig:
         for mode in self.modes:
             if mode not in (UNICAST, MULTICAST):
                 raise ValueError(f"unknown mode {mode!r}")
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            self.master_seed = int(env_seed)
 
     def at_sweep_value(self, value) -> "ExperimentConfig":
         """Resolve one sweep point into a concrete configuration."""

@@ -136,15 +136,20 @@ def rb_usage(instance: Instance, solution: Solution, mode: str = UNICAST) -> np.
     Unicast charges the broadcast basic view (max cost over associated users,
     0 for an empty cell) plus the full enhanced cost of every allocation.
     Multicast charges, per view, the max cost over the view's sharing-group
-    members plus the sum over non-members.
+    members plus the sum over non-members. Raises ``ValueError`` unless the
+    association holds one in-range cell index per user.
     """
     if mode not in (UNICAST, MULTICAST):
         raise ValueError(f"unknown mode {mode!r}")
+    assoc = solution.assoc
+    if assoc.shape != (instance.n_users,):
+        raise ValueError("one cell index required per user")
+    if ((assoc < 0) | (assoc >= instance.n_cells)).any():
+        raise ValueError("cell index out of range")
     usage = np.zeros(instance.n_cells)
-    for j in range(instance.n_cells):
-        members = np.flatnonzero(solution.assoc == j)
-        if members.size:
-            usage[j] += instance.rb_basic[members, j].max()
+    # Broadcast: max basic cost over each cell's users; empty cells stay 0.
+    basic = instance.rb_basic[np.arange(instance.n_users), assoc]
+    np.maximum.at(usage, assoc, basic)
 
     if mode == UNICAST:
         for (i, k), y in solution.alloc.items():

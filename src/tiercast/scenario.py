@@ -250,12 +250,15 @@ def build_instance(
     ).copy()
     rb_budget = np.broadcast_to(np.asarray(rb_budget, dtype=np.int64), (n_cells,)).copy()
 
-    w = np.zeros((n_users, n_cells, n_views), dtype=np.int8)
+    wants = np.zeros((n_users, n_views), dtype=bool)
     for i, vs in enumerate(demands.views):
-        for j, cache in enumerate(placement.caches):
-            for k in vs:
-                if k in cache:
-                    w[i, j, k] = 1
+        wants[i, list(vs)] = True
+    cached = np.zeros((n_cells, n_views), dtype=bool)
+    for j, cache in enumerate(placement.caches):
+        if any(not 0 <= k < n_views for k in cache):
+            raise ValueError(f"cell {j} caches a view index out of range")
+        cached[j, list(cache)] = True
+    w = (wants[:, None, :] & cached[None, :, :]).astype(np.int8)
 
     tables = build_rb_tables(
         topology.cell_positions,

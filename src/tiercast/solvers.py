@@ -1,8 +1,8 @@
 """Solution procedures: exact branch-and-bound, greedy approximations, oracles.
 
 All solvers return ``(Solution, SolverReport)`` and are deterministic for a
-fixed instance: every tie is broken by a stated total order (higher reward
-count, then lower basic RB cost as the SINR proxy, then lowest indices).
+fixed instance: each breaks ties by the total order stated in its docstring,
+with the basic RB cost serving as the SINR proxy.
 """
 
 from __future__ import annotations
@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .problem import Instance, Solution, MULTICAST, UNICAST, objective
+
+
+# Masks non-tied pairs out of the tie-break argmin over basic RB costs.
+_NO_TIE = np.iinfo(np.int64).max
 
 
 class BruteForceCapError(RuntimeError):
@@ -176,8 +180,9 @@ def _finalize(
 
 
 def solve_sinr(instance: Instance, mode: str = UNICAST) -> tuple[Solution, SolverReport]:
-    """Baseline: each user takes its max-SINR cell (lowest basic RB cost),
-    then each cell allocates via the exact subproblem."""
+    """Baseline: each user takes its max-SINR cell (lowest basic RB cost,
+    ties to the lowest cell index), then each cell allocates via the exact
+    subproblem."""
     start = time.perf_counter()
     assoc = instance.rb_basic.argmin(axis=1).astype(np.int64)
     solution, _ = _finalize(instance, assoc, mode)
@@ -196,6 +201,11 @@ def solve_eva(
     Users associate with their best-ranked affordable cell, the broadcast
     cost is charged per cell, and users then fill views by reward per RB in
     descending rank order. p=0 reduces the association to the SINR baseline.
+
+    A user with no affordable cell ranks all cells. Ties among a user's
+    best-ranked cells go to the lower basic RB cost, then the lower cell
+    index; ``tie_breaks`` counts the users with more than one such cell.
+    Users fill views in descending rank, then ascending user index.
     """
     start = time.perf_counter()
     counts = instance.reward_counts().astype(float)
@@ -203,18 +213,13 @@ def solve_eva(
     with np.errstate(invalid="ignore"):
         scores = counts**p / nb
 
+    # A user with no affordable cell may pick among all cells.
     affordable = nb <= instance.rb_budget[None, :]
-    assoc = np.empty(instance.n_users, dtype=np.int64)
-    tie_breaks = 0
-    for i in range(instance.n_users):
-        cells = np.flatnonzero(affordable[i])
-        if cells.size == 0:
-            cells = np.arange(instance.n_cells)
-        best = scores[i, cells].max()
-        tied = cells[scores[i, cells] == best]
-        if tied.size > 1:
-            tie_breaks += 1
-        assoc[i] = min(tied, key=lambda j: (nb[i, j], j))
+    eligible = affordable | ~affordable.any(axis=1, keepdims=True)
+    masked = np.where(eligible, scores, -np.inf)
+    tied = masked == masked.max(axis=1, keepdims=True)
+    tie_breaks = int((np.count_nonzero(tied, axis=1) > 1).sum())
+    assoc = np.where(tied, nb, _NO_TIE).argmin(axis=1)
 
     residual = instance.rb_budget.astype(float).copy()
     for j in range(instance.n_cells):
@@ -306,6 +311,10 @@ def solve_elva(
     cell budget rather than to nbar keeps users away from cells that cannot
     carry their broadcast while still letting them reach views cached only
     at cells costlier than their best one.
+
+    Ties among the best-scored pairs go to the lower basic RB cost, then the
+    lower user index, then the lower cell index; ``tie_breaks`` counts the
+    rounds with more than one such pair.
     """
     start = time.perf_counter()
     m, s = instance.n_users, instance.n_cells
@@ -329,19 +338,19 @@ def solve_elva(
     group_charge: dict[tuple[int, int], float] = {}
     tie_breaks = 0
 
+    # Scores of the unassigned pairs; assigned users' rows hold -inf. Only
+    # the assigned user's row and the chosen cell's column change per round.
+    dq = penalty + gains
     for _ in range(m):
-        dq = penalty + gains
-        dq[~unassigned] = -np.inf
-        vmax = dq.max()
-        ii, jj = np.nonzero(dq == vmax)
-        if ii.size > 1:
+        tied = dq == dq.max()
+        if np.count_nonzero(tied) > 1:
             tie_breaks += 1
-            pick = min(range(ii.size), key=lambda t: (nb[ii[t], jj[t]], ii[t], jj[t]))
-        else:
-            pick = 0
-        i, j = int(ii[pick]), int(jj[pick])
+        # Row-major argmin returns the first minimum: lowest basic cost,
+        # then lowest user, then lowest cell.
+        i, j = divmod(int(np.where(tied, nb, _NO_TIE).argmin()), s)
         assoc[i] = j
         unassigned[i] = False
+        dq[i] = -np.inf
 
         views = sorted(
             np.flatnonzero(instance.w[i, j]),
@@ -361,6 +370,7 @@ def solve_elva(
                 charge = y * cost
             budgets[j] -= charge
         gains[:, j] = _gain_column(costs[:, j], prefix[:, j], budgets[j])
+        dq[:, j] = np.where(unassigned, penalty[:, j] + gains[:, j], -np.inf)
 
     solution, _ = _finalize(instance, assoc, mode)
     return solution, SolverReport(
@@ -510,7 +520,9 @@ def solve_bb(
 def solve_bruteforce(
     instance: Instance, cap: int = 10**6, mode: str = UNICAST
 ) -> tuple[Solution, SolverReport]:
-    """Exhaustive association scan; the verification oracle for tiny instances."""
+    """Exhaustive association scan; the verification oracle for tiny instances.
+
+    Of equal-valued associations, the first in lexicographic order wins."""
     start = time.perf_counter()
     m, s = instance.n_users, instance.n_cells
     total = s**m

@@ -1,9 +1,11 @@
 """Experiment configs, presets, seeded generation, and the sweep runner."""
 
 import dataclasses
+import json
 
 import pytest
 
+from tiercast.cli import _load_config, build_parser
 from tiercast.experiments import (
     ExperimentConfig,
     SEED_ENV_VAR,
@@ -55,10 +57,27 @@ def test_config_round_trip():
     assert back == cfg
 
 
-def test_env_var_overrides_master_seed(monkeypatch):
+def _sweep_config(*flags):
+    return _load_config(build_parser().parse_args(["sweep", "--out", "x.csv", *flags]))
+
+
+def test_env_var_overrides_master_seed(monkeypatch, tmp_path):
+    # Command-line precedence: --master-seed > TIERCAST_SEED > file or preset.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(small_config(master_seed=3).to_dict()))
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert _sweep_config("--config", str(path)).master_seed == 3
     monkeypatch.setenv(SEED_ENV_VAR, "77")
-    cfg = ExperimentConfig(master_seed=3)
-    assert cfg.master_seed == 77
+    assert _sweep_config("--config", str(path)).master_seed == 77
+    assert _sweep_config("--preset", "fig3").master_seed == 77
+    assert _sweep_config("--config", str(path), "--master-seed", "5").master_seed == 5
+
+
+def test_config_built_in_code_ignores_env_var(monkeypatch):
+    monkeypatch.setenv(SEED_ENV_VAR, "7")
+    cfg = dataclasses.replace(ExperimentConfig(), master_seed=3)
+    assert cfg.master_seed == 3
+    assert cfg.at_sweep_value(None).master_seed == 3
 
 
 def test_build_instance_deterministic_per_seed():

@@ -71,6 +71,14 @@ def test_rb_usage_unicast_sums_basic_max_and_enhanced():
     assert usage[1] == pytest.approx(2)
 
 
+@pytest.mark.parametrize("assoc", [[0, 0, -1], [0, 2, 1], [0, 1]])
+def test_rb_usage_rejects_bad_association(assoc):
+    # A negative index must not wrap around to the last cell.
+    inst = fig1_instance()
+    with pytest.raises(ValueError):
+        rb_usage(inst, Solution(assoc=np.array(assoc)))
+
+
 def test_rb_usage_multicast_max_versus_sum():
     inst = fig1_instance()
     inst.sharing = {j: {2: frozenset({0, 1, 2})} for j in range(2)}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiercast.channel import ChannelParams
 from tiercast.problem import Solution, objective
@@ -148,6 +150,49 @@ def test_fig1_style_instance_reward_count():
     assert inst.w[0, 0].sum() == 2 and inst.w[0, 1].sum() == 1
     assert inst.w[1, 0].sum() == 1 and inst.w[1, 1].sum() == 1
     assert inst.w[2, 0].sum() == 1 and inst.w[2, 1].sum() == 1
+
+
+@st.composite
+def _demands_and_caches(draw):
+    n_users = draw(st.integers(1, 6))
+    n_cells = draw(st.integers(1, 4))
+    n_views = draw(st.integers(1, 6))
+    view_sets = st.sets(st.integers(0, n_views - 1))
+    demands = draw(st.lists(view_sets, min_size=n_users, max_size=n_users))
+    caches = draw(st.lists(view_sets, min_size=n_cells, max_size=n_cells))
+    return n_views, demands, caches
+
+
+@settings(max_examples=60, deadline=None)
+@given(_demands_and_caches())
+def test_reward_tensor_is_demand_and_cache(case):
+    n_views, demands, caches = case
+    topo = generate_topology("uniform", len(caches), len(demands), seed=5)
+    inst = build_instance(
+        topo,
+        DemandSet(views=tuple(tuple(sorted(d)) for d in demands), n_views=n_views),
+        CachePlacement(
+            caches=tuple(frozenset(c) for c in caches), cache_capacity=n_views
+        ),
+        CH,
+        50_000,
+    )
+    assert inst.w.dtype == np.int8
+    for i, wanted in enumerate(demands):
+        for j, cache in enumerate(caches):
+            for k in range(n_views):
+                assert inst.w[i, j, k] == (k in wanted and k in cache)
+
+
+@pytest.mark.parametrize("bad_view", [-1, 3])
+def test_build_instance_rejects_cached_view_out_of_range(bad_view):
+    topo = generate_topology("uniform", 2, 2, seed=5)
+    demands = DemandSet(views=((0,), (1, 2)), n_views=3)
+    placement = CachePlacement(
+        caches=(frozenset({0}), frozenset({1, bad_view})), cache_capacity=3
+    )
+    with pytest.raises(ValueError, match="out of range"):
+        build_instance(topo, demands, placement, CH, 50_000)
 
 
 def test_empty_demands_give_zero_rewards():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tiercast.experiments import build_experiment_instance, preset_config
 from tiercast.problem import (
     MULTICAST,
     UNICAST,
@@ -177,6 +178,68 @@ def test_eva_avoids_unaffordable_cells_when_possible():
     sol, _ = solve_eva(inst, p=1.0)
     assert sol.assoc[0] == 0
     assert is_feasible(inst, sol).feasible
+
+
+def _all_tie_instance():
+    """Every cell's budget (2) sits below every enhanced cost (10) and equals
+    the best-cell bound nbar, so ELVA's gains are all 0: every round ties at
+    0 among the unassigned users' affordable cells (basic cost <= 2)."""
+    m, s, e = 4, 3, 2
+    return Instance(
+        n_users=m, n_cells=s, n_views=e,
+        w=np.ones((m, s, e), dtype=np.int8),
+        rb_budget=np.full(s, 2),
+        rb_basic=np.array([[5, 2, 2], [5, 5, 2], [2, 5, 2], [2, 5, 1]]),
+        rb_enhanced=np.full((m, s, e), 10),
+    )
+
+
+def test_elva_breaks_ties_by_basic_cost_then_user_then_cell():
+    inst = _all_tie_instance()
+    sol, report = solve_elva(inst)
+    # Round 1: the cost-1 pair (3, 2) beats six cost-2 pairs, among them
+    # (3, 0) of the same user at a lower cell index. Round 2: (0, 1) beats
+    # (0, 2) by cell and (1, 2), (2, 0), (2, 2) by user. Round 3: (1, 2)
+    # beats (2, 0) by user although its cell index is higher. Round 4: user
+    # 2 still ties (2, 0) with (2, 2), so all four rounds tie. Picking by
+    # cell before user would place user 2 in round 2 and leave user 1's
+    # single pair for round 4 (three ties).
+    assert sol.assoc.tolist() == [1, 2, 0, 2]
+    assert report.tie_breaks == 4
+    assert report.objective == 0.0
+
+
+def test_eva_breaks_ties_by_basic_cost_then_cell():
+    m, s, e = 4, 3, 2
+    counts = np.array([[2, 1, 0], [2, 2, 2], [1, 1, 1], [1, 0, 2]])
+    w = (np.arange(e)[None, None, :] < counts[:, :, None]).astype(np.int8)
+    inst = Instance(
+        n_users=m, n_cells=s, n_views=e, w=w,
+        rb_budget=np.full(s, 3),
+        rb_basic=np.array([[2, 1, 1], [3, 3, 3], [5, 5, 4], [2, 1, 4]]),
+        rb_enhanced=np.full((m, s, e), 10),
+    )
+    sol, report = solve_eva(inst, p=1.0)
+    # User 0 ties cells 0 and 1 at score 1 and takes the cheaper cell 1.
+    # User 1 ties all three cells at equal cost and takes cell 0. User 2 can
+    # afford no cell, so ranks all three and takes cell 2 outright. User 3's
+    # unaffordable cell 2 would tie cell 0 at 0.5; masked out, it is no tie.
+    assert sol.assoc.tolist() == [1, 0, 2, 0]
+    assert report.tie_breaks == 2
+    # p=0 ranks by 1 / basic cost: users 0 and 1 tie at equal costs.
+    sol0, report0 = solve_eva(inst, p=0.0)
+    assert sol0.assoc.tolist() == [1, 0, 2, 1]
+    assert report0.tie_breaks == 2
+
+
+def test_elva_fig10_seed0_regression():
+    # Fixed-seed anchor of the paper's large-scale preset (500 users, 100
+    # cells, 20 views); any change to ELVA's scoring or tie order moves it.
+    config = preset_config("fig10")
+    inst, _ = build_experiment_instance(config, 0)
+    _, report = solve_elva(inst, T=config.elva_T)
+    assert report.objective == 1815.7253365062843
+    assert report.tie_breaks == 396
 
 
 def test_elva_single_user_matches_bruteforce(rng):
