@@ -34,7 +34,9 @@ EXIT_INFEASIBLE = 2
 
 def _load_config(args) -> ExperimentConfig:
     """Config from preset, file or defaults; then the ``TIERCAST_SEED``
-    environment variable; then the flags, which take precedence."""
+    environment variable; then the flags, which take precedence.
+
+    Raises ``ValueError`` on an invalid preset, config or seed variable."""
     if args.preset:
         config = preset_config(args.preset)
     elif args.config:
@@ -44,7 +46,12 @@ def _load_config(args) -> ExperimentConfig:
     overrides = {}
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
-        overrides["master_seed"] = int(env_seed)
+        try:
+            overrides["master_seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(
+                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
+            ) from None
     for name in (
         "scenario",
         "n_users",
@@ -90,7 +97,11 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 
 
 def cmd_generate(args) -> int:
-    config = _load_config(args)
+    try:
+        config = _load_config(args)
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         instance, topology = build_experiment_instance(config, args.seed)
     except Exception as exc:
@@ -148,7 +159,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args)
+    try:
+        config = _load_config(args)
+    except ValueError as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     n_rows = 0

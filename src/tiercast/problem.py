@@ -4,10 +4,21 @@ An instance couples a binary reward tensor ``w`` (user i wants view k AND cell
 j caches it), per-cell RB budgets, and integer RB cost tables for the basic
 broadcast and each enhanced view. A solution is a per-user cell association
 plus a sparse fractional allocation ``(user, view) -> y`` on the chosen cell.
+
+The objective, per-user rewards, RB usage and feasibility checks read the
+allocation as one ledger: ``(users, views, y)`` arrays in the dict's order.
+Every float sum over it adds its terms one at a time in that order, starting
+from 0.0, exactly as a loop over ``alloc.items()`` does: the objective by a
+cumulative sum, per-user rewards and per-cell usage by ``np.add.at``. In
+multicast, a cell's sharing-group charges are added after its non-member
+costs, in the order the groups first appear. Results are therefore
+bit-for-bit those of the loop; they may differ from a pairwise ``np.sum`` in
+the last bits.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,20 +125,46 @@ class FeasibilityReport:
         return "infeasible:\n" + "\n".join(f"  {v}" for v in self.violations)
 
 
+def _ledger(solution: Solution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The allocation as ``(users, views, y)`` arrays in the dict's order."""
+    n = len(solution.alloc)
+    keys = np.fromiter(
+        itertools.chain.from_iterable(solution.alloc), np.int64, 2 * n
+    ).reshape(n, 2)
+    y = np.fromiter(solution.alloc.values(), np.float64, n)
+    return keys[:, 0], keys[:, 1], y
+
+
 def objective(instance: Instance, solution: Solution) -> float:
     """Total reward: sum of y * w over the associated cells."""
-    total = 0.0
-    for (i, k), y in solution.alloc.items():
-        total += y * instance.w[i, solution.assoc[i], k]
-    return total
+    users, views, y = _ledger(solution)
+    if not y.size:
+        return 0.0
+    terms = y * instance.w[users, solution.assoc[users], views]
+    # Adding +0.0 gives what a running total started at +0.0 gives when
+    # every term is -0.0.
+    return float(np.cumsum(terms)[-1]) + 0.0
 
 
 def per_user_rewards(instance: Instance, solution: Solution) -> np.ndarray:
     """Reward earned by each user (the objective's natural decomposition)."""
+    users, views, y = _ledger(solution)
     rewards = np.zeros(instance.n_users)
-    for (i, k), y in solution.alloc.items():
-        rewards[i] += y * instance.w[i, solution.assoc[i], k]
+    np.add.at(rewards, users, y * instance.w[users, solution.assoc[users], views])
     return rewards
+
+
+def _sharing_members(
+    instance: Instance, users: np.ndarray, cells: np.ndarray, views: np.ndarray
+) -> np.ndarray:
+    """Whether each entry's user is in the sharing group of its (cell, view)."""
+    member = np.zeros(
+        (instance.n_users, instance.n_cells, instance.n_views), dtype=bool
+    )
+    for j, groups in (instance.sharing or {}).items():
+        for k, group in groups.items():
+            member[np.fromiter(group, np.int64, len(group)), j, k] = True
+    return member[users, cells, views]
 
 
 def rb_usage(instance: Instance, solution: Solution, mode: str = UNICAST) -> np.ndarray:
@@ -151,69 +188,93 @@ def rb_usage(instance: Instance, solution: Solution, mode: str = UNICAST) -> np.
     basic = instance.rb_basic[np.arange(instance.n_users), assoc]
     np.maximum.at(usage, assoc, basic)
 
+    users, views, y = _ledger(solution)
+    cells = assoc[users]
+    cost = y * instance.rb_enhanced[users, cells, views]
     if mode == UNICAST:
-        for (i, k), y in solution.alloc.items():
-            usage[solution.assoc[i]] += y * instance.rb_enhanced[i, solution.assoc[i], k]
+        np.add.at(usage, cells, cost)
         return usage
 
-    group_max: dict[tuple[int, int], float] = {}
-    for (i, k), y in solution.alloc.items():
-        j = solution.assoc[i]
-        cost = y * instance.rb_enhanced[i, j, k]
-        if i in instance.sharing_group(j, k):
-            key = (j, k)
-            group_max[key] = max(group_max.get(key, 0.0), cost)
-        else:
-            usage[j] += cost
-    for (j, _k), cost in group_max.items():
-        usage[j] += cost
+    member = _sharing_members(instance, users, cells, views)
+    np.add.at(usage, cells[~member], cost[~member])
+    # Each (cell, view) group is charged its members' max cost, floored at 0
+    # and blind to NaN like a running max() from 0.0, after the non-members
+    # and in the order the groups first appear.
+    n_views = instance.n_views
+    group = cells[member] * n_views + views[member]
+    charge = np.zeros(instance.n_cells * n_views)
+    np.fmax.at(charge, group, cost[member])
+    keys, first = np.unique(group, return_index=True)
+    keys = keys[np.argsort(first)]
+    np.add.at(usage, keys // n_views, charge[keys])
     return usage
 
 
 def is_feasible(
     instance: Instance, solution: Solution, mode: str = UNICAST
 ) -> FeasibilityReport:
-    """Check every constraint; returns a verdict plus all violations found."""
+    """Check every constraint; returns a verdict plus all violations found.
+
+    Violations come in user order for the association, then in allocation
+    order per entry (index, else bounds then mask), then in cell order for
+    the budgets, which are checked only when every index is in range.
+    """
     violations: list[Violation] = []
 
-    if solution.assoc.shape != (instance.n_users,):
+    assoc = solution.assoc
+    if assoc.shape != (instance.n_users,):
         violations.append(
             Violation("association", (), "one cell index required per user")
         )
         return FeasibilityReport(False, tuple(violations))
-    for i, j in enumerate(solution.assoc):
-        if not 0 <= j < instance.n_cells:
-            violations.append(
-                Violation("association", (i,), f"cell index {j} out of range")
-            )
-
+    for i in np.flatnonzero((assoc < 0) | (assoc >= instance.n_cells)):
+        violations.append(
+            Violation("association", (int(i),), f"cell index {assoc[i]} out of range")
+        )
     indices_ok = not violations
-    for (i, k), y in solution.alloc.items():
-        if not (0 <= i < instance.n_users and 0 <= k < instance.n_views):
-            violations.append(Violation("alloc-index", (i, k), "index out of range"))
-            indices_ok = False
-            continue
-        j = solution.assoc[i]
-        if y < -FEAS_TOL or y > 1.0 + FEAS_TOL:
-            violations.append(
-                Violation("alloc-bounds", (i, k), f"y={y} outside [0, 1]")
-            )
-        if y > FEAS_TOL and instance.w[i, j, k] == 0:
-            violations.append(
-                Violation("alloc-mask", (i, int(j), k), f"y={y} but w=0")
-            )
+
+    users, views, y = _ledger(solution)
+    in_range = (
+        (users >= 0)
+        & (users < instance.n_users)
+        & (views >= 0)
+        & (views < instance.n_views)
+    )
+    cells = np.full(y.size, -1, dtype=np.int64)
+    cells[in_range] = assoc[users[in_range]]
+    served = (cells >= 0) & (cells < instance.n_cells)
+    out_of_bounds = (y < -FEAS_TOL) | (y > 1.0 + FEAS_TOL)
+    unrewarded = np.zeros(y.size, dtype=bool)
+    unrewarded[served] = instance.w[users[served], cells[served], views[served]] == 0
+    unrewarded &= y > FEAS_TOL
+    flagged = np.flatnonzero(~in_range | out_of_bounds | unrewarded)
+    if flagged.size:
+        items = list(solution.alloc.items())
+        for t in flagged:
+            (i, k), value = items[t]
+            if not in_range[t]:
+                violations.append(Violation("alloc-index", (i, k), "index out of range"))
+                indices_ok = False
+                continue
+            if out_of_bounds[t]:
+                violations.append(
+                    Violation("alloc-bounds", (i, k), f"y={value} outside [0, 1]")
+                )
+            if unrewarded[t]:
+                violations.append(
+                    Violation("alloc-mask", (i, int(cells[t]), k), f"y={value} but w=0")
+                )
 
     if indices_ok:
         usage = rb_usage(instance, solution, mode)
-        for j in range(instance.n_cells):
-            if usage[j] > instance.rb_budget[j] + FEAS_TOL:
-                violations.append(
-                    Violation(
-                        "budget",
-                        (j,),
-                        f"usage {usage[j]:.6f} exceeds budget {instance.rb_budget[j]}",
-                    )
+        for j in np.flatnonzero(usage > instance.rb_budget + FEAS_TOL):
+            violations.append(
+                Violation(
+                    "budget",
+                    (int(j),),
+                    f"usage {usage[j]:.6f} exceeds budget {instance.rb_budget[j]}",
                 )
+            )
 
     return FeasibilityReport(not violations, tuple(violations))
 

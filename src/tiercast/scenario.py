@@ -136,10 +136,16 @@ def generate_demands(
     """Draw each user's desired views from a Zipf(skew) popularity profile.
 
     View 0 is the most popular rank; skew 0 gives uniform popularity. Each
-    user gets ``views_per_user`` distinct views.
+    user gets ``views_per_user`` distinct views, in ascending order.
     """
+    if n_views < 1:
+        raise ValueError("n_views must be >= 1")
     if views_per_user > n_views:
         raise ValueError("views_per_user exceeds n_views")
+    if views_per_user == n_views:
+        # Every user wants every view. The draw would only permute them, and
+        # its generator is local to this call, so skipping it moves nothing.
+        return DemandSet(views=(tuple(range(n_views)),) * n_users, n_views=n_views)
     rng = np.random.default_rng(seed)
     weights = 1.0 / np.arange(1, n_views + 1) ** popularity_skew
     probs = weights / weights.sum()

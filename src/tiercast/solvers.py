@@ -60,21 +60,32 @@ def solve_cell_subproblem(
     """
     if budget < 0:
         return CellAllocation(alloc={}, value=0.0, basic_infeasible=True)
-    candidates = sorted(
-        (
-            (int(instance.rb_enhanced[i, cell, k]), i, k)
-            for i in users
-            for k in np.flatnonzero(instance.w[i, cell])
-        ),
+    users = np.asarray(users, dtype=np.int64)
+    rows, views = np.nonzero(instance.w[users, cell])
+    owners = users[rows]
+    costs = instance.rb_enhanced[owners, cell, views]
+    order = np.lexsort((views, owners, costs))
+    owners, views, costs = owners[order], views[order], costs[order]
+
+    # Budget left before each item if every earlier one was taken whole: the
+    # same subtractions, in the same order, as the fill below. Items are
+    # whole up to the first that does not fit: for 0 < left < cost the share
+    # left / cost rounds below 1, so min(1, left / cost) == 1 iff left >= cost.
+    left = np.cumsum(np.concatenate(([float(budget)], -costs.astype(float))))
+    whole = np.append(left[:-1] >= costs, False)
+    n_whole = int(whole.argmin())
+    alloc = dict.fromkeys(
+        zip(owners[:n_whole].tolist(), views[:n_whole].tolist()), 1.0
     )
-    alloc: dict[tuple[int, int], float] = {}
-    value = 0.0
-    remaining = float(budget)
-    for cost, i, k in candidates:
+    value = float(n_whole)
+    remaining = float(left[n_whole])
+    for cost, i, k in zip(
+        costs[n_whole:].tolist(), owners[n_whole:].tolist(), views[n_whole:].tolist()
+    ):
         if remaining <= 0:
             break
         y = min(1.0, remaining / cost)
-        alloc[(i, int(k))] = y
+        alloc[(i, k)] = y
         value += y
         remaining -= y * cost
     return CellAllocation(alloc=alloc, value=value)
@@ -261,35 +272,85 @@ def solve_eva(
 
 
 def _single_user_gain_tables(instance: Instance):
-    """Per (user, cell): enhanced costs of rewardable views sorted ascending,
-    padded with +inf, plus prefix sums. Backs the vectorized gain lookups."""
+    """Per cell, the enhanced costs of each user's rewardable views sorted
+    ascending and padded with +inf to E + 1 rows, and their prefix sums,
+    which are +inf past the view count. Both are (S, E + 1, M), so that one
+    cell's tables are contiguous. Back the vectorized gain lookups."""
     m, s, e = instance.n_users, instance.n_cells, instance.n_views
-    costs = np.where(instance.w.astype(bool), instance.rb_enhanced, np.inf)
-    costs = np.sort(costs.astype(float), axis=2)
-    prefix = np.zeros((m, s, e + 1))
-    finite = np.where(np.isfinite(costs), costs, 0.0)
-    prefix[:, :, 1:] = np.cumsum(finite, axis=2)
-    n_items = np.isfinite(costs).sum(axis=2)
-    # Prefix entries beyond the item count would replicate the last sum and
-    # miscount; push them out of reach.
-    idx = np.arange(e + 1)[None, None, :]
-    prefix = np.where(idx > n_items[:, :, None], np.inf, prefix)
+    costs = np.full((s, e + 1, m), np.inf)
+    np.copyto(
+        costs[:, :e],
+        instance.rb_enhanced.transpose(1, 2, 0),
+        where=instance.w.transpose(1, 2, 0).astype(bool),
+    )
+    costs[:, :e].sort(axis=1)
+    prefix = np.zeros((s, e + 1, m))
+    np.cumsum(costs[:, :e], axis=1, out=prefix[:, 1:])
     return costs, prefix
 
 
 def _gain_column(costs_j, prefix_j, budget: float) -> np.ndarray:
-    """Single-user fractional-knapsack values for every user against one cell."""
+    """Single-user fractional-knapsack values for every user against one cell:
+    the views that fit whole plus the share of the next one that fits.
+    ``costs_j`` and ``prefix_j`` are the cell's (E + 1, M) gain tables."""
     if budget <= 0:
-        return np.zeros(costs_j.shape[0])
-    full = (prefix_j[:, 1:] <= budget).sum(axis=1)
-    rows = np.arange(costs_j.shape[0])
-    base = prefix_j[rows, full]
-    nxt = costs_j[rows, np.minimum(full, costs_j.shape[1] - 1)]
-    nxt = np.where(full >= costs_j.shape[1], np.inf, nxt)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.clip((budget - base) / nxt, 0.0, 1.0)
-    frac = np.where(np.isfinite(nxt), frac, 0.0)
-    return full + frac
+        return np.zeros(costs_j.shape[1])
+    full = (prefix_j[1:] <= budget).sum(axis=0)
+    users = np.arange(costs_j.shape[1])
+    # base <= budget < base + next, so the share lies in [0, 1]; past the
+    # last view the next cost is +inf and the share 0.
+    return full + (budget - prefix_j[full, users]) / costs_j[full, users]
+
+
+class _PairRanking:
+    """ELVA's greedy pick over an (M, S) score matrix, kept per row.
+
+    Each row keeps its best score, how many of its cells tie at it, and the
+    tied cell with the lowest basic cost (then the lowest index). ``pick``
+    compares rows only, and a column rewrite re-summarizes only the rows
+    whose best it can change. Scores must not be NaN.
+    """
+
+    def __init__(self, scores: np.ndarray, nb: np.ndarray):
+        self.scores = scores
+        self.nb = nb
+        self.best, self.ties, self.cell = self._summarize(scores, nb)
+
+    @staticmethod
+    def _summarize(scores, nb):
+        best = scores.max(axis=1)
+        tied = scores == best[:, None]
+        cell = np.where(tied, nb, _NO_TIE).argmin(axis=1)
+        return best, tied.sum(axis=1), cell
+
+    def pick(self) -> tuple[int, int, bool]:
+        """The best pair, by lowest basic cost, then user, then cell among
+        equal scores, and whether more than one pair had that score."""
+        i = int(self.best.argmax())
+        at_best = self.best == self.best[i]
+        rows_tied = np.count_nonzero(at_best) > 1
+        if rows_tied:
+            top = at_best.nonzero()[0]
+            i = int(top[self.nb[top, self.cell[top]].argmin()])
+        return i, int(self.cell[i]), bool(rows_tied or self.ties[i] > 1)
+
+    def drop_row(self, i: int):
+        # An all -inf row ties at every cell; keep its summary exact.
+        self.scores[i] = -np.inf
+        self.best[i] = -np.inf
+        self.ties[i] = self.scores.shape[1]
+        self.cell[i] = self.nb[i].argmin()
+
+    def set_column(self, j: int, values: np.ndarray):
+        old = self.scores[:, j]
+        # A row's summary moves only if cell j was at its best or reaches it.
+        stale = (values != old) & (np.maximum(old, values) >= self.best)
+        self.scores[:, j] = values
+        rows = stale.nonzero()[0]
+        if rows.size:
+            self.best[rows], self.ties[rows], self.cell[rows] = self._summarize(
+                self.scores[rows], self.nb[rows]
+            )
 
 
 def solve_elva(
@@ -331,7 +392,7 @@ def solve_elva(
 
     gains = np.empty((m, s))
     for j in range(s):
-        gains[:, j] = _gain_column(costs[:, j], prefix[:, j], budgets[j])
+        gains[:, j] = _gain_column(costs[j], prefix[j], budgets[j])
 
     assoc = np.full(m, -1, dtype=np.int64)
     unassigned = np.ones(m, dtype=bool)
@@ -340,17 +401,13 @@ def solve_elva(
 
     # Scores of the unassigned pairs; assigned users' rows hold -inf. Only
     # the assigned user's row and the chosen cell's column change per round.
-    dq = penalty + gains
+    ranking = _PairRanking(penalty + gains, nb)
     for _ in range(m):
-        tied = dq == dq.max()
-        if np.count_nonzero(tied) > 1:
-            tie_breaks += 1
-        # Row-major argmin returns the first minimum: lowest basic cost,
-        # then lowest user, then lowest cell.
-        i, j = divmod(int(np.where(tied, nb, _NO_TIE).argmin()), s)
+        i, j, tied = ranking.pick()
+        tie_breaks += tied
         assoc[i] = j
         unassigned[i] = False
-        dq[i] = -np.inf
+        ranking.drop_row(i)
 
         views = sorted(
             np.flatnonzero(instance.w[i, j]),
@@ -369,8 +426,8 @@ def solve_elva(
                 y = min(1.0, budgets[j] / cost)
                 charge = y * cost
             budgets[j] -= charge
-        gains[:, j] = _gain_column(costs[:, j], prefix[:, j], budgets[j])
-        dq[:, j] = np.where(unassigned, penalty[:, j] + gains[:, j], -np.inf)
+        gain = _gain_column(costs[j], prefix[j], budgets[j])
+        ranking.set_column(j, np.where(unassigned, penalty[:, j] + gain, -np.inf))
 
     solution, _ = _finalize(instance, assoc, mode)
     return solution, SolverReport(

@@ -50,6 +50,20 @@ def test_generate_refuses_uncoverable_caches(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_non_integer_seed_variable_is_a_validation_error(
+    command, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("TIERCAST_SEED", "abc")
+    out = tmp_path / "out"
+    rc = main([command, *SMALL, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert "TIERCAST_SEED" in err[0] and "'abc'" in err[0]
+    assert not out.exists()
+
+
 def test_solve_bruteforce_small(tmp_path, capsys):
     inst = _generate(tmp_path)
     sol_path = tmp_path / "sol.json"

@@ -72,9 +72,30 @@ def test_topology_invariant_checks():
         )
 
 
-def test_demands_exhaustive_when_views_per_user_equals_views():
-    d = generate_demands(8, 4, 4, seed=1)
-    assert all(vs == (0, 1, 2, 3) for vs in d.views)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 12),
+    st.sampled_from([0.0, 0.8, 2.5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_demands_exhaustive_when_views_per_user_equals_views(m, e, skew, seed):
+    d = generate_demands(m, e, e, popularity_skew=skew, seed=seed)
+    assert d.views == (tuple(range(e)),) * m
+    # The same as sorting the full draw without replacement, which permutes.
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, e + 1) ** skew
+    probs = weights / weights.sum()
+    drawn = tuple(
+        tuple(sorted(rng.choice(e, size=e, replace=False, p=probs))) for _ in range(m)
+    )
+    assert d.views == drawn
+
+
+def test_demands_partial_draw_is_pinned():
+    # A fig9-style draw: 2 of 10 views per user.
+    d = generate_demands(6, 10, 2, popularity_skew=0.8, seed=9)
+    assert d.views == ((1, 7), (3, 5), (4, 8), (7, 8), (0, 1), (0, 2))
 
 
 def test_demands_zero_skew_is_uniform():
@@ -92,6 +113,8 @@ def test_demands_deterministic_and_validated():
     assert d1.views == d2.views
     with pytest.raises(ValueError):
         generate_demands(3, 2, 5)
+    with pytest.raises(ValueError):
+        generate_demands(3, 0, 0)
     with pytest.raises(ValueError):
         DemandSet(views=((7,),), n_views=3)
 
