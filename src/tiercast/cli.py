@@ -36,7 +36,8 @@ def _load_config(args) -> ExperimentConfig:
     """Config from preset, file or defaults; then the ``TIERCAST_SEED``
     environment variable; then the flags, which take precedence.
 
-    Raises ``ValueError`` on an invalid preset, config or seed variable."""
+    Raises ``ValueError`` on an invalid preset, config or seed variable, and
+    ``OSError`` on an unreadable config file."""
     if args.preset:
         config = preset_config(args.preset)
     elif args.config:
@@ -99,12 +100,12 @@ def _add_config_flags(parser: argparse.ArgumentParser):
 def cmd_generate(args) -> int:
     try:
         config = _load_config(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         instance, topology = build_experiment_instance(config, args.seed)
-    except Exception as exc:
+    except ValueError as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     out = Path(args.out)
@@ -129,7 +130,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     try:
         instance = serialize.load_instance(args.instance)
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load instance: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     config = ExperimentConfig(
@@ -161,7 +162,7 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     try:
         config = _load_config(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     out = Path(args.out)
@@ -186,7 +187,7 @@ def cmd_verify(args) -> int:
     try:
         instance = serialize.load_instance(args.instance)
         solution = serialize.load_solution(args.solution)
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load inputs: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -243,7 +243,8 @@ def is_feasible(
     cells = np.full(y.size, -1, dtype=np.int64)
     cells[in_range] = assoc[users[in_range]]
     served = (cells >= 0) & (cells < instance.n_cells)
-    out_of_bounds = (y < -FEAS_TOL) | (y > 1.0 + FEAS_TOL)
+    # Written as a negated range test so that NaN is out of bounds.
+    out_of_bounds = ~((y >= -FEAS_TOL) & (y <= 1.0 + FEAS_TOL))
     unrewarded = np.zeros(y.size, dtype=bool)
     unrewarded[served] = instance.w[users[served], cells[served], views[served]] == 0
     unrewarded &= y > FEAS_TOL

@@ -1,13 +1,31 @@
 """Versioned JSON serialization for topologies, instances, and solutions.
 
-Schemas carry a ``schema`` tag (e.g. ``instance/v1``). Arrays serialize as
-nested lists; sparse structures (allocations, sharing groups) as index
-tuples. Dumps are deterministic: sorted keys, fixed separators.
+Every payload is one JSON object with a ``schema`` tag. Dumps are
+deterministic: sorted keys, fixed separators.
+
+An ``instance/v2`` object has a plain header: ``n_users``, ``n_cells`` and
+``n_views`` (integers >= 0) and ``sharing``, either null or a list of
+``[cell, view, [users]]`` triples. Each array is one base64 string of its
+little-endian bytes in C order: ``w`` as ``<i1`` with shape
+``(n_users, n_cells, n_views)``, ``rb_budget`` as ``<i8`` with shape
+``(n_cells,)``, ``rb_basic`` as ``<i8`` with shape ``(n_users, n_cells)`` and
+``rb_enhanced`` as ``<i8`` with shape ``(n_users, n_cells, n_views)``. Shapes
+are not stored; they follow from the header's counts, and a payload of any
+other byte length is refused. Loaded arrays are owned, writable and in
+native byte order.
+
+Topologies (``topology/v1``) store their arrays as nested lists; solutions
+(``solution/v1``) store the association as a list and the allocation as
+``[user, view, y]`` triples. Every loader raises ``SchemaError`` on a wrong
+tag; the instance and solution loaders also on a missing field or a field of
+the wrong type or size, and on a non-finite or repeated allocation entry.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +34,35 @@ from .problem import Instance, Solution
 from .scenario import Topology
 
 TOPOLOGY_SCHEMA = "topology/v1"
-INSTANCE_SCHEMA = "instance/v1"
+INSTANCE_SCHEMA = "instance/v2"
 SOLUTION_SCHEMA = "solution/v1"
+
+
+# Each instance array: its name, stored dtype and shape in header counts.
+_COUNTS = ("n_users", "n_cells", "n_views")
+_INSTANCE_ARRAYS = (
+    ("w", np.dtype("<i1"), ("n_users", "n_cells", "n_views")),
+    ("rb_budget", np.dtype("<i8"), ("n_cells",)),
+    ("rb_basic", np.dtype("<i8"), ("n_users", "n_cells")),
+    ("rb_enhanced", np.dtype("<i8"), ("n_users", "n_cells", "n_views")),
+)
+_INT64 = range(-(2**63), 2**63)
 
 
 class SchemaError(ValueError):
     """Payload does not match the expected schema tag or shape."""
+
+
+def _is_int(value) -> bool:
+    """A JSON integer that fits int64 (``true`` and ``2.0`` do not count)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value in _INT64
+
+
+def _field(data: dict, name: str):
+    try:
+        return data[name]
+    except KeyError:
+        raise SchemaError(f"missing field {name!r}") from None
 
 
 def _dump(obj: dict, path) -> None:
@@ -31,11 +72,10 @@ def _dump(obj: dict, path) -> None:
 
 
 def _load(path, expected_schema: str) -> dict:
-    data = json.loads(Path(path).read_text())
-    if data.get("schema") != expected_schema:
-        raise SchemaError(
-            f"expected schema {expected_schema!r}, got {data.get('schema')!r}"
-        )
+    data = json.loads(Path(path).read_bytes())
+    schema = data.get("schema") if isinstance(data, dict) else None
+    if schema != expected_schema:
+        raise SchemaError(f"expected schema {expected_schema!r}, got {schema!r}")
     return data
 
 
@@ -56,6 +96,24 @@ def topology_from_dict(data: dict) -> Topology:
     )
 
 
+def _encode(array: np.ndarray, dtype: np.dtype) -> str:
+    return base64.b64encode(np.asarray(array, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _decode(data: dict, name: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
+    """The array stored under ``name``: an owned, writable, native-order copy."""
+    payload = _field(data, name)
+    try:
+        raw = base64.b64decode(payload, validate=True)
+        size = dtype.itemsize * math.prod(shape)
+        if len(raw) != size:
+            raise ValueError(f"{len(raw)} bytes, expected {size} for shape {shape}")
+        stored = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"array {name!r}: {exc}") from None
+    return stored.astype(dtype.type)
+
+
 def instance_to_dict(instance: Instance) -> dict:
     sharing = None
     if instance.sharing is not None:
@@ -64,34 +122,46 @@ def instance_to_dict(instance: Instance) -> dict:
             for j, groups in sorted(instance.sharing.items())
             for k, users in sorted(groups.items())
         ]
-    return {
-        "schema": INSTANCE_SCHEMA,
-        "n_users": instance.n_users,
-        "n_cells": instance.n_cells,
-        "n_views": instance.n_views,
-        "w": instance.w.tolist(),
-        "rb_budget": instance.rb_budget.tolist(),
-        "rb_basic": instance.rb_basic.tolist(),
-        "rb_enhanced": instance.rb_enhanced.tolist(),
-        "sharing": sharing,
-    }
+    data = {name: getattr(instance, name) for name in _COUNTS}
+    for name, dtype, _ in _INSTANCE_ARRAYS:
+        data[name] = _encode(getattr(instance, name), dtype)
+    return {"schema": INSTANCE_SCHEMA, **data, "sharing": sharing}
+
+
+def _sharing_from_list(triples) -> dict | None:
+    if triples is None:
+        return None
+    if not isinstance(triples, list):
+        raise SchemaError("sharing must be null or a list of [cell, view, [users]]")
+    sharing = {}
+    for triple in triples:
+        if not (
+            isinstance(triple, list)
+            and len(triple) == 3
+            and _is_int(triple[0])
+            and _is_int(triple[1])
+            and isinstance(triple[2], list)
+            and all(map(_is_int, triple[2]))
+        ):
+            raise SchemaError(f"sharing entry {triple!r} is not [cell, view, [users]]")
+        j, k, users = triple
+        if k in sharing.get(j, ()):
+            raise SchemaError(f"sharing group ({j}, {k}) given twice")
+        sharing.setdefault(j, {})[k] = frozenset(users)
+    return sharing
 
 
 def instance_from_dict(data: dict) -> Instance:
-    sharing = None
-    if data.get("sharing") is not None:
-        sharing = {}
-        for j, k, users in data["sharing"]:
-            sharing.setdefault(int(j), {})[int(k)] = frozenset(int(i) for i in users)
+    counts = {name: _field(data, name) for name in _COUNTS}
+    for name, value in counts.items():
+        if not _is_int(value) or value < 0:
+            raise SchemaError(f"{name} must be an integer >= 0, got {value!r}")
+    arrays = {
+        name: _decode(data, name, dtype, tuple(counts[d] for d in dims))
+        for name, dtype, dims in _INSTANCE_ARRAYS
+    }
     return Instance(
-        n_users=int(data["n_users"]),
-        n_cells=int(data["n_cells"]),
-        n_views=int(data["n_views"]),
-        w=np.asarray(data["w"], dtype=np.int8),
-        rb_budget=np.asarray(data["rb_budget"], dtype=np.int64),
-        rb_basic=np.asarray(data["rb_basic"], dtype=np.int64),
-        rb_enhanced=np.asarray(data["rb_enhanced"], dtype=np.int64),
-        sharing=sharing,
+        **counts, **arrays, sharing=_sharing_from_list(_field(data, "sharing"))
     )
 
 
@@ -107,10 +177,28 @@ def solution_to_dict(solution: Solution) -> dict:
 
 
 def solution_from_dict(data: dict) -> Solution:
-    return Solution(
-        assoc=np.asarray(data["assoc"], dtype=np.int64),
-        alloc={(int(i), int(k)): float(y) for i, k, y in data["alloc"]},
-    )
+    assoc = _field(data, "assoc")
+    if not isinstance(assoc, list) or not all(map(_is_int, assoc)):
+        raise SchemaError("assoc must be a list of integer cell indices")
+    entries = _field(data, "alloc")
+    if not isinstance(entries, list):
+        raise SchemaError("alloc must be a list of [user, view, y]")
+    alloc = {}
+    for entry in entries:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and _is_int(entry[0])
+            and _is_int(entry[1])
+        ):
+            raise SchemaError(f"alloc entry {entry!r} is not [user, view, y]")
+        i, k, y = entry
+        if not ((isinstance(y, float) or _is_int(y)) and math.isfinite(y)):
+            raise SchemaError(f"alloc entry {entry!r}: y must be a finite number")
+        if (i, k) in alloc:
+            raise SchemaError(f"alloc entry ({i}, {k}) given twice")
+        alloc[(i, k)] = float(y)
+    return Solution(assoc=np.asarray(assoc, dtype=np.int64), alloc=alloc)
 
 
 def save_topology(topology: Topology, path) -> None:

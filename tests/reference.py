@@ -78,7 +78,7 @@ def is_feasible(instance, solution, mode=UNICAST):
             indices_ok = False
             continue
         j = solution.assoc[i]
-        if y < -FEAS_TOL or y > 1.0 + FEAS_TOL:
+        if not -FEAS_TOL <= y <= 1.0 + FEAS_TOL:
             violations.append(Violation("alloc-bounds", (i, k), f"y={y} outside [0, 1]"))
         if y > FEAS_TOL and instance.w[i, j, k] == 0:
             violations.append(Violation("alloc-mask", (i, int(j), k), f"y={y} but w=0"))

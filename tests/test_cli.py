@@ -64,6 +64,14 @@ def test_non_integer_seed_variable_is_a_validation_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
+    rc = main([command, "--config", str(tmp_path / "absent.json"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "invalid configuration" in capsys.readouterr().err
+
+
 def test_solve_bruteforce_small(tmp_path, capsys):
     inst = _generate(tmp_path)
     sol_path = tmp_path / "sol.json"
@@ -175,3 +183,17 @@ def test_verify_flags_corrupted_solution(tmp_path, capsys):
     assert rc == 2
     result = json.loads(capsys.readouterr().out.strip())
     assert result["violations"]
+
+
+def test_verify_refuses_nan_share(tmp_path, capsys):
+    inst_path = _generate(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    assert main(["solve", str(inst_path), "--solver", "sinr",
+                 "--solution-out", str(sol_path)]) == 0
+    payload = json.loads(sol_path.read_text())
+    payload["alloc"][0][2] = float("nan")
+    sol_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = main(["verify", str(inst_path), str(sol_path)])
+    assert rc == 1
+    assert "finite" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from tiercast import experiments
 from tiercast.cli import _load_config, build_parser
 from tiercast.experiments import (
     ExperimentConfig,
@@ -151,3 +152,21 @@ def test_run_sweep_multicast_mode_rows():
     rows = list(run_sweep(cfg))
     assert [r["mode"] for r in rows] == [UNICAST, MULTICAST]
     assert all(r["status"] == "ok" for r in rows)
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize("stage", ["build_experiment_instance", "run_solver"])
+def test_run_sweep_records_value_errors_and_propagates_bugs(monkeypatch, stage):
+    cfg = small_config()
+    monkeypatch.setattr(experiments, stage, _raising(ValueError("bad input")))
+    [row] = run_sweep(cfg)
+    assert "bad input" in row["status"]
+    monkeypatch.setattr(experiments, stage, _raising(ZeroDivisionError("bug")))
+    with pytest.raises(ZeroDivisionError):
+        list(run_sweep(cfg))

@@ -143,6 +143,25 @@ def test_is_feasible_flags_bounds():
     assert any(v.constraint == "alloc-bounds" for v in report.violations)
 
 
+def test_is_feasible_flags_nan_share():
+    # NaN fails neither ``y < lo`` nor ``y > hi``; the check must not pass it.
+    inst = fig1_instance()
+    sol = Solution(assoc=np.array([0, 0, 1]), alloc={(0, 0): float("nan")})
+    report = is_feasible(inst, sol)
+    assert not report.feasible
+    assert [v.constraint for v in report.violations] == ["alloc-bounds"]
+    assert report.violations[0].where == (0, 0)
+
+
+@pytest.mark.parametrize("y", [float("inf"), float("-inf")])
+def test_is_feasible_flags_infinite_share(y):
+    inst = fig1_instance()
+    sol = Solution(assoc=np.array([0, 0, 1]), alloc={(0, 0): y})
+    report = is_feasible(inst, sol)
+    assert not report.feasible
+    assert report.violations[0].constraint == "alloc-bounds"
+
+
 def test_round_discrete_single_level():
     inst = fig1_instance()
     sol = Solution(assoc=np.array([0, 0, 1]), alloc={(0, 0): 0.6, (0, 2): 0.4})

@@ -1,14 +1,47 @@
 """JSON round trips and schema validation."""
 
+import base64
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiercast import serialize
-from tiercast.problem import Solution
+from tiercast.problem import Instance
 from tiercast.scenario import generate_topology
 from tiercast.solvers import solve_sinr
 
 from conftest import random_tiny_instance
+
+GOLDEN = Path(__file__).parent / "data" / "instance_v2.json"
+
+
+def _golden_instance():
+    """Small enough to read; values above one byte pin the byte order."""
+    return Instance(
+        n_users=2,
+        n_cells=2,
+        n_views=2,
+        w=[[[1, 0], [0, 1]], [[1, 1], [0, 0]]],
+        rb_budget=[300, 2**40 + 1],
+        rb_basic=[[1, 2], [3, 258]],
+        rb_enhanced=[[[10, 11], [12, 13]], [[14, 15], [16, 65536]]],
+        sharing={0: {0: frozenset({0, 1})}, 1: {1: frozenset()}},
+    )
+
+
+def _write(tmp_path, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _b64(values, dtype):
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
 
 
 def test_topology_round_trip(tmp_path):
@@ -62,13 +95,122 @@ def test_schema_mismatch_raises(tmp_path, rng):
 
 
 def test_loaded_instance_is_validated(tmp_path):
-    path = tmp_path / "bad.json"
     payload = serialize.instance_to_dict(
         random_tiny_instance(np.random.default_rng(3))
     )
-    payload["rb_budget"] = [0] * payload["n_cells"]
-    import json
+    payload["rb_budget"] = _b64(np.zeros(payload["n_cells"]), "<i8")
+    with pytest.raises(ValueError, match="budgets must be positive"):
+        serialize.load_instance(_write(tmp_path, payload))
 
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
-        serialize.load_instance(path)
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), with_sharing=st.booleans())
+def test_instance_round_trip_property(seed, with_sharing):
+    inst = random_tiny_instance(np.random.default_rng(seed), with_sharing=with_sharing)
+    text = json.dumps(serialize.instance_to_dict(inst))
+    back = serialize.instance_from_dict(json.loads(text))
+    assert (back.n_users, back.n_cells, back.n_views) == (
+        inst.n_users, inst.n_cells, inst.n_views
+    )
+    for name in ("w", "rb_budget", "rb_basic", "rb_enhanced"):
+        mine, theirs = getattr(back, name), getattr(inst, name)
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert (mine == theirs).all()
+    assert back.sharing == inst.sharing
+
+
+def test_instance_bytes_are_pinned(tmp_path):
+    path = tmp_path / "inst.json"
+    serialize.save_instance(_golden_instance(), path)
+    assert path.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_golden_arrays_are_little_endian_c_order():
+    data = json.loads(GOLDEN.read_text())
+    assert data["schema"] == "instance/v2"
+    assert base64.b64decode(data["w"]) == bytes([1, 0, 0, 1, 1, 1, 0, 0])
+    assert base64.b64decode(data["rb_budget"]) == struct.pack("<2q", 300, 2**40 + 1)
+    assert base64.b64decode(data["rb_basic"]) == struct.pack("<4q", 1, 2, 3, 258)
+    assert base64.b64decode(data["rb_enhanced"]) == struct.pack(
+        "<8q", 10, 11, 12, 13, 14, 15, 16, 65536
+    )
+    assert data["sharing"] == [[0, 0, [0, 1]], [1, 1, []]]
+
+
+def test_loaded_arrays_are_owned_writable_and_native(tmp_path):
+    path = tmp_path / "inst.json"
+    serialize.save_instance(_golden_instance(), path)
+    back = serialize.load_instance(path)
+    for name in ("w", "rb_budget", "rb_basic", "rb_enhanced"):
+        array = getattr(back, name)
+        assert array.flags.writeable and array.flags.owndata
+        assert array.dtype.isnative
+    back.rb_enhanced[1, 1, 1] = 7
+    assert back.rb_enhanced[1, 1, 1] == 7
+
+
+def _v1_payload(data):
+    inst = _golden_instance()
+    return {
+        **data,
+        "schema": "instance/v1",
+        "w": inst.w.tolist(),
+        "rb_budget": inst.rb_budget.tolist(),
+        "rb_basic": inst.rb_basic.tolist(),
+        "rb_enhanced": inst.rb_enhanced.tolist(),
+    }
+
+
+def _without(data, name):
+    return {key: value for key, value in data.items() if key != name}
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_v1_payload, "expected schema 'instance/v2'"),
+        # Decoders that skip unknown characters would read the right bytes.
+        (lambda d: {**d, "w": d["w"][:4] + "*!*!" + d["w"][4:]}, "array 'w'"),
+        (lambda d: {**d, "rb_enhanced": d["rb_enhanced"][:-8]}, "array 'rb_enhanced'"),
+        (lambda d: {**d, "rb_basic": _b64(np.arange(5), "<i8")}, "40 bytes, expected 32"),
+        (lambda d: {**d, "n_users": 2.0}, "n_users must be an integer"),
+        (lambda d: {**d, "n_users": True}, "n_users must be an integer"),
+        (lambda d: _without(d, "rb_enhanced"), "missing field 'rb_enhanced'"),
+    ],
+    ids=["v1", "non-base64", "truncated", "one-item-long", "float-count", "bool-count",
+         "missing-array"],
+)
+def test_malformed_instance_raises_schema_error(tmp_path, corrupt, message):
+    payload = corrupt(serialize.instance_to_dict(_golden_instance()))
+    with pytest.raises(serialize.SchemaError, match=message):
+        serialize.load_instance(_write(tmp_path, payload))
+
+
+def _solution_payload(alloc, assoc=(0, 1)):
+    return {"schema": serialize.SOLUTION_SCHEMA, "assoc": list(assoc), "alloc": alloc}
+
+
+def test_solution_rejects_non_integer_index(tmp_path):
+    path = _write(tmp_path, _solution_payload([[1.5, 0, 1.0]]))
+    with pytest.raises(serialize.SchemaError, match="not \\[user, view, y\\]"):
+        serialize.load_solution(path)
+
+
+@pytest.mark.parametrize("y", [float("nan"), float("inf"), float("-inf")])
+def test_solution_rejects_non_finite_share(tmp_path, y):
+    path = _write(tmp_path, _solution_payload([[0, 0, y]]))
+    with pytest.raises(serialize.SchemaError, match="finite"):
+        serialize.load_solution(path)
+
+
+def test_solution_rejects_duplicate_pair(tmp_path):
+    path = _write(tmp_path, _solution_payload([[0, 1, 1.0], [0, 1, 0.5]]))
+    with pytest.raises(serialize.SchemaError, match="given twice"):
+        serialize.load_solution(path)
+
+
+@pytest.mark.parametrize("field", ["assoc", "alloc"])
+def test_solution_rejects_missing_field(tmp_path, field):
+    payload = _without(_solution_payload([[0, 0, 1.0]]), field)
+    with pytest.raises(serialize.SchemaError, match=f"missing field '{field}'"):
+        serialize.load_solution(_write(tmp_path, payload))
