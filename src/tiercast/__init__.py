@@ -5,10 +5,6 @@ from .channel import (
     ChannelParams,
     RbCostTables,
     build_rb_tables,
-    path_loss_db,
-    rate_per_rb,
-    rbs_for_payload,
-    sinr,
 )
 from .problem import (
     FeasibilityReport,
@@ -17,7 +13,6 @@ from .problem import (
     is_feasible,
     objective,
     rb_usage,
-    round_discrete,
 )
 from .scenario import (
     CachePlacement,
@@ -46,17 +41,12 @@ __all__ = [
     "ChannelParams",
     "RbCostTables",
     "build_rb_tables",
-    "path_loss_db",
-    "rate_per_rb",
-    "rbs_for_payload",
-    "sinr",
     "FeasibilityReport",
     "Instance",
     "Solution",
     "is_feasible",
     "objective",
     "rb_usage",
-    "round_discrete",
     "CachePlacement",
     "DemandSet",
     "Topology",

@@ -150,9 +150,7 @@ def build_experiment_instance(
         popularity_skew=config.popularity_skew,
         seed=derive_seed(base, 1),
     )
-    placement = place_caches(
-        demands, topology, config.effective_cache_capacity, seed=derive_seed(base, 2)
-    )
+    placement = place_caches(demands, topology, config.effective_cache_capacity)
     sharing = None
     if config.sharing_fraction > 0:
         sharing = generate_sharing_groups(
@@ -267,6 +265,23 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
+def _row(config: ExperimentConfig, value, seed, mode, solver, status, **results):
+    """One sweep row keyed by SWEEP_CSV_COLUMNS; result columns not given
+    stay empty."""
+    row = dict.fromkeys(SWEEP_CSV_COLUMNS, "")
+    row.update(
+        preset=config.preset,
+        sweep_param=config.sweep_param,
+        sweep_value=value,
+        seed=seed,
+        mode=mode,
+        solver=solver,
+        status=status,
+        **results,
+    )
+    return row
+
+
 def run_sweep(config: ExperimentConfig):
     """Yield one result row per (sweep value, seed, mode, solver).
 
@@ -287,21 +302,10 @@ def run_sweep(config: ExperimentConfig):
             except ValueError as exc:  # recorded per row, sweep continues
                 for mode in config.modes:
                     for solver in point.solvers:
-                        yield {
-                            "preset": config.preset,
-                            "sweep_param": config.sweep_param,
-                            "sweep_value": value,
-                            "seed": seed,
-                            "mode": mode,
-                            "solver": solver,
-                            "objective": "",
-                            "gap": "",
-                            "jain": "",
-                            "mean_utilization": "",
-                            "feasible": "",
-                            "wall_time": "",
-                            "status": f"generation failed: {exc}",
-                        }
+                        yield _row(
+                            config, value, seed, mode, solver,
+                            f"generation failed: {exc}",
+                        )
                 continue
             for mode in config.modes:
                 results = {}
@@ -317,37 +321,16 @@ def run_sweep(config: ExperimentConfig):
                 summary = summarize(instance, results, mode) if results else None
                 for solver in point.solvers:
                     if solver in errors:
-                        yield {
-                            "preset": config.preset,
-                            "sweep_param": config.sweep_param,
-                            "sweep_value": value,
-                            "seed": seed,
-                            "mode": mode,
-                            "solver": solver,
-                            "objective": "",
-                            "gap": "",
-                            "jain": "",
-                            "mean_utilization": "",
-                            "feasible": "",
-                            "wall_time": "",
-                            "status": errors[solver],
-                        }
+                        yield _row(config, value, seed, mode, solver, errors[solver])
                         continue
                     solution, report = results[solver]
                     row = summary.row(solver)
-                    feasible = is_feasible(instance, solution, mode).feasible
-                    yield {
-                        "preset": config.preset,
-                        "sweep_param": config.sweep_param,
-                        "sweep_value": value,
-                        "seed": seed,
-                        "mode": mode,
-                        "solver": solver,
-                        "objective": report.objective,
-                        "gap": row.gap,
-                        "jain": "" if row.jain is None else row.jain,
-                        "mean_utilization": row.mean_utilization,
-                        "feasible": feasible,
-                        "wall_time": report.wall_time,
-                        "status": "ok",
-                    }
+                    yield _row(
+                        config, value, seed, mode, solver, "ok",
+                        objective=report.objective,
+                        gap=row.gap,
+                        jain="" if row.jain is None else row.jain,
+                        mean_utilization=row.mean_utilization,
+                        feasible=is_feasible(instance, solution, mode).feasible,
+                        wall_time=report.wall_time,
+                    )

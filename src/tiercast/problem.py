@@ -98,9 +98,6 @@ class Solution:
     def __post_init__(self):
         self.assoc = np.asarray(self.assoc, dtype=np.int64)
 
-    def alloc_for_user(self, i: int) -> dict[int, float]:
-        return {k: y for (u, k), y in self.alloc.items() if u == i}
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -278,42 +275,3 @@ def is_feasible(
             )
 
     return FeasibilityReport(not violations, tuple(violations))
-
-
-def round_discrete(
-    instance: Instance, solution: Solution, levels: int, mode: str = UNICAST
-) -> Solution:
-    """Snap allocations onto the grid {0, 1/F, ..., 1} and repair budgets.
-
-    Each value rounds to the nearest level (halves round up). Cells pushed
-    over budget by rounding are repaired by stepping entries back down one
-    level at a time, largest enhanced cost first, until feasible.
-    """
-    if levels < 1:
-        raise ValueError("level count must be >= 1")
-    rounded = Solution(assoc=solution.assoc.copy())
-    for (i, k), y in solution.alloc.items():
-        q = np.floor(y * levels + 0.5) / levels
-        if q > 0:
-            rounded.alloc[(i, k)] = min(1.0, q)
-
-    usage = rb_usage(instance, rounded, mode)
-    for j in range(instance.n_cells):
-        if usage[j] <= instance.rb_budget[j] + FEAS_TOL:
-            continue
-        entries = sorted(
-            (e for e in rounded.alloc if rounded.assoc[e[0]] == j),
-            key=lambda e: (-instance.rb_enhanced[e[0], j, e[1]], e),
-        )
-        for i, k in entries:
-            while (
-                rounded.alloc.get((i, k), 0.0) > 0
-                and usage[j] > instance.rb_budget[j] + FEAS_TOL
-            ):
-                rounded.alloc[(i, k)] -= 1.0 / levels
-                if rounded.alloc[(i, k)] <= FEAS_TOL:
-                    del rounded.alloc[(i, k)]
-                usage = rb_usage(instance, rounded, mode)
-            if usage[j] <= instance.rb_budget[j] + FEAS_TOL:
-                break
-    return rounded

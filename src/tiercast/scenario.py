@@ -160,17 +160,14 @@ def place_caches(
     demands: DemandSet,
     topology: Topology,
     cache_capacity: int,
-    seed: int = 0,
 ) -> CachePlacement:
     """Two-phase placement: coverage first, then local popularity.
 
     Phase 1 assigns each view to the currently least-loaded cell so every view
     is cached somewhere. Phase 2 fills each cell's remaining slots with the
     views most demanded by the users whose nearest cell it is, breaking ties
-    by view index. ``seed`` is accepted for interface stability; the heuristic
-    is deterministic.
+    by view index.
     """
-    del seed
     n_cells = topology.n_cells
     n_views = demands.n_views
     if cache_capacity < 1:

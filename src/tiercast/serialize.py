@@ -14,11 +14,12 @@ are not stored; they follow from the header's counts, and a payload of any
 other byte length is refused. Loaded arrays are owned, writable and in
 native byte order.
 
-Topologies (``topology/v1``) store their arrays as nested lists; solutions
-(``solution/v1``) store the association as a list and the allocation as
-``[user, view, y]`` triples. Every loader raises ``SchemaError`` on a wrong
-tag; the instance and solution loaders also on a missing field or a field of
-the wrong type or size, and on a non-finite or repeated allocation entry.
+Topologies (``topology/v1``) store their positions as lists of ``[x, y]``
+pairs; solutions (``solution/v1``) store the association as a list and the
+allocation as ``[user, view, y]`` triples. Every loader raises
+``SchemaError`` on a wrong tag, a missing field or a field of the wrong type
+or size, and on a non-finite number where a position, the map radius or an
+allocation share belongs; the solution loader also on a repeated entry.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value in _INT64
 
 
+def _is_finite_number(value) -> bool:
+    """A finite JSON number (``true`` does not count)."""
+    return (isinstance(value, float) or _is_int(value)) and math.isfinite(value)
+
+
 def _field(data: dict, name: str):
     try:
         return data[name]
@@ -88,11 +94,28 @@ def topology_to_dict(topology: Topology) -> dict:
     }
 
 
+def _points(data: dict, name: str) -> np.ndarray:
+    """The ``(n, 2)`` array stored under ``name`` as a list of [x, y] pairs."""
+    points = _field(data, name)
+    if not (
+        isinstance(points, list)
+        and all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_finite_number, p))
+            for p in points
+        )
+    ):
+        raise SchemaError(f"{name} must be a list of [x, y] pairs of finite numbers")
+    return np.array(points, dtype=float).reshape(len(points), 2)
+
+
 def topology_from_dict(data: dict) -> Topology:
+    radius = _field(data, "map_radius")
+    if not _is_finite_number(radius):
+        raise SchemaError(f"map_radius must be a finite number, got {radius!r}")
     return Topology(
-        cell_positions=np.asarray(data["cell_positions"], dtype=float),
-        user_positions=np.asarray(data["user_positions"], dtype=float),
-        map_radius=float(data["map_radius"]),
+        cell_positions=_points(data, "cell_positions"),
+        user_positions=_points(data, "user_positions"),
+        map_radius=float(radius),
     )
 
 
@@ -193,7 +216,7 @@ def solution_from_dict(data: dict) -> Solution:
         ):
             raise SchemaError(f"alloc entry {entry!r} is not [user, view, y]")
         i, k, y = entry
-        if not ((isinstance(y, float) or _is_int(y)) and math.isfinite(y)):
+        if not _is_finite_number(y):
             raise SchemaError(f"alloc entry {entry!r}: y must be a finite number")
         if (i, k) in alloc:
             raise SchemaError(f"alloc entry ({i}, {k}) given twice")

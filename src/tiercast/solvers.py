@@ -3,6 +3,13 @@
 All solvers return ``(Solution, SolverReport)`` and are deterministic for a
 fixed instance: each breaks ties by the total order stated in its docstring,
 with the basic RB cost serving as the SINR proxy.
+
+Every enhanced-view fill, the unicast cell allocator's and EVA's and ELVA's
+per-user ones, goes through ``_fill``: items are taken in the caller's order,
+each with y = min(1, (max(left, 0) + g) / cost), paying max(0, y * cost - g)
+from the budget left, where g is what its sharing group already pays (0 for
+an item outside a group). Once the budget is spent, only a member whose
+group already pays takes a share: it rides the group's transmission.
 """
 
 from __future__ import annotations
@@ -48,15 +55,50 @@ class CellAllocation:
     basic_infeasible: bool = False
 
 
+def _fill(items, left: float, paid: dict):
+    """Fill ``(cost, key, group)`` items in order from the budget ``left``.
+
+    ``group`` is None outside a sharing group, else the key under which
+    ``paid`` holds what the group already pays; ``paid`` is updated in place.
+    Returns the ``(key, y)`` pairs taken, in order, and the budget left.
+    """
+    taken = []
+    for cost, key, group in items:
+        if left <= 0 and not paid:  # spent, and no group to ride on
+            break
+        charge = paid.get(group, 0.0)
+        y = min(1.0, (max(left, 0.0) + charge) / cost)
+        if left <= 0 and y <= 0:
+            continue
+        taken.append((key, y))
+        left -= max(0.0, y * cost - charge)
+        if group is not None:
+            paid[group] = max(charge, y * cost)
+    return taken, left
+
+
+def _view_items(instance: Instance, i: int, j: int, multicast: bool) -> list:
+    """User i's rewardable views at cell j as fill items, by ascending
+    enhanced cost, then view; a sharing-group member's group is its view."""
+    costs = instance.rb_enhanced[i, j].tolist()
+    views = sorted((costs[k], k) for k in np.flatnonzero(instance.w[i, j]).tolist())
+    return [
+        (cost, (i, k), k if multicast and i in instance.sharing_group(j, k) else None)
+        for cost, k in views
+    ]
+
+
 def solve_cell_subproblem(
     instance: Instance, cell: int, users, budget: float
 ) -> CellAllocation:
     """Exact fractional-knapsack optimum of the per-cell allocation problem.
 
     Candidates are the (user, view) pairs with w=1, ranked by reward per RB
-    (equivalently ascending enhanced cost, then user, then view). All but the
-    last chosen pair receive y=1; the last may be fractional. A negative
-    budget signals that the basic broadcast alone exceeds the cell budget.
+    (equivalently ascending enhanced cost, then user, then view), and filled
+    in that order. The pairs that fit receive y=1 and the next a fraction;
+    the float remainder that fraction leaves can give later pairs shares
+    below 1e-9. A negative budget signals that the basic broadcast alone
+    exceeds the cell budget.
     """
     if budget < 0:
         return CellAllocation(alloc={}, value=0.0, basic_infeasible=True)
@@ -65,30 +107,16 @@ def solve_cell_subproblem(
     owners = users[rows]
     costs = instance.rb_enhanced[owners, cell, views]
     order = np.lexsort((views, owners, costs))
-    owners, views, costs = owners[order], views[order], costs[order]
-
-    # Budget left before each item if every earlier one was taken whole: the
-    # same subtractions, in the same order, as the fill below. Items are
-    # whole up to the first that does not fit: for 0 < left < cost the share
-    # left / cost rounds below 1, so min(1, left / cost) == 1 iff left >= cost.
-    left = np.cumsum(np.concatenate(([float(budget)], -costs.astype(float))))
-    whole = np.append(left[:-1] >= costs, False)
-    n_whole = int(whole.argmin())
-    alloc = dict.fromkeys(
-        zip(owners[:n_whole].tolist(), views[:n_whole].tolist()), 1.0
+    items = zip(
+        costs[order].tolist(),
+        zip(owners[order].tolist(), views[order].tolist()),
+        itertools.repeat(None),
     )
-    value = float(n_whole)
-    remaining = float(left[n_whole])
-    for cost, i, k in zip(
-        costs[n_whole:].tolist(), owners[n_whole:].tolist(), views[n_whole:].tolist()
-    ):
-        if remaining <= 0:
-            break
-        y = min(1.0, remaining / cost)
-        alloc[(i, k)] = y
+    taken, _ = _fill(items, float(budget), {})
+    value = 0.0
+    for _, y in taken:
         value += y
-        remaining -= y * cost
-    return CellAllocation(alloc=alloc, value=value)
+    return CellAllocation(alloc=dict(taken), value=value)
 
 
 def solve_cell_subproblem_multicast(
@@ -232,35 +260,23 @@ def solve_eva(
     tie_breaks = int((np.count_nonzero(tied, axis=1) > 1).sum())
     assoc = np.where(tied, nb, _NO_TIE).argmin(axis=1)
 
-    residual = instance.rb_budget.astype(float).copy()
+    residual = instance.rb_budget.astype(float)
     for j in range(instance.n_cells):
         users = np.flatnonzero(assoc == j)
         if users.size:
             residual[j] -= nb[users, j].max()
+    residual = residual.tolist()
 
     solution = Solution(assoc=assoc)
-    group_charge: dict[tuple[int, int], float] = {}
+    paid = [{} for _ in range(instance.n_cells)]
+    multicast = mode == MULTICAST
     order = sorted(range(instance.n_users), key=lambda i: (-scores[i, assoc[i]], i))
     for i in order:
         j = int(assoc[i])
-        views = sorted(
-            np.flatnonzero(instance.w[i, j]),
-            key=lambda k: (instance.rb_enhanced[i, j, k], k),
+        taken, residual[j] = _fill(
+            _view_items(instance, i, j, multicast), residual[j], paid[j]
         )
-        for k in views:
-            cost = float(instance.rb_enhanced[i, j, k])
-            if mode == MULTICAST and i in instance.sharing_group(j, int(k)):
-                gmax = group_charge.get((j, int(k)), 0.0)
-                y = min(1.0, (max(residual[j], 0.0) + gmax) / cost)
-                charge = max(0.0, y * cost - gmax)
-                if y > 0:
-                    group_charge[(j, int(k))] = max(gmax, y * cost)
-            else:
-                y = min(1.0, max(residual[j], 0.0) / cost)
-                charge = y * cost
-            if y > 0:
-                solution.alloc[(i, int(k))] = y
-                residual[j] -= charge
+        solution.alloc.update(taken)
 
     return solution, SolverReport(
         solver="eva",
@@ -387,7 +403,7 @@ def solve_elva(
     penalty = (
         np.minimum(instance.rb_budget[None, :] - nb.astype(float), 0.0) * T
     )
-    budgets = instance.rb_budget.astype(float) - nbar
+    budgets = (instance.rb_budget.astype(float) - nbar).tolist()
     costs, prefix = _single_user_gain_tables(instance)
 
     gains = np.empty((m, s))
@@ -396,7 +412,8 @@ def solve_elva(
 
     assoc = np.full(m, -1, dtype=np.int64)
     unassigned = np.ones(m, dtype=bool)
-    group_charge: dict[tuple[int, int], float] = {}
+    paid = [{} for _ in range(s)]
+    multicast = mode == MULTICAST
     tie_breaks = 0
 
     # Scores of the unassigned pairs; assigned users' rows hold -inf. Only
@@ -409,23 +426,9 @@ def solve_elva(
         unassigned[i] = False
         ranking.drop_row(i)
 
-        views = sorted(
-            np.flatnonzero(instance.w[i, j]),
-            key=lambda k: (instance.rb_enhanced[i, j, k], k),
+        _, budgets[j] = _fill(
+            _view_items(instance, i, j, multicast), budgets[j], paid[j]
         )
-        for k in views:
-            if budgets[j] <= 0:
-                break
-            cost = float(instance.rb_enhanced[i, j, k])
-            if mode == MULTICAST and i in instance.sharing_group(j, int(k)):
-                gmax = group_charge.get((j, int(k)), 0.0)
-                y = min(1.0, (budgets[j] + gmax) / cost)
-                charge = max(0.0, y * cost - gmax)
-                group_charge[(j, int(k))] = max(gmax, y * cost)
-            else:
-                y = min(1.0, budgets[j] / cost)
-                charge = y * cost
-            budgets[j] -= charge
         gain = _gain_column(costs[j], prefix[j], budgets[j])
         ranking.set_column(j, np.where(unassigned, penalty[:, j] + gain, -np.inf))
 
@@ -587,25 +590,13 @@ def solve_bruteforce(
         raise BruteForceCapError(
             f"{s}^{m} = {total} associations exceed the cap of {cap}"
         )
-    allocator = _cell_allocator(mode)
-
     best_value = -np.inf
-    best_assoc = None
     for combo in itertools.product(range(s), repeat=m):
-        value = 0.0
-        for j in range(s):
-            users = [i for i in range(m) if combo[i] == j]
-            if not users:
-                continue
-            residual = float(
-                instance.rb_budget[j] - max(instance.rb_basic[i, j] for i in users)
-            )
-            value += allocator(instance, j, users, residual).value
+        candidate, value = _finalize(instance, np.array(combo, dtype=np.int64), mode)
         if value > best_value:
             best_value = value
-            best_assoc = np.array(combo, dtype=np.int64)
+            solution = candidate
 
-    solution, _ = _finalize(instance, best_assoc, mode)
     return solution, SolverReport(
         solver="bruteforce",
         objective=objective(instance, solution),

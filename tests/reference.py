@@ -3,7 +3,8 @@
 Each is a plain loop over the allocation dict or over a sorted candidate
 list, adding its terms one at a time in order. They are the oracles for the
 allocation ledger in ``tiercast.problem`` and, in ``tiercast.solvers``, for
-the unicast cell kernel, the single-user gain lookup and ELVA's pair ranking.
+the unicast cell kernel, EVA's and ELVA's per-user fills, the single-user
+gain lookup and ELVA's pair ranking.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from tiercast.problem import (
     MULTICAST,
     UNICAST,
     FeasibilityReport,
+    Solution,
     Violation,
 )
 from tiercast.solvers import CellAllocation
@@ -151,3 +153,72 @@ class FullMatrixRanking:
 
     def set_column(self, j, values):
         self.scores[:, j] = values
+
+
+def solve_eva(instance, p=1.0, mode=UNICAST):
+    """EVA with its own per-user, per-view fill and group-charge dict."""
+    counts = instance.reward_counts().astype(float)
+    nb = instance.rb_basic
+    with np.errstate(invalid="ignore"):
+        scores = counts**p / nb
+    affordable = nb <= instance.rb_budget[None, :]
+    eligible = affordable | ~affordable.any(axis=1, keepdims=True)
+    masked = np.where(eligible, scores, -np.inf)
+    tied = masked == masked.max(axis=1, keepdims=True)
+    tie_breaks = int((np.count_nonzero(tied, axis=1) > 1).sum())
+    assoc = np.where(tied, nb, _NO_TIE).argmin(axis=1)
+
+    residual = instance.rb_budget.astype(float).copy()
+    for j in range(instance.n_cells):
+        users = np.flatnonzero(assoc == j)
+        if users.size:
+            residual[j] -= nb[users, j].max()
+
+    solution = Solution(assoc=assoc)
+    group_charge = {}
+    order = sorted(range(instance.n_users), key=lambda i: (-scores[i, assoc[i]], i))
+    for i in order:
+        j = int(assoc[i])
+        views = sorted(
+            np.flatnonzero(instance.w[i, j]),
+            key=lambda k: (instance.rb_enhanced[i, j, k], k),
+        )
+        for k in views:
+            cost = float(instance.rb_enhanced[i, j, k])
+            if mode == MULTICAST and i in instance.sharing_group(j, int(k)):
+                gmax = group_charge.get((j, int(k)), 0.0)
+                y = min(1.0, (max(residual[j], 0.0) + gmax) / cost)
+                charge = max(0.0, y * cost - gmax)
+                if y > 0:
+                    group_charge[(j, int(k))] = max(gmax, y * cost)
+            else:
+                y = min(1.0, max(residual[j], 0.0) / cost)
+                charge = y * cost
+            if y > 0:
+                solution.alloc[(i, int(k))] = y
+                residual[j] -= charge
+    return solution, objective(instance, solution), tie_breaks
+
+
+def elva_fill(instance, i, j, budget, group_charge, mode=UNICAST):
+    """ELVA's provisional fill of user i's views at cell j: the cell's
+    budget after it. Stops once the budget is spent; ``group_charge`` maps
+    (cell, view) to what the view's sharing group pays."""
+    views = sorted(
+        np.flatnonzero(instance.w[i, j]),
+        key=lambda k: (instance.rb_enhanced[i, j, k], k),
+    )
+    for k in views:
+        if budget <= 0:
+            break
+        cost = float(instance.rb_enhanced[i, j, k])
+        if mode == MULTICAST and i in instance.sharing_group(j, int(k)):
+            gmax = group_charge.get((j, int(k)), 0.0)
+            y = min(1.0, (budget + gmax) / cost)
+            charge = max(0.0, y * cost - gmax)
+            group_charge[(j, int(k))] = max(gmax, y * cost)
+        else:
+            y = min(1.0, budget / cost)
+            charge = y * cost
+        budget -= charge
+    return budget

@@ -24,7 +24,7 @@ from tiercast.problem import (
     per_user_rewards,
     rb_usage,
 )
-from tiercast.solvers import _PairRanking, solve_cell_subproblem, solve_elva
+from tiercast.solvers import _PairRanking, solve_cell_subproblem, solve_elva, solve_eva
 
 # NaN and inf allocations warn in both implementations alike.
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -215,6 +215,100 @@ def test_unicast_cell_kernel_keeps_tiny_remainder_share():
     ref = reference.solve_cell_subproblem(inst, 0, [0, 1], 1.0)
     assert _items(mine.alloc) == _items(ref.alloc)
     assert 0 < mine.alloc[(1, 0)] < 1e-9
+
+
+def test_unicast_cell_kernel_takes_items_while_budget_is_left():
+    # 5e-324 / 49 underflows to 0, but the budget stays positive, so the
+    # fill goes on and records the zero shares, as its loop did.
+    inst = Instance(
+        n_users=2, n_cells=1, n_views=1, w=np.ones((2, 1, 1)),
+        rb_budget=[100], rb_basic=[[1], [1]], rb_enhanced=[[[49]], [[50]]],
+    )
+    mine = solve_cell_subproblem(inst, 0, [0, 1], 5e-324)
+    ref = reference.solve_cell_subproblem(inst, 0, [0, 1], 5e-324)
+    assert _items(mine.alloc) == _items(ref.alloc) == [
+        ((0, 0), (0.0).hex()), ((1, 0), (0.0).hex())
+    ]
+
+
+@SETTINGS
+@given(instances(), st.sampled_from([UNICAST, MULTICAST]), st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+def test_eva_matches_per_view_loop(inst, mode, p):
+    sol, rep = solve_eva(inst, p=p, mode=mode)
+    ref_sol, ref_objective, ref_tie_breaks = reference.solve_eva(inst, p=p, mode=mode)
+    assert list(sol.assoc) == list(ref_sol.assoc)
+    assert _items(sol.alloc) == _items(ref_sol.alloc)
+    assert _bits([rep.objective]) == _bits([ref_objective])
+    assert rep.tie_breaks == ref_tie_breaks
+
+
+@SETTINGS
+@given(instances(), st.sampled_from([UNICAST, MULTICAST]), st.data())
+def test_elva_fill_keeps_the_budget_trajectory_of_its_loop(inst, mode, data):
+    # ELVA's own loop stopped at a spent budget; the shared fill lets members
+    # ride on. Charges are >= 0, so a spent budget stays spent, and the gain
+    # column, all ELVA reads of it, is the same.
+    costs, prefix = solvers._single_user_gain_tables(inst)
+    mine = (inst.rb_budget.astype(float) - solvers.compute_nbar(inst)).tolist()
+    ref = list(mine)
+    paid = [{} for _ in range(inst.n_cells)]
+    ref_charge = {}
+    for i in data.draw(st.permutations(range(inst.n_users))):
+        j = data.draw(st.integers(0, inst.n_cells - 1))
+        items = solvers._view_items(inst, i, j, mode == MULTICAST)
+        _, mine[j] = solvers._fill(items, mine[j], paid[j])
+        ref[j] = reference.elva_fill(inst, i, j, ref[j], ref_charge, mode)
+        if ref[j] > 0:
+            assert _bits([mine[j]]) == _bits([ref[j]])
+        else:
+            assert mine[j] <= 0
+        assert _bits(solvers._gain_column(costs[j], prefix[j], mine[j])) == _bits(
+            solvers._gain_column(costs[j], prefix[j], ref[j])
+        )
+
+
+def test_member_rides_its_group_after_the_budget_is_spent():
+    # User 0 spends the cell's 4 enhanced RBs on view 0. Users 1 and 2, in
+    # the same sharing group, then take the view whole at no charge; user 1's
+    # cheaper copy must not lower what the group pays before user 2 rides.
+    inst = Instance(
+        n_users=3, n_cells=1, n_views=1, w=np.ones((3, 1, 1)),
+        rb_budget=[5], rb_basic=[[1], [1], [1]], rb_enhanced=[[[4]], [[2]], [[3]]],
+        sharing={0: {0: frozenset({0, 1, 2})}},
+    )
+    sol, rep = solve_eva(inst, mode=MULTICAST)
+    ref_sol, ref_objective, _ = reference.solve_eva(inst, mode=MULTICAST)
+    assert _items(sol.alloc) == _items(ref_sol.alloc) == [
+        ((i, 0), (1.0).hex()) for i in range(3)
+    ]
+    assert rep.objective == ref_objective == 3.0
+    assert is_feasible(inst, sol, MULTICAST).feasible
+
+    # The one place ELVA's old loop differed: it stopped at the spent budget.
+    paid = {}
+    _, left = solvers._fill(solvers._view_items(inst, 0, 0, True), 4.0, paid)
+    for i in (1, 2):
+        taken, left = solvers._fill(solvers._view_items(inst, i, 0, True), left, paid)
+        assert taken == [((i, 0), 1.0)] and left == 0.0
+    charge = {}
+    budget = reference.elva_fill(inst, 0, 0, 4.0, charge, MULTICAST)
+    for i in (1, 2):
+        assert reference.elva_fill(inst, i, 0, budget, charge, MULTICAST) == 0.0
+
+
+def test_member_rides_the_group_charge_not_a_negative_remainder():
+    # 7 RBs buy 7 / 25 of user 0's view; (7 / 25) * 25 rounds above 7, so the
+    # budget left is -8.9e-16. User 1 rides the whole charge, not charge - 8.9e-16.
+    inst = Instance(
+        n_users=2, n_cells=1, n_views=1, w=np.ones((2, 1, 1)),
+        rb_budget=[8], rb_basic=[[1], [1]], rb_enhanced=[[[25]], [[28]]],
+        sharing={0: {0: frozenset({0, 1})}},
+    )
+    sol, rep = solve_eva(inst, mode=MULTICAST)
+    ref_sol, ref_objective, _ = reference.solve_eva(inst, mode=MULTICAST)
+    assert _items(sol.alloc) == _items(ref_sol.alloc)
+    assert _bits([rep.objective]) == _bits([ref_objective])
+    assert sol.alloc[(1, 0)] == (7 / 25 * 25) / 28 > 0.25
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,21 +1,24 @@
-"""Channel model: path loss, SINR, per-RB rate, and RB cost tables."""
+"""Channel model: the scalar link oracle (path loss, SINR, per-RB rate) and
+the vectorized RB cost tables checked against it."""
 
 import math
 
 import numpy as np
 import pytest
 
-from tiercast.channel import (
-    ChannelParams,
-    InstanceConstructionError,
+from channel_reference import (
     UnreachableUserError,
-    build_rb_tables,
     channel_gain,
-    link_bits_per_rb,
     path_loss_db,
     rate_per_rb,
     rbs_for_payload,
     sinr,
+)
+from tiercast.channel import (
+    ChannelParams,
+    InstanceConstructionError,
+    build_rb_tables,
+    link_bits_per_rb,
 )
 
 TABLE_PARAMS = ChannelParams()  # a=36.8, b=43.8, c=20, fc=5

@@ -11,7 +11,6 @@ from tiercast.problem import (
     objective,
     per_user_rewards,
     rb_usage,
-    round_discrete,
 )
 from tiercast.solvers import solve_sinr
 
@@ -160,50 +159,3 @@ def test_is_feasible_flags_infinite_share(y):
     report = is_feasible(inst, sol)
     assert not report.feasible
     assert report.violations[0].constraint == "alloc-bounds"
-
-
-def test_round_discrete_single_level():
-    inst = fig1_instance()
-    sol = Solution(assoc=np.array([0, 0, 1]), alloc={(0, 0): 0.6, (0, 2): 0.4})
-    rounded = round_discrete(inst, sol, 1)
-    assert rounded.alloc == {(0, 0): 1.0}
-
-
-def test_round_discrete_fixed_point(rng):
-    inst = fig1_instance()
-    sol = Solution(assoc=np.array([0, 0, 1]), alloc={(0, 0): 0.75, (2, 2): 0.25})
-    rounded = round_discrete(inst, sol, 4)
-    assert rounded.alloc == sol.alloc
-
-
-def test_round_discrete_feasible_and_on_grid(rng):
-    for _ in range(100):
-        inst = random_tiny_instance(rng)
-        sol, _ = solve_sinr(inst)
-        if not is_feasible(inst, sol).feasible:
-            continue
-        levels = int(rng.integers(1, 5))
-        rounded = round_discrete(inst, sol, levels)
-        assert is_feasible(inst, rounded).feasible
-        for y in rounded.alloc.values():
-            assert y * levels == pytest.approx(round(y * levels), abs=1e-9)
-
-
-def test_round_discrete_objective_near_fractional(rng):
-    # Without repair, rounding moves each entry at most 1/(2F); when repair
-    # kicks in the drop may be larger but feasibility must hold.
-    for _ in range(200):
-        inst = random_tiny_instance(rng)
-        sol, _ = solve_sinr(inst)
-        levels = int(rng.integers(1, 6))
-        rounded = round_discrete(inst, sol, levels)
-        repair_happened = any(
-            rounded.alloc.get(key, 0.0)
-            < np.floor(y * levels + 0.5) / levels - 1e-12
-            for key, y in sol.alloc.items()
-        )
-        if repair_happened:
-            assert is_feasible(inst, rounded).feasible
-        else:
-            slack = len(sol.alloc) / (2 * levels)
-            assert objective(inst, rounded) >= objective(inst, sol) - slack - 1e-9

@@ -214,3 +214,20 @@ def test_solution_rejects_missing_field(tmp_path, field):
     payload = _without(_solution_payload([[0, 0, 1.0]]), field)
     with pytest.raises(serialize.SchemaError, match=f"missing field '{field}'"):
         serialize.load_solution(_write(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda d: _without(d, "user_positions"), "missing field 'user_positions'"),
+        (lambda d: {**d, "cell_positions": [1, 2]}, "cell_positions must be a list of"),
+        (lambda d: {**d, "cell_positions": [[0.0, 0.0, 0.0]]}, "cell_positions must be"),
+        (lambda d: {**d, "user_positions": [[float("nan"), 1.0]]}, "user_positions must be"),
+        (lambda d: {**d, "map_radius": "1000"}, "map_radius must be a finite number"),
+    ],
+    ids=["missing-field", "flat-array", "three-columns", "non-finite", "string-radius"],
+)
+def test_malformed_topology_raises_schema_error(tmp_path, corrupt, message):
+    payload = corrupt(serialize.topology_to_dict(generate_topology("hotspot", 2, 3, seed=1)))
+    with pytest.raises(serialize.SchemaError, match=message):
+        serialize.load_topology(_write(tmp_path, payload))
