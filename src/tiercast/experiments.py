@@ -155,7 +155,6 @@ def build_experiment_instance(
     if config.sharing_fraction > 0:
         sharing = generate_sharing_groups(
             config.n_users,
-            config.n_cells,
             config.n_views,
             config.sharing_fraction,
             seed=derive_seed(base, 3),

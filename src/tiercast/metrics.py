@@ -9,27 +9,12 @@ import numpy as np
 from .problem import Instance, Solution, UNICAST, per_user_rewards, rb_usage
 from .solvers import SolverReport
 
-# Utilization bands reported alongside per-cell fractions: 0-20%, 21-40%,
-# 41-60%, 61-80%, 81-100%.
-UTILIZATION_BANDS = ((0.0, 0.2), (0.2, 0.4), (0.4, 0.6), (0.6, 0.8), (0.8, 1.0))
-
 
 def resource_utilization(
     instance: Instance, solution: Solution, mode: str = UNICAST
 ) -> np.ndarray:
     """Fraction of each cell's RB budget consumed by the solution."""
     return rb_usage(instance, solution, mode) / instance.rb_budget
-
-
-def utilization_bands(fractions: np.ndarray) -> list[int]:
-    """Cell counts per utilization band (upper edges inclusive)."""
-    counts = []
-    for lo, hi in UTILIZATION_BANDS:
-        if lo == 0.0:
-            counts.append(int(((fractions >= lo) & (fractions <= hi)).sum()))
-        else:
-            counts.append(int(((fractions > lo) & (fractions <= hi)).sum()))
-    return counts
 
 
 def jain_index(rewards) -> float | None:
@@ -49,9 +34,7 @@ class SolverSummary:
     objective: float
     gap: float
     jain: float | None
-    utilization: list[float]
     mean_utilization: float
-    utilization_bands: list[int]
     wall_time: float
 
 
@@ -95,9 +78,7 @@ def summarize(
             objective=rep.objective,
             gap=gap,
             jain=jain_index(rewards),
-            utilization=[float(u) for u in util],
             mean_utilization=float(util.mean()),
-            utilization_bands=utilization_bands(util),
             wall_time=rep.wall_time,
         )
     return summary

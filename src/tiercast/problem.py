@@ -14,6 +14,12 @@ multicast, a cell's sharing-group charges are added after its non-member
 costs, in the order the groups first appear. Results are therefore
 bit-for-bit those of the loop; they may differ from a pairwise ``np.sum`` in
 the last bits.
+
+Multicast sharing is one ``(n_users, n_views)`` 0/1 mask: ``sharing[i, k]``
+is 1 when user i joins view k's multicast at whichever cell serves it, so a
+cell's group for view k is its served users with that bit set. ``rb_usage``
+has one path for both modes: unicast is the case in which no entry is a
+group member.
 """
 
 from __future__ import annotations
@@ -29,8 +35,6 @@ FEAS_TOL = 1e-9
 UNICAST = "unicast"
 MULTICAST = "multicast"
 
-SharingGroups = dict[int, dict[int, frozenset[int]]]
-
 
 @dataclass
 class Instance:
@@ -43,45 +47,36 @@ class Instance:
     rb_budget: np.ndarray    # (S,) int64, > 0
     rb_basic: np.ndarray     # (M, S) int64, >= 1
     rb_enhanced: np.ndarray  # (M, S, E) int64, >= 1
-    sharing: SharingGroups | None = None
+    sharing: np.ndarray | None = None  # (M, E) int8 in {0, 1}; None: all 0
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.int8)
         self.rb_budget = np.asarray(self.rb_budget, dtype=np.int64)
         self.rb_basic = np.asarray(self.rb_basic, dtype=np.int64)
         self.rb_enhanced = np.asarray(self.rb_enhanced, dtype=np.int64)
+        if self.sharing is None:
+            self.sharing = np.zeros((self.n_users, self.n_views), dtype=np.int8)
+        self.sharing = np.asarray(self.sharing, dtype=np.int8)
         self.validate()
 
     def validate(self):
         m, s, e = self.n_users, self.n_cells, self.n_views
         if self.w.shape != (m, s, e):
             raise ValueError(f"w shape {self.w.shape} != {(m, s, e)}")
+        if self.sharing.shape != (m, e):
+            raise ValueError(f"sharing shape {self.sharing.shape} != {(m, e)}")
         if self.rb_basic.shape != (m, s) or self.rb_enhanced.shape != (m, s, e):
             raise ValueError("RB table shape mismatch")
         if self.rb_budget.shape != (s,):
             raise ValueError("budget shape mismatch")
         if not np.isin(self.w, (0, 1)).all():
             raise ValueError("w entries must be 0/1")
+        if not np.isin(self.sharing, (0, 1)).all():
+            raise ValueError("sharing entries must be 0/1")
         if (self.rb_basic < 1).any() or (self.rb_enhanced < 1).any():
             raise ValueError("RB costs must be >= 1")
         if (self.rb_budget <= 0).any():
             raise ValueError("budgets must be positive")
-        if self.sharing is not None:
-            for j, groups in self.sharing.items():
-                if not 0 <= j < s:
-                    raise ValueError(f"sharing cell {j} out of range")
-                for k, users in groups.items():
-                    if not 0 <= k < e:
-                        raise ValueError(f"sharing view {k} out of range")
-                    for i in users:
-                        if not 0 <= i < m:
-                            raise ValueError(f"sharing user {i} out of range")
-
-    def sharing_group(self, j: int, k: int) -> frozenset[int]:
-        """Users able to share view ``k`` on cell ``j`` (empty if no sharing)."""
-        if self.sharing is None:
-            return frozenset()
-        return self.sharing.get(j, {}).get(k, frozenset())
 
     def reward_counts(self) -> np.ndarray:
         """(M, S) number of rewardable views per user-cell pair."""
@@ -151,26 +146,22 @@ def per_user_rewards(instance: Instance, solution: Solution) -> np.ndarray:
     return rewards
 
 
-def _sharing_members(
-    instance: Instance, users: np.ndarray, cells: np.ndarray, views: np.ndarray
-) -> np.ndarray:
-    """Whether each entry's user is in the sharing group of its (cell, view)."""
-    member = np.zeros(
-        (instance.n_users, instance.n_cells, instance.n_views), dtype=bool
-    )
-    for j, groups in (instance.sharing or {}).items():
-        for k, group in groups.items():
-            member[np.fromiter(group, np.int64, len(group)), j, k] = True
-    return member[users, cells, views]
+def broadcast_cost(instance: Instance, assoc: np.ndarray) -> np.ndarray:
+    """(S,) int64 broadcast charge per cell: the max basic cost over the
+    cell's users under ``assoc``, 0 for an empty cell."""
+    charge = np.zeros(instance.n_cells, dtype=np.int64)
+    basic = instance.rb_basic[np.arange(instance.n_users), assoc]
+    np.maximum.at(charge, assoc, basic)
+    return charge
 
 
 def rb_usage(instance: Instance, solution: Solution, mode: str = UNICAST) -> np.ndarray:
     """Per-cell RB consumption of a solution.
 
-    Unicast charges the broadcast basic view (max cost over associated users,
-    0 for an empty cell) plus the full enhanced cost of every allocation.
-    Multicast charges, per view, the max cost over the view's sharing-group
-    members plus the sum over non-members. Raises ``ValueError`` unless the
+    Every cell pays its broadcast basic view (``broadcast_cost``) plus, per
+    view, the max cost over the view's sharing-group members plus the sum
+    over non-members. Only multicast has members, so unicast pays the full
+    enhanced cost of every allocation. Raises ``ValueError`` unless the
     association holds one in-range cell index per user.
     """
     if mode not in (UNICAST, MULTICAST):
@@ -180,19 +171,12 @@ def rb_usage(instance: Instance, solution: Solution, mode: str = UNICAST) -> np.
         raise ValueError("one cell index required per user")
     if ((assoc < 0) | (assoc >= instance.n_cells)).any():
         raise ValueError("cell index out of range")
-    usage = np.zeros(instance.n_cells)
-    # Broadcast: max basic cost over each cell's users; empty cells stay 0.
-    basic = instance.rb_basic[np.arange(instance.n_users), assoc]
-    np.maximum.at(usage, assoc, basic)
+    usage = broadcast_cost(instance, assoc).astype(float)
 
     users, views, y = _ledger(solution)
     cells = assoc[users]
     cost = y * instance.rb_enhanced[users, cells, views]
-    if mode == UNICAST:
-        np.add.at(usage, cells, cost)
-        return usage
-
-    member = _sharing_members(instance, users, cells, views)
+    member = (mode == MULTICAST) & (instance.sharing[users, views] == 1)
     np.add.at(usage, cells[~member], cost[~member])
     # Each (cell, view) group is charged its members' max cost, floored at 0
     # and blind to NaN like a running max() from 0.0, after the non-members

@@ -202,25 +202,17 @@ def place_caches(
 
 
 def generate_sharing_groups(
-    n_users: int,
-    n_cells: int,
-    n_views: int,
-    fraction: float,
-    seed: int = 0,
-) -> dict[int, dict[int, frozenset[int]]]:
-    """Draw multicast sharing groups: each user joins a view's group w.p. ``fraction``.
+    n_users: int, n_views: int, fraction: float, seed: int = 0
+) -> np.ndarray:
+    """Draw the ``(n_users, n_views)`` int8 multicast mask: each user joins
+    each view's group w.p. ``fraction``, at whichever cell serves it.
 
-    Groups are drawn per view and replicated across cells (users sharing a
-    view share it regardless of the serving cell).
+    The draw is one uniform per (view, user), taken view by view.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    per_view = {}
-    for k in range(n_views):
-        members = frozenset(np.flatnonzero(rng.uniform(size=n_users) < fraction))
-        per_view[k] = members
-    return {j: dict(per_view) for j in range(n_cells)}
+    draws = np.random.default_rng(seed).uniform(size=(n_views, n_users))
+    return (draws < fraction).T.astype(np.int8)
 
 
 def build_instance(
@@ -231,7 +223,7 @@ def build_instance(
     rb_budget: np.ndarray | int,
     basic_size: float = 2e6,
     view_sizes: np.ndarray | float = 2e6,
-    sharing: dict[int, dict[int, frozenset[int]]] | None = None,
+    sharing: np.ndarray | None = None,
     seed: int = 0,
 ) -> Instance:
     """Assemble the optimization instance from scenario components.

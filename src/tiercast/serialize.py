@@ -3,16 +3,16 @@
 Every payload is one JSON object with a ``schema`` tag. Dumps are
 deterministic: sorted keys, fixed separators.
 
-An ``instance/v2`` object has a plain header: ``n_users``, ``n_cells`` and
-``n_views`` (integers >= 0) and ``sharing``, either null or a list of
-``[cell, view, [users]]`` triples. Each array is one base64 string of its
+An ``instance/v3`` object has a plain header: ``n_users``, ``n_cells`` and
+``n_views`` (integers >= 0). Each array is one base64 string of its
 little-endian bytes in C order: ``w`` as ``<i1`` with shape
 ``(n_users, n_cells, n_views)``, ``rb_budget`` as ``<i8`` with shape
-``(n_cells,)``, ``rb_basic`` as ``<i8`` with shape ``(n_users, n_cells)`` and
-``rb_enhanced`` as ``<i8`` with shape ``(n_users, n_cells, n_views)``. Shapes
-are not stored; they follow from the header's counts, and a payload of any
-other byte length is refused. Loaded arrays are owned, writable and in
-native byte order.
+``(n_cells,)``, ``rb_basic`` as ``<i8`` with shape ``(n_users, n_cells)``,
+``rb_enhanced`` as ``<i8`` with shape ``(n_users, n_cells, n_views)`` and the
+multicast mask ``sharing`` as ``<i1`` with shape ``(n_users, n_views)``.
+Shapes are not stored; they follow from the header's counts, and a payload
+of any other byte length is refused. Loaded arrays are owned, writable and in
+native byte order. Older instance schemas are refused, not converted.
 
 Topologies (``topology/v1``) store their positions as lists of ``[x, y]``
 pairs; solutions (``solution/v1``) store the association as a list and the
@@ -35,7 +35,7 @@ from .problem import Instance, Solution
 from .scenario import Topology
 
 TOPOLOGY_SCHEMA = "topology/v1"
-INSTANCE_SCHEMA = "instance/v2"
+INSTANCE_SCHEMA = "instance/v3"
 SOLUTION_SCHEMA = "solution/v1"
 
 
@@ -46,6 +46,7 @@ _INSTANCE_ARRAYS = (
     ("rb_budget", np.dtype("<i8"), ("n_cells",)),
     ("rb_basic", np.dtype("<i8"), ("n_users", "n_cells")),
     ("rb_enhanced", np.dtype("<i8"), ("n_users", "n_cells", "n_views")),
+    ("sharing", np.dtype("<i1"), ("n_users", "n_views")),
 )
 _INT64 = range(-(2**63), 2**63)
 
@@ -138,40 +139,10 @@ def _decode(data: dict, name: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    sharing = None
-    if instance.sharing is not None:
-        sharing = [
-            [j, k, sorted(int(i) for i in users)]
-            for j, groups in sorted(instance.sharing.items())
-            for k, users in sorted(groups.items())
-        ]
     data = {name: getattr(instance, name) for name in _COUNTS}
     for name, dtype, _ in _INSTANCE_ARRAYS:
         data[name] = _encode(getattr(instance, name), dtype)
-    return {"schema": INSTANCE_SCHEMA, **data, "sharing": sharing}
-
-
-def _sharing_from_list(triples) -> dict | None:
-    if triples is None:
-        return None
-    if not isinstance(triples, list):
-        raise SchemaError("sharing must be null or a list of [cell, view, [users]]")
-    sharing = {}
-    for triple in triples:
-        if not (
-            isinstance(triple, list)
-            and len(triple) == 3
-            and _is_int(triple[0])
-            and _is_int(triple[1])
-            and isinstance(triple[2], list)
-            and all(map(_is_int, triple[2]))
-        ):
-            raise SchemaError(f"sharing entry {triple!r} is not [cell, view, [users]]")
-        j, k, users = triple
-        if k in sharing.get(j, ()):
-            raise SchemaError(f"sharing group ({j}, {k}) given twice")
-        sharing.setdefault(j, {})[k] = frozenset(users)
-    return sharing
+    return {"schema": INSTANCE_SCHEMA, **data}
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -183,9 +154,7 @@ def instance_from_dict(data: dict) -> Instance:
         name: _decode(data, name, dtype, tuple(counts[d] for d in dims))
         for name, dtype, dims in _INSTANCE_ARRAYS
     }
-    return Instance(
-        **counts, **arrays, sharing=_sharing_from_list(_field(data, "sharing"))
-    )
+    return Instance(**counts, **arrays)
 
 
 def solution_to_dict(solution: Solution) -> dict:

@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import Instance, Solution, MULTICAST, UNICAST, objective
+from .problem import (
+    Instance,
+    Solution,
+    MULTICAST,
+    UNICAST,
+    broadcast_cost,
+    objective,
+)
 
 
 # Masks non-tied pairs out of the tie-break argmin over basic RB costs.
@@ -81,11 +88,9 @@ def _view_items(instance: Instance, i: int, j: int, multicast: bool) -> list:
     """User i's rewardable views at cell j as fill items, by ascending
     enhanced cost, then view; a sharing-group member's group is its view."""
     costs = instance.rb_enhanced[i, j].tolist()
+    shared = instance.sharing[i].tolist() if multicast else None
     views = sorted((costs[k], k) for k in np.flatnonzero(instance.w[i, j]).tolist())
-    return [
-        (cost, (i, k), k if multicast and i in instance.sharing_group(j, k) else None)
-        for cost, k in views
-    ]
+    return [(cost, (i, k), k if shared and shared[k] else None) for cost, k in views]
 
 
 def solve_cell_subproblem(
@@ -137,11 +142,11 @@ def solve_cell_subproblem_multicast(
     segments = []
     group_members: dict[int, list[tuple[int, int]]] = {}
     for k in range(instance.n_views):
-        group = instance.sharing_group(cell, k)
+        shared = instance.sharing[:, k].tolist()
         members = sorted(
             (int(instance.rb_enhanced[i, cell, k]), i)
             for i in users
-            if instance.w[i, cell, k] and i in group
+            if instance.w[i, cell, k] and shared[i]
         )
         if members:
             group_members[k] = members
@@ -155,7 +160,7 @@ def solve_cell_subproblem_multicast(
                     segments.append((density, ("g", k, lvl), length))
                 prev = c
         for i in users:
-            if instance.w[i, cell, k] and i not in group:
+            if instance.w[i, cell, k] and not shared[i]:
                 cost = int(instance.rb_enhanced[i, cell, k])
                 segments.append((1.0 / cost, ("u", i, k), float(cost)))
 
@@ -206,13 +211,13 @@ def _finalize(
     """Re-solve every cell at its true residual budget for a fixed association."""
     allocator = _cell_allocator(mode)
     solution = Solution(assoc=assoc.copy())
+    residual = (instance.rb_budget - broadcast_cost(instance, assoc)).tolist()
     total = 0.0
     for j in range(instance.n_cells):
         users = np.flatnonzero(assoc == j)
         if users.size == 0:
             continue
-        residual = float(instance.rb_budget[j] - instance.rb_basic[users, j].max())
-        cell = allocator(instance, j, [int(i) for i in users], residual)
+        cell = allocator(instance, j, users.tolist(), float(residual[j]))
         solution.alloc.update(cell.alloc)
         total += cell.value
     return solution, total
@@ -260,12 +265,8 @@ def solve_eva(
     tie_breaks = int((np.count_nonzero(tied, axis=1) > 1).sum())
     assoc = np.where(tied, nb, _NO_TIE).argmin(axis=1)
 
-    residual = instance.rb_budget.astype(float)
-    for j in range(instance.n_cells):
-        users = np.flatnonzero(assoc == j)
-        if users.size:
-            residual[j] -= nb[users, j].max()
-    residual = residual.tolist()
+    residual = instance.rb_budget - broadcast_cost(instance, assoc)
+    residual = residual.astype(float).tolist()
 
     solution = Solution(assoc=assoc)
     paid = [{} for _ in range(instance.n_cells)]

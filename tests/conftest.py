@@ -18,15 +18,7 @@ def random_tiny_instance(rng, with_sharing=False, sharing_prob=0.7):
     budget = nb.max(axis=0) + rng.integers(1, 4, size=s) * int(ne.mean())
     sharing = None
     if with_sharing:
-        sharing = {
-            j: {
-                k: frozenset(
-                    int(i) for i in np.flatnonzero(rng.uniform(size=m) < sharing_prob)
-                )
-                for k in range(e)
-            }
-            for j in range(s)
-        }
+        sharing = (rng.uniform(size=(m, e)) < sharing_prob).astype(np.int8)
     return Instance(
         n_users=m,
         n_cells=s,

@@ -57,7 +57,7 @@ def rb_usage(instance, solution, mode=UNICAST):
     for (i, k), y in solution.alloc.items():
         j = assoc[i]
         cost = y * instance.rb_enhanced[i, j, k]
-        if i in instance.sharing_group(j, k):
+        if instance.sharing[i, k]:
             key = (j, k)
             group_max[key] = max(group_max.get(key, 0.0), cost)
         else:
@@ -185,7 +185,7 @@ def solve_eva(instance, p=1.0, mode=UNICAST):
         )
         for k in views:
             cost = float(instance.rb_enhanced[i, j, k])
-            if mode == MULTICAST and i in instance.sharing_group(j, int(k)):
+            if mode == MULTICAST and instance.sharing[i, k]:
                 gmax = group_charge.get((j, int(k)), 0.0)
                 y = min(1.0, (max(residual[j], 0.0) + gmax) / cost)
                 charge = max(0.0, y * cost - gmax)
@@ -212,7 +212,7 @@ def elva_fill(instance, i, j, budget, group_charge, mode=UNICAST):
         if budget <= 0:
             break
         cost = float(instance.rb_enhanced[i, j, k])
-        if mode == MULTICAST and i in instance.sharing_group(j, int(k)):
+        if mode == MULTICAST and instance.sharing[i, k]:
             gmax = group_charge.get((j, int(k)), 0.0)
             y = min(1.0, (budget + gmax) / cost)
             charge = max(0.0, y * cost - gmax)

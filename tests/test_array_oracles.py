@@ -56,26 +56,21 @@ def instances(draw, sharing=None):
     ne = np.array(draw(st.lists(st.integers(1, 5), min_size=m * s * e, max_size=m * s * e)))
     slack = np.array(draw(st.lists(st.integers(0, 12), min_size=s, max_size=s)))
     nb = nb.reshape(m, s)
-    groups = None
+    mask = None
     if draw(st.booleans()) if sharing is None else sharing:
-        # Groups may be missing for some cells and views.
-        groups = {}
-        for j in range(s):
-            if draw(st.booleans()):
-                groups[j] = {
-                    k: frozenset(draw(st.sets(st.integers(0, m - 1))))
-                    for k in range(e)
-                    if draw(st.booleans())
-                }
+        mask = np.array(
+            draw(st.lists(st.integers(0, 1), min_size=m * e, max_size=m * e))
+        ).reshape(m, e)
+    # Budgets may fall below a cell's largest basic cost.
     return Instance(
         n_users=m,
         n_cells=s,
         n_views=e,
         w=w.reshape(m, s, e),
-        rb_budget=nb.max(axis=0) + slack,
+        rb_budget=np.maximum(1, nb.max(axis=0) + slack - 4),
         rb_basic=nb,
         rb_enhanced=ne.reshape(m, s, e),
-        sharing=groups,
+        sharing=mask,
     )
 
 
@@ -146,7 +141,7 @@ def test_ledger_sums_left_to_right_past_eight_terms():
 
 def test_rb_usage_multicast_group_charges_in_first_appearance_order():
     # View 1's group appears first: (1 + 0.2) + 0.6 != (1 + 0.6) + 0.2.
-    inst = _one_user_all_views(2, sharing={0: {0: frozenset({0}), 1: frozenset({0})}})
+    inst = _one_user_all_views(2, sharing=[[1, 1]])
     sol = Solution(assoc=np.array([0]), alloc={(0, 1): 0.2, (0, 0): 0.6})
     mine = rb_usage(inst, sol, MULTICAST)
     assert _bits(mine) == _bits(reference.rb_usage(inst, sol, MULTICAST))
@@ -154,7 +149,7 @@ def test_rb_usage_multicast_group_charges_in_first_appearance_order():
 
 
 def test_rb_usage_multicast_group_charge_skips_nan_like_max():
-    inst = _one_user_all_views(1, sharing={0: {0: frozenset({0})}})
+    inst = _one_user_all_views(1, sharing=[[1]])
     sol = Solution(assoc=np.array([0]), alloc={(0, 0): float("nan")})
     assert _bits(rb_usage(inst, sol, MULTICAST)) == _bits(
         reference.rb_usage(inst, sol, MULTICAST)
@@ -274,7 +269,7 @@ def test_member_rides_its_group_after_the_budget_is_spent():
     inst = Instance(
         n_users=3, n_cells=1, n_views=1, w=np.ones((3, 1, 1)),
         rb_budget=[5], rb_basic=[[1], [1], [1]], rb_enhanced=[[[4]], [[2]], [[3]]],
-        sharing={0: {0: frozenset({0, 1, 2})}},
+        sharing=[[1], [1], [1]],
     )
     sol, rep = solve_eva(inst, mode=MULTICAST)
     ref_sol, ref_objective, _ = reference.solve_eva(inst, mode=MULTICAST)
@@ -302,7 +297,7 @@ def test_member_rides_the_group_charge_not_a_negative_remainder():
     inst = Instance(
         n_users=2, n_cells=1, n_views=1, w=np.ones((2, 1, 1)),
         rb_budget=[8], rb_basic=[[1], [1]], rb_enhanced=[[[25]], [[28]]],
-        sharing={0: {0: frozenset({0, 1})}},
+        sharing=[[1], [1]],
     )
     sol, rep = solve_eva(inst, mode=MULTICAST)
     ref_sol, ref_objective, _ = reference.solve_eva(inst, mode=MULTICAST)

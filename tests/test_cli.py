@@ -197,3 +197,19 @@ def test_verify_refuses_nan_share(tmp_path, capsys):
     rc = main(["verify", str(inst_path), str(sol_path)])
     assert rc == 1
     assert "finite" in capsys.readouterr().err
+
+
+def test_multicast_round_trip_through_files(tmp_path, capsys):
+    inst_path = tmp_path / "fig4.json"
+    sol_path = tmp_path / "sol.json"
+    assert main(["generate", "--preset", "fig4", "--seed", "0",
+                 "--out", str(inst_path)]) == 0
+    assert serialize.load_instance(inst_path).sharing.any()
+    capsys.readouterr()
+    assert main(["solve", str(inst_path), "--solver", "elva", "--mode", "multicast",
+                 "--solution-out", str(sol_path)]) == 0
+    solved = json.loads(capsys.readouterr().out.strip())
+    assert main(["verify", str(inst_path), str(sol_path), "--mode", "multicast"]) == 0
+    verified = json.loads(capsys.readouterr().out.strip())
+    assert verified["feasible"] is True
+    assert verified["objective"] == solved["objective"]

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from tiercast.metrics import (
-    jain_index,
-    resource_utilization,
-    summarize,
-    utilization_bands,
-)
+from tiercast.metrics import jain_index, resource_utilization, summarize
 from tiercast.problem import Solution, is_feasible
 from tiercast.solvers import solve_bb, solve_elva, solve_sinr
 
@@ -37,13 +32,6 @@ def test_utilization_never_exceeds_one_for_feasible(rng):
         sol, _ = solve_elva(inst)
         assert is_feasible(inst, sol).feasible
         assert (resource_utilization(inst, sol) <= 1 + 1e-9).all()
-
-
-def test_utilization_bands_cover_all_cells():
-    fractions = np.array([0.0, 0.15, 0.2, 0.35, 0.55, 0.79, 0.81, 1.0])
-    bands = utilization_bands(fractions)
-    assert bands == [3, 1, 1, 1, 2]
-    assert sum(bands) == fractions.size
 
 
 def test_jain_values():

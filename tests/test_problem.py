@@ -6,6 +6,7 @@ import pytest
 from tiercast.problem import (
     MULTICAST,
     UNICAST,
+    Instance,
     Solution,
     is_feasible,
     objective,
@@ -78,9 +79,29 @@ def test_rb_usage_rejects_bad_association(assoc):
         rb_usage(inst, Solution(assoc=np.array(assoc)))
 
 
+@pytest.mark.parametrize(
+    "sharing, message",
+    [
+        (np.ones((3, 3)), "sharing shape"),
+        (np.ones((4, 3)), "sharing shape"),
+        (np.full((3, 4), 2), "sharing entries must be 0/1"),
+        (-np.ones((3, 4)), "sharing entries must be 0/1"),
+    ],
+    ids=["too-few-views", "too-many-users", "two", "minus-one"],
+)
+def test_instance_rejects_bad_sharing_mask(sharing, message):
+    inst = fig1_instance()
+    with pytest.raises(ValueError, match=message):
+        Instance(
+            n_users=inst.n_users, n_cells=inst.n_cells, n_views=inst.n_views,
+            w=inst.w, rb_budget=inst.rb_budget, rb_basic=inst.rb_basic,
+            rb_enhanced=inst.rb_enhanced, sharing=sharing,
+        )
+
+
 def test_rb_usage_multicast_max_versus_sum():
     inst = fig1_instance()
-    inst.sharing = {j: {2: frozenset({0, 1, 2})} for j in range(2)}
+    inst.sharing[:, 2] = 1
     sol = Solution(
         assoc=np.array([0, 0, 0]),
         alloc={(0, 2): 0.8, (2, 2): 0.8},

@@ -245,12 +245,28 @@ def test_build_instance_deterministic_and_consistent():
 
 
 def test_sharing_groups_fraction_bounds_and_determinism():
-    g1 = generate_sharing_groups(10, 3, 4, 1.0, seed=1)
-    assert all(
-        g1[j][k] == frozenset(range(10)) for j in range(3) for k in range(4)
-    )
-    g2 = generate_sharing_groups(10, 3, 4, 0.5, seed=2)
-    g3 = generate_sharing_groups(10, 3, 4, 0.5, seed=2)
-    assert g2 == g3
+    g1 = generate_sharing_groups(10, 4, 1.0, seed=1)
+    assert g1.shape == (10, 4) and (g1 == 1).all()
+    g2 = generate_sharing_groups(10, 4, 0.5, seed=2)
+    g3 = generate_sharing_groups(10, 4, 0.5, seed=2)
+    assert (g2 == g3).all()
     with pytest.raises(ValueError):
-        generate_sharing_groups(5, 2, 2, 1.5)
+        generate_sharing_groups(5, 2, 1.5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_users=st.integers(0, 12),
+    n_views=st.integers(0, 6),
+    fraction=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sharing_mask_is_the_per_view_draw(n_users, n_views, fraction, seed):
+    # One uniform per user, drawn view by view from the seed's stream.
+    rng = np.random.default_rng(seed)
+    expected = np.zeros((n_users, n_views), dtype=np.int8)
+    for k in range(n_views):
+        expected[:, k] = rng.uniform(size=n_users) < fraction
+    mask = generate_sharing_groups(n_users, n_views, fraction, seed=seed)
+    assert mask.dtype == np.int8
+    assert mask.shape == expected.shape and (mask == expected).all()

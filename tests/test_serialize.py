@@ -17,7 +17,7 @@ from tiercast.solvers import solve_sinr
 
 from conftest import random_tiny_instance
 
-GOLDEN = Path(__file__).parent / "data" / "instance_v2.json"
+GOLDEN = Path(__file__).parent / "data" / "instance_v3.json"
 
 
 def _golden_instance():
@@ -30,7 +30,7 @@ def _golden_instance():
         rb_budget=[300, 2**40 + 1],
         rb_basic=[[1, 2], [3, 258]],
         rb_enhanced=[[[10, 11], [12, 13]], [[14, 15], [16, 65536]]],
-        sharing={0: {0: frozenset({0, 1})}, 1: {1: frozenset()}},
+        sharing=[[1, 0], [1, 0]],
     )
 
 
@@ -63,9 +63,7 @@ def test_instance_round_trip_with_sharing(tmp_path, rng):
     assert (back.rb_budget == inst.rb_budget).all()
     assert (back.rb_basic == inst.rb_basic).all()
     assert (back.rb_enhanced == inst.rb_enhanced).all()
-    for j in range(inst.n_cells):
-        for k in range(inst.n_views):
-            assert back.sharing_group(j, k) == inst.sharing_group(j, k)
+    assert (back.sharing == inst.sharing).all()
 
 
 def test_solution_round_trip(tmp_path, rng):
@@ -112,11 +110,10 @@ def test_instance_round_trip_property(seed, with_sharing):
     assert (back.n_users, back.n_cells, back.n_views) == (
         inst.n_users, inst.n_cells, inst.n_views
     )
-    for name in ("w", "rb_budget", "rb_basic", "rb_enhanced"):
+    for name in ("w", "rb_budget", "rb_basic", "rb_enhanced", "sharing"):
         mine, theirs = getattr(back, name), getattr(inst, name)
         assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
         assert (mine == theirs).all()
-    assert back.sharing == inst.sharing
 
 
 def test_instance_bytes_are_pinned(tmp_path):
@@ -127,21 +124,21 @@ def test_instance_bytes_are_pinned(tmp_path):
 
 def test_golden_arrays_are_little_endian_c_order():
     data = json.loads(GOLDEN.read_text())
-    assert data["schema"] == "instance/v2"
+    assert data["schema"] == "instance/v3"
     assert base64.b64decode(data["w"]) == bytes([1, 0, 0, 1, 1, 1, 0, 0])
     assert base64.b64decode(data["rb_budget"]) == struct.pack("<2q", 300, 2**40 + 1)
     assert base64.b64decode(data["rb_basic"]) == struct.pack("<4q", 1, 2, 3, 258)
     assert base64.b64decode(data["rb_enhanced"]) == struct.pack(
         "<8q", 10, 11, 12, 13, 14, 15, 16, 65536
     )
-    assert data["sharing"] == [[0, 0, [0, 1]], [1, 1, []]]
+    assert base64.b64decode(data["sharing"]) == bytes([1, 0, 1, 0])
 
 
 def test_loaded_arrays_are_owned_writable_and_native(tmp_path):
     path = tmp_path / "inst.json"
     serialize.save_instance(_golden_instance(), path)
     back = serialize.load_instance(path)
-    for name in ("w", "rb_budget", "rb_basic", "rb_enhanced"):
+    for name in ("w", "rb_budget", "rb_basic", "rb_enhanced", "sharing"):
         array = getattr(back, name)
         assert array.flags.writeable and array.flags.owndata
         assert array.dtype.isnative
@@ -161,6 +158,11 @@ def _v1_payload(data):
     }
 
 
+def _v2_payload(data):
+    return {**_without(data, "sharing"), "schema": "instance/v2",
+            "sharing": [[0, 0, [0, 1]], [1, 1, []]]}
+
+
 def _without(data, name):
     return {key: value for key, value in data.items() if key != name}
 
@@ -168,7 +170,8 @@ def _without(data, name):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_v1_payload, "expected schema 'instance/v2'"),
+        (_v1_payload, "expected schema 'instance/v3'"),
+        (_v2_payload, "expected schema 'instance/v3'"),
         # Decoders that skip unknown characters would read the right bytes.
         (lambda d: {**d, "w": d["w"][:4] + "*!*!" + d["w"][4:]}, "array 'w'"),
         (lambda d: {**d, "rb_enhanced": d["rb_enhanced"][:-8]}, "array 'rb_enhanced'"),
@@ -176,9 +179,10 @@ def _without(data, name):
         (lambda d: {**d, "n_users": 2.0}, "n_users must be an integer"),
         (lambda d: {**d, "n_users": True}, "n_users must be an integer"),
         (lambda d: _without(d, "rb_enhanced"), "missing field 'rb_enhanced'"),
+        (lambda d: {**d, "sharing": _b64(np.zeros(5), "<i1")}, "5 bytes, expected 4"),
     ],
-    ids=["v1", "non-base64", "truncated", "one-item-long", "float-count", "bool-count",
-         "missing-array"],
+    ids=["v1", "v2", "non-base64", "truncated", "one-item-long", "float-count",
+         "bool-count", "missing-array", "sharing-one-byte-long"],
 )
 def test_malformed_instance_raises_schema_error(tmp_path, corrupt, message):
     payload = corrupt(serialize.instance_to_dict(_golden_instance()))

@@ -99,7 +99,7 @@ def multicast_lp_oracle(inst, cell, users, budget):
     if not cands:
         return 0.0
     grouped_views = sorted(
-        {k for i, k in cands if i in inst.sharing_group(cell, k)}
+        {k for i, k in cands if inst.sharing[i, k]}
     )
     cidx = {k: len(cands) + t for t, k in enumerate(grouped_views)}
     n = len(cands) + len(grouped_views)
@@ -107,14 +107,14 @@ def multicast_lp_oracle(inst, cell, users, budget):
     c = [-1.0] * len(cands) + [0.0] * len(grouped_views)
     budget_row = [0.0] * n
     for t, (i, k) in enumerate(cands):
-        if i not in inst.sharing_group(cell, k):
+        if not inst.sharing[i, k]:
             budget_row[t] = float(inst.rb_enhanced[i, cell, k])
     for k in grouped_views:
         budget_row[cidx[k]] = 1.0
     a_ub = [budget_row]
     b_ub = [float(budget)]
     for t, (i, k) in enumerate(cands):
-        if i in inst.sharing_group(cell, k):
+        if inst.sharing[i, k]:
             row = [0.0] * n
             row[t] = float(inst.rb_enhanced[i, cell, k])
             row[cidx[k]] = -1.0
