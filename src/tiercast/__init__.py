@@ -3,7 +3,6 @@ for two-tier 360 video delivery over dense small-cell networks."""
 
 from .channel import (
     ChannelParams,
-    RbCostTables,
     build_rb_tables,
 )
 from .problem import (
@@ -15,8 +14,6 @@ from .problem import (
     rb_usage,
 )
 from .scenario import (
-    CachePlacement,
-    DemandSet,
     Topology,
     build_instance,
     generate_demands,
@@ -39,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams",
-    "RbCostTables",
     "build_rb_tables",
     "FeasibilityReport",
     "Instance",
@@ -47,8 +43,6 @@ __all__ = [
     "is_feasible",
     "objective",
     "rb_usage",
-    "CachePlacement",
-    "DemandSet",
     "Topology",
     "build_instance",
     "generate_demands",

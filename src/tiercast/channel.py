@@ -60,21 +60,6 @@ class ChannelParams:
         return 10.0 ** ((self.noise_psd - 30.0) / 10.0) * self.rb_bandwidth
 
 
-@dataclass(frozen=True)
-class RbCostTables:
-    """Integer RB costs: ``basic[i, j]`` and ``enhanced[i, j, k]``.
-
-    Every entry is >= 1; links with zero rate carry ``UNREACHABLE_RBS``.
-    """
-
-    basic: np.ndarray     # (M, S) int64
-    enhanced: np.ndarray  # (M, S, E) int64
-
-    def __post_init__(self):
-        if (self.basic < 1).any() or (self.enhanced < 1).any():
-            raise ValueError("RB costs must be >= 1")
-
-
 def link_bits_per_rb(
     cell_positions: np.ndarray,
     user_positions: np.ndarray,
@@ -111,9 +96,11 @@ def build_rb_tables(
     basic_size: float,
     view_sizes: np.ndarray,
     seed: int = 0,
-) -> RbCostTables:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fill per-link RB cost tables for the basic view and each enhanced view.
 
+    Returns ``(basic, enhanced)``: the (M, S) and (M, S, E) int64 RB costs,
+    every entry >= 1; links with zero rate carry ``UNREACHABLE_RBS``.
     Shadow fading is drawn once per (user, cell) link from N(0, shadow_sigma).
     Raises InstanceConstructionError if some user has zero rate to every cell.
     """
@@ -142,4 +129,4 @@ def build_rb_tables(
         )
     basic = np.where(dead, UNREACHABLE_RBS, basic).astype(np.int64)
     enhanced = np.where(dead[:, :, None], UNREACHABLE_RBS, enhanced).astype(np.int64)
-    return RbCostTables(basic=basic, enhanced=enhanced)
+    return basic, enhanced

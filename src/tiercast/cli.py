@@ -10,13 +10,11 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 from . import serialize
 from .experiments import (
-    SEED_ENV_VAR,
     ExperimentConfig,
     SWEEP_CSV_COLUMNS,
     build_experiment_instance,
@@ -33,26 +31,18 @@ EXIT_INFEASIBLE = 2
 
 
 def _load_config(args) -> ExperimentConfig:
-    """Config from preset, file or defaults; then the ``TIERCAST_SEED``
-    environment variable; then the flags, which take precedence.
+    """Config from preset, file or defaults; then the flags, which take
+    precedence.
 
-    Raises ``ValueError`` on an invalid preset, config or seed variable, and
-    ``OSError`` on an unreadable config file."""
-    if args.preset:
+    Raises ``ValueError`` on an invalid preset or config, and ``OSError`` on
+    an unreadable config file."""
+    if getattr(args, "preset", None):
         config = preset_config(args.preset)
-    elif args.config:
+    elif getattr(args, "config", None):
         config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
     else:
         config = ExperimentConfig()
     overrides = {}
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            overrides["master_seed"] = int(env_seed)
-        except ValueError:
-            raise ValueError(
-                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}"
-            ) from None
     for name in (
         "scenario",
         "n_users",
@@ -133,12 +123,9 @@ def cmd_solve(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load instance: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    config = ExperimentConfig(
-        solvers=[args.solver],
-        eva_p=args.eva_p if args.eva_p is not None else 1.0,
-        node_budget=args.node_budget,
-        bruteforce_cap=args.cap,
-        seeds=[0],
+    # Flags not given keep the defaults of ExperimentConfig.
+    config = dataclasses.replace(
+        _load_config(args), solvers=[args.solver], bruteforce_cap=args.cap
     )
     try:
         solution, report = run_solver(args.solver, instance, config, args.mode)

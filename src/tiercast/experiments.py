@@ -3,10 +3,8 @@
 Each figure-reproduction preset pins one sweep axis over Table-style default
 settings: small scale is 50 users / 10 cells / 5 views, large scale is
 500 / 100 / 20, with 50,000 RBs per cell, 2 Mb basic and enhanced views, and
-a 1,000 m map. The command line reads the ``TIERCAST_SEED`` environment
-variable as the master seed; ``--master-seed`` takes precedence over it, and
-it over the config file or preset. A config built in code keeps the master
-seed it is given.
+a 1,000 m map. On the command line, ``--master-seed`` takes precedence over
+the config file's or preset's master seed.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from .scenario import (
 )
 
 CONFIG_SCHEMA = "config/v1"
-SEED_ENV_VAR = "TIERCAST_SEED"
 
 SWEEP_PARAMS = (
     "none",
@@ -115,14 +112,26 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Raises ``ValueError`` on a payload that is not an object, another
+        schema, or a key that names no config or channel field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be an object, got {type(data).__name__}")
         data = dict(data)
         schema = data.pop("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
             raise ValueError(f"expected schema {CONFIG_SCHEMA!r}, got {schema!r}")
+        _check_keys(cls, data, "config")
         channel = data.get("channel")
         if isinstance(channel, dict):
+            _check_keys(ChannelParams, channel, "channel")
             data["channel"] = ChannelParams(**channel)
         return cls(**data)
+
+
+def _check_keys(cls, data: dict, what: str):
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
 
 
 def derive_seed(base: int, stream: int) -> int:
@@ -143,14 +152,14 @@ def build_experiment_instance(
         hotspot_sigma=config.hotspot_sigma,
         seed=derive_seed(base, 0),
     )
-    demands = generate_demands(
+    wants = generate_demands(
         config.n_users,
         config.n_views,
         config.effective_views_per_user,
         popularity_skew=config.popularity_skew,
         seed=derive_seed(base, 1),
     )
-    placement = place_caches(demands, topology, config.effective_cache_capacity)
+    cached = place_caches(wants, topology, config.effective_cache_capacity)
     sharing = None
     if config.sharing_fraction > 0:
         sharing = generate_sharing_groups(
@@ -161,8 +170,8 @@ def build_experiment_instance(
         )
     instance = build_instance(
         topology,
-        demands,
-        placement,
+        wants,
+        cached,
         config.channel,
         rb_budget=config.rb_budget,
         basic_size=config.basic_size,
@@ -173,15 +182,11 @@ def build_experiment_instance(
     return instance, topology
 
 
-def _small(**kwargs) -> ExperimentConfig:
-    return ExperimentConfig(**kwargs)
-
-
 PRESETS = {
-    "fig3": lambda: _small(
+    "fig3": lambda: ExperimentConfig(
         preset="fig3", sweep_param="n_views", sweep_values=[1, 2, 3, 4, 5]
     ),
-    "fig4": lambda: _small(
+    "fig4": lambda: ExperimentConfig(
         preset="fig4",
         sweep_param="n_views",
         sweep_values=[1, 2, 3, 4, 5],
@@ -189,28 +194,28 @@ PRESETS = {
         sharing_fraction=1.0,
         solvers=["elva", "eva", "sinr"],
     ),
-    "fig6": lambda: _small(
+    "fig6": lambda: ExperimentConfig(
         preset="fig6",
         sweep_param="n_cells",
         sweep_values=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
     ),
-    "fig7": lambda: _small(
+    "fig7": lambda: ExperimentConfig(
         preset="fig7", sweep_param="n_users", sweep_values=[10, 20, 30, 40, 50]
     ),
-    "fig8": lambda: _small(
+    "fig8": lambda: ExperimentConfig(
         preset="fig8",
         sweep_param="eva_p",
         sweep_values=[1, 2, 3, 4, 5],
         solvers=["eva"],
     ),
-    "fig9": lambda: _small(
+    "fig9": lambda: ExperimentConfig(
         preset="fig9",
         n_views=10,
         views_per_user=2,
         sweep_param="cache_capacity",
         sweep_values=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
     ),
-    "fig10": lambda: _small(
+    "fig10": lambda: ExperimentConfig(
         preset="fig10",
         n_users=500,
         n_cells=100,

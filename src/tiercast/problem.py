@@ -36,9 +36,21 @@ UNICAST = "unicast"
 MULTICAST = "multicast"
 
 
+# Each array field of an instance: its dtype and its shape in the counts.
+INSTANCE_ARRAYS = (
+    ("w", np.int8, ("n_users", "n_cells", "n_views")),
+    ("rb_budget", np.int64, ("n_cells",)),
+    ("rb_basic", np.int64, ("n_users", "n_cells")),
+    ("rb_enhanced", np.int64, ("n_users", "n_cells", "n_views")),
+    ("sharing", np.int8, ("n_users", "n_views")),
+)
+
+
 @dataclass
 class Instance:
-    """Inputs of the joint association/allocation problem."""
+    """Inputs of the joint association/allocation problem. Raises
+    ``ValueError`` on an array of the wrong shape, or with an entry that its
+    dtype cannot hold exactly (257 in int8, 1.7 in int64) or out of range."""
 
     n_users: int
     n_cells: int
@@ -50,25 +62,20 @@ class Instance:
     sharing: np.ndarray | None = None  # (M, E) int8 in {0, 1}; None: all 0
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.int8)
-        self.rb_budget = np.asarray(self.rb_budget, dtype=np.int64)
-        self.rb_basic = np.asarray(self.rb_basic, dtype=np.int64)
-        self.rb_enhanced = np.asarray(self.rb_enhanced, dtype=np.int64)
         if self.sharing is None:
             self.sharing = np.zeros((self.n_users, self.n_views), dtype=np.int8)
-        self.sharing = np.asarray(self.sharing, dtype=np.int8)
-        self.validate()
-
-    def validate(self):
-        m, s, e = self.n_users, self.n_cells, self.n_views
-        if self.w.shape != (m, s, e):
-            raise ValueError(f"w shape {self.w.shape} != {(m, s, e)}")
-        if self.sharing.shape != (m, e):
-            raise ValueError(f"sharing shape {self.sharing.shape} != {(m, e)}")
-        if self.rb_basic.shape != (m, s) or self.rb_enhanced.shape != (m, s, e):
-            raise ValueError("RB table shape mismatch")
-        if self.rb_budget.shape != (s,):
-            raise ValueError("budget shape mismatch")
+        for name, dtype, dims in INSTANCE_ARRAYS:
+            given = np.asarray(getattr(self, name))
+            shape = tuple(getattr(self, d) for d in dims)
+            if given.shape != shape:
+                raise ValueError(f"{name} shape {given.shape} != {shape}")
+            # Compared as given, so that no cast turns a bad entry into a
+            # valid one before the range checks.
+            with np.errstate(invalid="ignore"):
+                stored = given.astype(dtype, copy=False)
+                if not (stored == given).all():
+                    raise ValueError(f"{name} entries must be {dtype.__name__} integers")
+            setattr(self, name, stored)
         if not np.isin(self.w, (0, 1)).all():
             raise ValueError("w entries must be 0/1")
         if not np.isin(self.sharing, (0, 1)).all():

@@ -1,8 +1,14 @@
-"""Topology generation, user demands, cache placement, and instance assembly."""
+"""Topology generation, user demands, cache placement, and instance assembly.
+
+Each stage returns a plain array and ``Instance`` is the one validated
+container: demands are the ``(n_users, n_views)`` bool mask ``wants``, caches
+the ``(n_cells, n_views)`` bool mask ``cached``, and the instance's int8
+reward tensor is ``w[i, j, k] = wants[i, k] & cached[j, k]``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +37,7 @@ class Topology:
         for pts in (self.cell_positions, self.user_positions):
             if (np.linalg.norm(pts, axis=1) > self.map_radius + tol).any():
                 raise ValueError("point outside the map disc")
-        d = np.linalg.norm(
-            self.user_positions[:, None, :] - self.cell_positions[None, :, :], axis=2
-        )
-        if (d == 0).any():
+        if (self.distances() == 0).any():
             raise ValueError("user collocated with a cell")
 
     @property
@@ -50,33 +53,6 @@ class Topology:
         return np.linalg.norm(
             self.user_positions[:, None, :] - self.cell_positions[None, :, :], axis=2
         )
-
-
-@dataclass(frozen=True)
-class DemandSet:
-    """Per-user sets of desired enhanced-view indices (0-based)."""
-
-    views: tuple[tuple[int, ...], ...]
-    n_views: int
-
-    def __post_init__(self):
-        for vs in self.views:
-            for k in vs:
-                if not 0 <= k < self.n_views:
-                    raise ValueError(f"view index {k} out of range")
-
-
-@dataclass(frozen=True)
-class CachePlacement:
-    """Per-cell sets of cached enhanced-view indices (0-based)."""
-
-    caches: tuple[frozenset[int], ...]
-    cache_capacity: int
-
-    def __post_init__(self):
-        for cache in self.caches:
-            if len(cache) > self.cache_capacity:
-                raise ValueError("cache exceeds capacity")
 
 
 def _uniform_disc(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
@@ -132,11 +108,12 @@ def generate_demands(
     views_per_user: int,
     popularity_skew: float = 0.8,
     seed: int = 0,
-) -> DemandSet:
-    """Draw each user's desired views from a Zipf(skew) popularity profile.
+) -> np.ndarray:
+    """Draw the ``(n_users, n_views)`` bool ``wants`` mask: each user wants
+    ``views_per_user`` distinct views from a Zipf(skew) popularity profile.
 
-    View 0 is the most popular rank; skew 0 gives uniform popularity. Each
-    user gets ``views_per_user`` distinct views, in ascending order.
+    View 0 is the most popular rank; skew 0 gives uniform popularity. The
+    draw is one ``rng.choice`` without replacement per user, in user order.
     """
     if n_views < 1:
         raise ValueError("n_views must be >= 1")
@@ -145,31 +122,31 @@ def generate_demands(
     if views_per_user == n_views:
         # Every user wants every view. The draw would only permute them, and
         # its generator is local to this call, so skipping it moves nothing.
-        return DemandSet(views=(tuple(range(n_views)),) * n_users, n_views=n_views)
+        return np.ones((n_users, n_views), dtype=bool)
     rng = np.random.default_rng(seed)
     weights = 1.0 / np.arange(1, n_views + 1) ** popularity_skew
     probs = weights / weights.sum()
-    views = tuple(
-        tuple(sorted(rng.choice(n_views, size=views_per_user, replace=False, p=probs)))
-        for _ in range(n_users)
-    )
-    return DemandSet(views=views, n_views=n_views)
+    wants = np.zeros((n_users, n_views), dtype=bool)
+    for row in wants:
+        row[rng.choice(n_views, size=views_per_user, replace=False, p=probs)] = True
+    return wants
 
 
 def place_caches(
-    demands: DemandSet,
+    wants: np.ndarray,
     topology: Topology,
     cache_capacity: int,
-) -> CachePlacement:
-    """Two-phase placement: coverage first, then local popularity.
+) -> np.ndarray:
+    """Two-phase placement of the ``(n_cells, n_views)`` bool ``cached`` mask:
+    coverage first, then local popularity.
 
-    Phase 1 assigns each view to the currently least-loaded cell so every view
-    is cached somewhere. Phase 2 fills each cell's remaining slots with the
-    views most demanded by the users whose nearest cell it is, breaking ties
-    by view index.
+    Phase 1 caches view k at cell ``k % n_cells``, so every view is cached
+    somewhere and the loads differ by at most one. Phase 2 fills each cell's
+    remaining slots with the uncached views most demanded by the users whose
+    nearest cell it is, breaking ties by view index.
     """
     n_cells = topology.n_cells
-    n_views = demands.n_views
+    n_views = wants.shape[1]
     if cache_capacity < 1:
         raise PlacementError("cache capacity must be >= 1")
     if n_views > n_cells * cache_capacity:
@@ -178,27 +155,17 @@ def place_caches(
             f"{cache_capacity}"
         )
 
-    caches: list[set[int]] = [set() for _ in range(n_cells)]
-    for k in range(n_views):
-        j = min(range(n_cells), key=lambda j: (len(caches[j]), j))
-        caches[j].add(k)
+    cached = np.zeros((n_cells, n_views), dtype=bool)
+    cached[np.arange(n_views) % n_cells, np.arange(n_views)] = True
 
-    nearest = topology.distances().argmin(axis=1)
     counts = np.zeros((n_cells, n_views), dtype=np.int64)
-    for i, vs in enumerate(demands.views):
-        for k in vs:
-            counts[nearest[i], k] += 1
-
-    for j in range(n_cells):
-        ranked = sorted(range(n_views), key=lambda k: (-counts[j, k], k))
-        for k in ranked:
-            if len(caches[j]) >= cache_capacity:
-                break
-            caches[j].add(k)
-
-    return CachePlacement(
-        caches=tuple(frozenset(c) for c in caches), cache_capacity=cache_capacity
-    )
+    np.add.at(counts, topology.distances().argmin(axis=1), wants)
+    rows = np.arange(n_cells)[:, None]
+    ranked = np.argsort(-counts, axis=1, kind="stable")
+    free = ~cached[rows, ranked]
+    room = cache_capacity - cached.sum(axis=1, keepdims=True)
+    cached[rows, ranked] |= free & (np.cumsum(free, axis=1) <= room)
+    return cached
 
 
 def generate_sharing_groups(
@@ -217,8 +184,8 @@ def generate_sharing_groups(
 
 def build_instance(
     topology: Topology,
-    demands: DemandSet,
-    placement: CachePlacement,
+    wants: np.ndarray,
+    cached: np.ndarray,
     channel: ChannelParams,
     rb_budget: np.ndarray | int,
     basic_size: float = 2e6,
@@ -228,34 +195,29 @@ def build_instance(
 ) -> Instance:
     """Assemble the optimization instance from scenario components.
 
-    ``w[i, j, k]`` is 1 exactly when user ``i`` demands view ``k`` and cell
-    ``j`` caches it. RB cost tables come from the channel model with shadow
-    fading seeded once per link.
+    ``wants`` is the ``(n_users, n_views)`` and ``cached`` the
+    ``(n_cells, n_views)`` bool mask; ``w[i, j, k]`` is 1 exactly when user
+    ``i`` wants view ``k`` and cell ``j`` caches it. RB cost tables come from
+    the channel model with shadow fading seeded once per link.
     """
     n_users = topology.n_users
     n_cells = topology.n_cells
-    n_views = demands.n_views
-    if len(demands.views) != n_users:
-        raise ValueError("demand set size does not match user count")
-    if len(placement.caches) != n_cells:
-        raise ValueError("placement size does not match cell count")
+    wants = np.asarray(wants, dtype=bool)
+    cached = np.asarray(cached, dtype=bool)
+    n_views = wants.shape[-1]
+    if wants.shape != (n_users, n_views) or cached.shape != (n_cells, n_views):
+        raise ValueError(
+            f"wants {wants.shape} and cached {cached.shape} do not match "
+            f"{n_users} users and {n_cells} cells"
+        )
 
     view_sizes = np.broadcast_to(
         np.asarray(view_sizes, dtype=float), (n_views,)
     ).copy()
-    rb_budget = np.broadcast_to(np.asarray(rb_budget, dtype=np.int64), (n_cells,)).copy()
-
-    wants = np.zeros((n_users, n_views), dtype=bool)
-    for i, vs in enumerate(demands.views):
-        wants[i, list(vs)] = True
-    cached = np.zeros((n_cells, n_views), dtype=bool)
-    for j, cache in enumerate(placement.caches):
-        if any(not 0 <= k < n_views for k in cache):
-            raise ValueError(f"cell {j} caches a view index out of range")
-        cached[j, list(cache)] = True
+    rb_budget = np.broadcast_to(rb_budget, (n_cells,)).copy()
     w = (wants[:, None, :] & cached[None, :, :]).astype(np.int8)
 
-    tables = build_rb_tables(
+    rb_basic, rb_enhanced = build_rb_tables(
         topology.cell_positions,
         topology.user_positions,
         channel,
@@ -269,7 +231,7 @@ def build_instance(
         n_views=n_views,
         w=w,
         rb_budget=rb_budget,
-        rb_basic=tables.basic,
-        rb_enhanced=tables.enhanced,
+        rb_basic=rb_basic,
+        rb_enhanced=rb_enhanced,
         sharing=sharing,
     )

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .problem import Instance, Solution
+from .problem import INSTANCE_ARRAYS, Instance, Solution
 from .scenario import Topology
 
 TOPOLOGY_SCHEMA = "topology/v1"
@@ -39,14 +39,12 @@ INSTANCE_SCHEMA = "instance/v3"
 SOLUTION_SCHEMA = "solution/v1"
 
 
-# Each instance array: its name, stored dtype and shape in header counts.
+# Each instance array: its name, stored little-endian dtype and shape in
+# header counts.
 _COUNTS = ("n_users", "n_cells", "n_views")
-_INSTANCE_ARRAYS = (
-    ("w", np.dtype("<i1"), ("n_users", "n_cells", "n_views")),
-    ("rb_budget", np.dtype("<i8"), ("n_cells",)),
-    ("rb_basic", np.dtype("<i8"), ("n_users", "n_cells")),
-    ("rb_enhanced", np.dtype("<i8"), ("n_users", "n_cells", "n_views")),
-    ("sharing", np.dtype("<i1"), ("n_users", "n_views")),
+_INSTANCE_ARRAYS = tuple(
+    (name, np.dtype(dtype).newbyteorder("<"), dims)
+    for name, dtype, dims in INSTANCE_ARRAYS
 )
 _INT64 = range(-(2**63), 2**63)
 

@@ -2,9 +2,11 @@
 
 Each is a plain loop over the allocation dict or over a sorted candidate
 list, adding its terms one at a time in order. They are the oracles for the
-allocation ledger in ``tiercast.problem`` and, in ``tiercast.solvers``, for
+allocation ledger in ``tiercast.problem``; in ``tiercast.solvers``, for
 the unicast cell kernel, EVA's and ELVA's per-user fills, the single-user
-gain lookup and ELVA's pair ranking.
+gain lookup and ELVA's pair ranking; and, in ``tiercast.scenario``, for the
+demand draw and the cache placement, as per-user view tuples and per-cell
+view sets.
 """
 
 import numpy as np
@@ -222,3 +224,35 @@ def elva_fill(instance, i, j, budget, group_charge, mode=UNICAST):
             charge = y * cost
         budget -= charge
     return budget
+
+
+def generate_demands(n_users, n_views, views_per_user, popularity_skew, seed):
+    """Each user's desired views as a sorted tuple, one draw per user."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, n_views + 1) ** popularity_skew
+    probs = weights / weights.sum()
+    return tuple(
+        tuple(sorted(rng.choice(n_views, size=views_per_user, replace=False, p=probs)))
+        for _ in range(n_users)
+    )
+
+
+def place_caches(demands, nearest, n_cells, n_views, cache_capacity):
+    """Per-cell sets of cached views. Phase 1 gives each view to the least
+    loaded cell, lowest index first; phase 2 fills each cell by the demand
+    of the users nearest it, ties by view index."""
+    caches = [set() for _ in range(n_cells)]
+    for k in range(n_views):
+        j = min(range(n_cells), key=lambda j: (len(caches[j]), j))
+        caches[j].add(k)
+    counts = np.zeros((n_cells, n_views), dtype=np.int64)
+    for i, vs in enumerate(demands):
+        for k in vs:
+            counts[nearest[i], k] += 1
+    for j in range(n_cells):
+        ranked = sorted(range(n_views), key=lambda k: (-counts[j, k], k))
+        for k in ranked:
+            if len(caches[j]) >= cache_capacity:
+                break
+            caches[j].add(k)
+    return caches

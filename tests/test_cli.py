@@ -51,25 +51,28 @@ def test_generate_refuses_uncoverable_caches(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["generate", "sweep"])
-def test_non_integer_seed_variable_is_a_validation_error(
-    command, tmp_path, capsys, monkeypatch
-):
-    monkeypatch.setenv("TIERCAST_SEED", "abc")
-    out = tmp_path / "out"
-    rc = main([command, *SMALL, "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert "TIERCAST_SEED" in err[0] and "'abc'" in err[0]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["generate", "sweep"])
 def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
     rc = main([command, "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [({"n_userz": 5}, "'n_userz'"), ([1, 2], "list"), ({"channel": {"fq": 5}}, "'fq'")],
+    ids=["unknown-key", "not-an-object", "unknown-channel-key"],
+)
+def test_bad_config_payload_is_a_validation_error(payload, named, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    rc = main(["generate", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("invalid configuration") and named in err[0]
+    assert not out.exists()
 
 
 def test_solve_bruteforce_small(tmp_path, capsys):
@@ -92,6 +95,14 @@ def test_solve_bb_node_budget_flag(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["node_budget_hit"] is True
     assert report["params"]["node_budget"] == 5
+
+
+def test_solve_bb_takes_the_config_node_budget(tmp_path, capsys):
+    inst = _generate(tmp_path)
+    rc = main(["solve", str(inst), "--solver", "bb"])
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert report["params"]["node_budget"] == 1_000_000
 
 
 def test_solve_eva_records_p(tmp_path, capsys):

@@ -9,7 +9,6 @@ from tiercast import experiments
 from tiercast.cli import _load_config, build_parser
 from tiercast.experiments import (
     ExperimentConfig,
-    SEED_ENV_VAR,
     build_experiment_instance,
     preset_config,
     run_solver,
@@ -62,20 +61,20 @@ def _sweep_config(*flags):
     return _load_config(build_parser().parse_args(["sweep", "--out", "x.csv", *flags]))
 
 
-def test_env_var_overrides_master_seed(monkeypatch, tmp_path):
-    # Command-line precedence: --master-seed > TIERCAST_SEED > file or preset.
+def test_master_seed_flag_overrides_file_and_preset(monkeypatch, tmp_path):
+    # Command-line precedence: --master-seed > file or preset. The
+    # environment plays no part.
     path = tmp_path / "config.json"
     path.write_text(json.dumps(small_config(master_seed=3).to_dict()))
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    monkeypatch.setenv("TIERCAST_SEED", "77")
     assert _sweep_config("--config", str(path)).master_seed == 3
-    monkeypatch.setenv(SEED_ENV_VAR, "77")
-    assert _sweep_config("--config", str(path)).master_seed == 77
-    assert _sweep_config("--preset", "fig3").master_seed == 77
+    assert _sweep_config("--preset", "fig3").master_seed == 0
     assert _sweep_config("--config", str(path), "--master-seed", "5").master_seed == 5
+    assert _sweep_config("--preset", "fig3", "--master-seed", "5").master_seed == 5
 
 
 def test_config_built_in_code_ignores_env_var(monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "7")
+    monkeypatch.setenv("TIERCAST_SEED", "7")
     cfg = dataclasses.replace(ExperimentConfig(), master_seed=3)
     assert cfg.master_seed == 3
     assert cfg.at_sweep_value(None).master_seed == 3

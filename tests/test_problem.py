@@ -99,6 +99,25 @@ def test_instance_rejects_bad_sharing_mask(sharing, message):
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("w", 257), ("sharing", 256), ("rb_basic", 1.7), ("rb_budget", 2.5)],
+    ids=["w-257", "sharing-256", "rb_basic-1.7", "rb_budget-2.5"],
+)
+def test_instance_rejects_values_the_cast_would_change(field, value):
+    # Each value casts to a valid one (1, 0, 1 and 2), so it must be refused
+    # before the cast.
+    inst = fig1_instance()
+    arrays = {
+        name: getattr(inst, name)
+        for name in ("w", "rb_budget", "rb_basic", "rb_enhanced", "sharing")
+    }
+    arrays[field] = arrays[field].astype(type(value))
+    arrays[field].flat[0] = value
+    with pytest.raises(ValueError, match=f"{field} entries must be"):
+        Instance(n_users=inst.n_users, n_cells=inst.n_cells, n_views=inst.n_views, **arrays)
+
+
 def test_rb_usage_multicast_max_versus_sum():
     inst = fig1_instance()
     inst.sharing[:, 2] = 1

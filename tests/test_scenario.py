@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from tiercast.channel import ChannelParams
 from tiercast.problem import Solution, objective
 from tiercast.scenario import (
-    CachePlacement,
-    DemandSet,
     PlacementError,
     Topology,
     build_instance,
@@ -20,6 +19,14 @@ from tiercast.scenario import (
 )
 
 CH = ChannelParams(interference_scale=0.0)
+
+
+def _mask(view_sets, n_views):
+    """Bool mask with one row per set of view indices."""
+    mask = np.zeros((len(view_sets), n_views), dtype=bool)
+    for row, views in zip(mask, view_sets):
+        row[list(views)] = True
+    return mask
 
 
 def test_topology_deterministic_per_seed():
@@ -81,65 +88,70 @@ def test_topology_invariant_checks():
 )
 def test_demands_exhaustive_when_views_per_user_equals_views(m, e, skew, seed):
     d = generate_demands(m, e, e, popularity_skew=skew, seed=seed)
-    assert d.views == (tuple(range(e)),) * m
-    # The same as sorting the full draw without replacement, which permutes.
-    rng = np.random.default_rng(seed)
-    weights = 1.0 / np.arange(1, e + 1) ** skew
-    probs = weights / weights.sum()
-    drawn = tuple(
-        tuple(sorted(rng.choice(e, size=e, replace=False, p=probs))) for _ in range(m)
-    )
-    assert d.views == drawn
+    assert d.dtype == bool and d.shape == (m, e) and d.all()
+    # The same as the full draw without replacement, which only permutes.
+    drawn = reference.generate_demands(m, e, e, skew, seed)
+    assert (d == _mask(drawn, e)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.integers(1, 12),
+    st.data(),
+    st.sampled_from([0.0, 0.8, 2.5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_demand_mask_is_the_per_user_draw(m, e, data, skew, seed):
+    per_user = data.draw(st.integers(0, e))
+    d = generate_demands(m, e, per_user, popularity_skew=skew, seed=seed)
+    assert d.dtype == bool and d.shape == (m, e)
+    drawn = reference.generate_demands(m, e, per_user, skew, seed)
+    assert (d == _mask(drawn, e)).all()
 
 
 def test_demands_partial_draw_is_pinned():
     # A fig9-style draw: 2 of 10 views per user.
     d = generate_demands(6, 10, 2, popularity_skew=0.8, seed=9)
-    assert d.views == ((1, 7), (3, 5), (4, 8), (7, 8), (0, 1), (0, 2))
+    rows = [tuple(np.flatnonzero(row)) for row in d]
+    assert rows == [(1, 7), (3, 5), (4, 8), (7, 8), (0, 1), (0, 2)]
 
 
 def test_demands_zero_skew_is_uniform():
     d = generate_demands(20_000, 5, 1, popularity_skew=0.0, seed=2)
-    counts = np.zeros(5)
-    for vs in d.views:
-        counts[vs[0]] += 1
-    freqs = counts / counts.sum()
+    freqs = d.sum(axis=0) / d.sum()
     assert np.abs(freqs - 0.2).max() < 0.01  # 5% of 1/E
 
 
 def test_demands_deterministic_and_validated():
     d1 = generate_demands(10, 6, 2, seed=5)
     d2 = generate_demands(10, 6, 2, seed=5)
-    assert d1.views == d2.views
+    assert (d1 == d2).all()
     with pytest.raises(ValueError):
         generate_demands(3, 2, 5)
     with pytest.raises(ValueError):
         generate_demands(3, 0, 0)
-    with pytest.raises(ValueError):
-        DemandSet(views=((7,),), n_views=3)
 
 
 def test_place_caches_coverage_and_capacity():
     topo = generate_topology("uniform", 10, 40, seed=11)
     demands = generate_demands(40, 5, 5, seed=12)
-    placement = place_caches(demands, topo, 3)
-    cached_somewhere = set().union(*placement.caches)
-    assert cached_somewhere == set(range(5))
-    assert all(len(c) <= 3 for c in placement.caches)
+    cached = place_caches(demands, topo, 3)
+    assert cached.dtype == bool and cached.shape == (10, 5)
+    assert cached.any(axis=0).all()
+    assert (cached.sum(axis=1) <= 3).all()
 
 
 def test_place_caches_saturates_when_capacity_covers_all_views():
     topo = generate_topology("uniform", 4, 10, seed=13)
     demands = generate_demands(10, 3, 2, seed=14)
-    placement = place_caches(demands, topo, 5)
-    assert all(c == frozenset(range(3)) for c in placement.caches)
+    assert place_caches(demands, topo, 5).all()
 
 
 def test_place_caches_single_cell_full_replication():
     topo = generate_topology("uniform", 1, 5, seed=15)
     demands = generate_demands(5, 4, 2, seed=16)
-    placement = place_caches(demands, topo, 4)
-    assert placement.caches[0] == frozenset(range(4))
+    assert place_caches(demands, topo, 4).all()
 
 
 def test_place_caches_rejects_uncoverable():
@@ -152,8 +164,37 @@ def test_place_caches_rejects_uncoverable():
 
 
 def test_cache_placement_capacity_invariant():
-    with pytest.raises(ValueError):
-        CachePlacement(caches=(frozenset({0, 1, 2}),), cache_capacity=2)
+    # Every cell ends with min(capacity, n_views) views cached.
+    topo = generate_topology("uniform", 4, 30, seed=23)
+    demands = generate_demands(30, 5, 2, seed=24)
+    for capacity in range(2, 8):
+        cached = place_caches(demands, topo, capacity)
+        assert (cached.sum(axis=1) == min(capacity, 5)).all()
+
+
+@st.composite
+def _placement_cases(draw):
+    n_users = draw(st.integers(1, 25))
+    n_cells = draw(st.integers(1, 6))
+    n_views = draw(st.integers(1, 24))
+    per_user = draw(st.integers(0, n_views))
+    capacity = draw(st.integers(-(-n_views // n_cells), n_views + 2))
+    skew = draw(st.sampled_from([0.0, 0.8, 2.5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n_users, n_cells, n_views, per_user, capacity, skew, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_placement_cases())
+def test_cache_mask_is_the_two_phase_loop(case):
+    n_users, n_cells, n_views, per_user, capacity, skew, seed = case
+    topo = generate_topology("uniform", n_cells, n_users, seed=seed)
+    demands = reference.generate_demands(n_users, n_views, per_user, skew, seed)
+    nearest = topo.distances().argmin(axis=1)
+    expected = reference.place_caches(demands, nearest, n_cells, n_views, capacity)
+    cached = place_caches(_mask(demands, n_views), topo, capacity)
+    assert cached.dtype == bool and cached.shape == (n_cells, n_views)
+    assert (cached == _mask(expected, n_views)).all()
 
 
 def test_fig1_style_instance_reward_count():
@@ -164,11 +205,9 @@ def test_fig1_style_instance_reward_count():
         user_positions=np.array([[-250.0, 10.0], [-150.0, -40.0], [180.0, 30.0]]),
         map_radius=1000.0,
     )
-    demands = DemandSet(views=((0, 2), (0, 3), (2,)), n_views=4)
-    placement = CachePlacement(
-        caches=(frozenset({0, 2}), frozenset({1, 2, 3})), cache_capacity=3
-    )
-    inst = build_instance(topo, demands, placement, CH, 50_000, seed=0)
+    wants = _mask([{0, 2}, {0, 3}, {2}], 4)
+    cached = _mask([{0, 2}, {1, 2, 3}], 4)
+    inst = build_instance(topo, wants, cached, CH, 50_000, seed=0)
     assert int(inst.w.sum()) == 7
     assert inst.w[0, 0].sum() == 2 and inst.w[0, 1].sum() == 1
     assert inst.w[1, 0].sum() == 1 and inst.w[1, 1].sum() == 1
@@ -192,13 +231,7 @@ def test_reward_tensor_is_demand_and_cache(case):
     n_views, demands, caches = case
     topo = generate_topology("uniform", len(caches), len(demands), seed=5)
     inst = build_instance(
-        topo,
-        DemandSet(views=tuple(tuple(sorted(d)) for d in demands), n_views=n_views),
-        CachePlacement(
-            caches=tuple(frozenset(c) for c in caches), cache_capacity=n_views
-        ),
-        CH,
-        50_000,
+        topo, _mask(demands, n_views), _mask(caches, n_views), CH, 50_000
     )
     assert inst.w.dtype == np.int8
     for i, wanted in enumerate(demands):
@@ -207,22 +240,24 @@ def test_reward_tensor_is_demand_and_cache(case):
                 assert inst.w[i, j, k] == (k in wanted and k in cache)
 
 
-@pytest.mark.parametrize("bad_view", [-1, 3])
-def test_build_instance_rejects_cached_view_out_of_range(bad_view):
+@pytest.mark.parametrize(
+    "wants_shape, cached_shape",
+    [((3, 3), (2, 3)), ((2, 3), (1, 3)), ((2, 3), (2, 4)), ((3,), (2, 3))],
+    ids=["users", "cells", "views", "one-dimensional"],
+)
+def test_build_instance_rejects_mask_shape_mismatch(wants_shape, cached_shape):
     topo = generate_topology("uniform", 2, 2, seed=5)
-    demands = DemandSet(views=((0,), (1, 2)), n_views=3)
-    placement = CachePlacement(
-        caches=(frozenset({0}), frozenset({1, bad_view})), cache_capacity=3
-    )
-    with pytest.raises(ValueError, match="out of range"):
-        build_instance(topo, demands, placement, CH, 50_000)
+    wants = np.ones(wants_shape, dtype=bool)
+    cached = np.ones(cached_shape, dtype=bool)
+    with pytest.raises(ValueError, match="do not match 2 users and 2 cells"):
+        build_instance(topo, wants, cached, CH, 50_000)
 
 
 def test_empty_demands_give_zero_rewards():
     topo = generate_topology("uniform", 3, 4, seed=19)
-    demands = DemandSet(views=((), (), (), ()), n_views=3)
-    placement = place_caches(generate_demands(4, 3, 3, seed=20), topo, 2)
-    inst = build_instance(topo, demands, placement, CH, 50_000, seed=1)
+    wants = np.zeros((4, 3), dtype=bool)
+    cached = place_caches(generate_demands(4, 3, 3, seed=20), topo, 2)
+    inst = build_instance(topo, wants, cached, CH, 50_000, seed=1)
     assert inst.w.sum() == 0
     sol = Solution(assoc=np.zeros(4, dtype=np.int64))
     assert objective(inst, sol) == 0.0
@@ -231,16 +266,16 @@ def test_empty_demands_give_zero_rewards():
 def test_build_instance_deterministic_and_consistent():
     topo = generate_topology("hotspot", 4, 8, seed=21)
     demands = generate_demands(8, 5, 3, seed=22)
-    placement = place_caches(demands, topo, 3)
-    i1 = build_instance(topo, demands, placement, CH, 50_000, seed=2)
-    i2 = build_instance(topo, demands, placement, CH, 50_000, seed=2)
+    cached = place_caches(demands, topo, 3)
+    i1 = build_instance(topo, demands, cached, CH, 50_000, seed=2)
+    i2 = build_instance(topo, demands, cached, CH, 50_000, seed=2)
     assert (i1.rb_basic == i2.rb_basic).all()
     assert (i1.rb_enhanced == i2.rb_enhanced).all()
     # w-consistency by exhaustive scan
     for i in range(8):
         for j in range(4):
             for k in range(5):
-                expected = int(k in demands.views[i] and k in placement.caches[j])
+                expected = int(demands[i, k] and cached[j, k])
                 assert i1.w[i, j, k] == expected
 
 
