@@ -443,27 +443,20 @@ def solve_elva(
     )
 
 
-class _CellState:
-    """Incrementally maintained per-cell subproblem value for the search."""
-
-    __slots__ = ("members", "costs", "max_basic", "value")
-
-    def __init__(self):
-        self.members: list[int] = []
-        self.costs = np.empty(0)
-        self.max_basic = 0
-        self.value = 0.0
-
-
-def _cell_value_from_costs(costs: np.ndarray, budget: float) -> float:
-    if budget <= 0 or costs.size == 0:
+def _cell_value(costs: list, budget: float) -> float:
+    """Fractional-knapsack value of a cell's enhanced ``costs``, sorted
+    ascending, at ``budget``: the running sum takes costs while
+    ``spent + cost`` stays within the budget, then the share of the next."""
+    if budget <= 0:
         return 0.0
-    prefix = np.cumsum(costs)
-    full = int(np.searchsorted(prefix, budget, side="right"))
-    if full >= costs.size:
-        return float(costs.size)
-    spent = prefix[full - 1] if full else 0.0
-    return full + (budget - spent) / costs[full]
+    spent = 0.0
+    full = 0
+    for cost in costs:
+        if spent + cost > budget:
+            return full + (budget - spent) / cost
+        spent += cost
+        full += 1
+    return float(full)
 
 
 def solve_bb(
@@ -480,24 +473,21 @@ def solve_bb(
     potentials are node-independent this yields a static user order with a
     static per-user cell order. Unbudgeted runs return the global optimum;
     with ``node_budget`` the best incumbent found is returned and flagged.
+
+    Each cell keeps its members, its enhanced costs as a sorted list, its
+    largest basic cost and its value; a child merges the user's costs into
+    its cell's list and revalues only that cell. A parent enters each child
+    in turn (node limit, node count, then the leaf or prune test) and
+    recurses only into children that are neither.
     """
     start = time.perf_counter()
     m, s = instance.n_users, instance.n_cells
     wsum = instance.reward_counts()
     nb = instance.rb_basic
-    budgets = instance.rb_budget.astype(float)
+    budgets = instance.rb_budget.astype(float).tolist()
     multicast = mode == MULTICAST
     allocator = _cell_allocator(mode)
-
-    user_costs = [
-        [
-            np.sort(instance.rb_enhanced[i, j][instance.w[i, j].astype(bool)]).astype(
-                float
-            )
-            for j in range(s)
-        ]
-        for i in range(m)
-    ]
+    limit = float("inf") if node_budget is None else node_budget
 
     def pair_key(i, j):
         return (-wsum[i, j], nb[i, j], j)
@@ -507,66 +497,92 @@ def solve_bb(
     user_order = sorted(
         range(m), key=lambda i: (-best_w[i], nb[i, cell_order[i][0]], i)
     )
-    suffix = np.zeros(m + 1)
+    suffix = [0.0] * (m + 1)
     for t in range(m - 1, -1, -1):
-        suffix[t] = suffix[t + 1] + best_w[user_order[t]]
+        suffix[t] = suffix[t + 1] + int(best_w[user_order[t]])
 
-    cells = [_CellState() for _ in range(s)]
-    assoc = np.zeros(m, dtype=np.int64)
-    best_value = -np.inf
-    best_assoc: np.ndarray | None = None
+    # Per depth, the user and its children in branching order, each as
+    # (cell, basic cost, the user's enhanced costs there in ascending order).
+    levels = []
+    for i in user_order:
+        children = []
+        for j in cell_order[i]:
+            views = instance.w[i, j].astype(bool)
+            user_costs = instance.rb_enhanced[i, j][views].astype(float).tolist()
+            children.append((j, int(nb[i, j]), sorted(user_costs)))
+        levels.append((i, children))
+
+    members: list[list[int]] = [[] for _ in range(s)]
+    costs: list[list[float]] = [[] for _ in range(s)]
+    max_basic = [0] * s
+    values = [0.0] * s
+    assoc = [0] * m
+    best_value = -float("inf")
+    best_assoc: list[int] | None = None
     nodes = 0
     pruned = 0
     budget_hit = False
 
-    def cell_value(state: _CellState, j: int) -> float:
-        budget = budgets[j] - state.max_basic
-        if multicast:
-            if budget < 0:
-                return 0.0
-            return allocator(instance, j, state.members, budget).value
-        return _cell_value_from_costs(state.costs, budget)
-
     def descend(t: int, partial: float):
+        """Enter the children of an entered, unpruned node at depth t."""
         nonlocal nodes, pruned, best_value, best_assoc, budget_hit
-        if budget_hit:
-            return
-        if node_budget is not None and nodes >= node_budget:
-            budget_hit = True
-            return
-        nodes += 1
-        if t == m:
-            if partial >= best_value:
-                best_value = partial
-                best_assoc = assoc.copy()
-            return
-        if best_assoc is not None and suffix[t] <= best_value - partial:
-            pruned += 1
-            return
-        i = user_order[t]
-        for j in cell_order[i]:
-            state = cells[j]
-            saved = (state.members, state.costs, state.max_basic, state.value)
-            state.members = state.members + [i]
-            state.costs = np.sort(np.concatenate((state.costs, user_costs[i][j])))
-            state.max_basic = max(state.max_basic, int(nb[i, j]))
-            old_value = state.value
-            state.value = cell_value(state, j)
+        i, children = levels[t]
+        leaf = t + 1 == m
+        potential = suffix[t + 1]
+        for j, basic, user_costs in children:
+            if nodes >= limit:
+                budget_hit = True
+                return
+            nodes += 1
+            cell_costs = sorted(costs[j] + user_costs)
+            cell_basic = max_basic[j]
+            if basic > cell_basic:
+                cell_basic = basic
+            budget = budgets[j] - cell_basic
+            if multicast:
+                cell_members = members[j] + [i]
+                value = (
+                    allocator(instance, j, cell_members, budget).value
+                    if budget >= 0
+                    else 0.0
+                )
+            else:
+                value = _cell_value(cell_costs, budget)
+            child = partial + value - values[j]
             assoc[i] = j
-            descend(t + 1, partial + state.value - old_value)
-            state.members, state.costs, state.max_basic, state.value = saved
+            if leaf:
+                if child >= best_value:
+                    best_value = child
+                    best_assoc = assoc.copy()
+                continue
+            if best_assoc is not None and potential <= best_value - child:
+                pruned += 1
+                continue
+            saved = members[j], costs[j], max_basic[j], values[j]
+            if multicast:
+                members[j] = cell_members
+            costs[j], max_basic[j], values[j] = cell_costs, cell_basic, value
+            descend(t + 1, child)
+            members[j], costs[j], max_basic[j], values[j] = saved
             if budget_hit:
                 return
 
-    descend(0, 0.0)
+    # The root: node limit, node count, then a leaf only when there are no
+    # users; it is never pruned, because no incumbent exists yet.
+    if limit <= 0:
+        budget_hit = True
+    else:
+        nodes = 1
+        if m == 0:
+            best_assoc = []
+        else:
+            descend(0, 0.0)
 
     if best_assoc is None:
         # Node budget exhausted before the first dive reached a leaf; fall
         # back to the dive's association (first child at every depth).
-        best_assoc = np.array(
-            [cell_order[i][0] for i in range(m)], dtype=np.int64
-        )
-    solution, _ = _finalize(instance, best_assoc, mode)
+        best_assoc = [cell_order[i][0] for i in range(m)]
+    solution, _ = _finalize(instance, np.array(best_assoc, dtype=np.int64), mode)
     return solution, SolverReport(
         solver="bb",
         objective=objective(instance, solution),

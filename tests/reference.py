@@ -7,7 +7,13 @@ the unicast cell kernel, EVA's and ELVA's per-user fills, the single-user
 gain lookup and ELVA's pair ranking; and, in ``tiercast.scenario``, for the
 demand draw and the cache placement, as per-user view tuples and per-cell
 view sets.
+
+``solve_bb`` is the other way round: the numpy branch-and-bound that the
+list-based search in ``tiercast.solvers`` replaced, kept as the oracle for
+its nodes, prune counts and results.
 """
+
+import time
 
 import numpy as np
 
@@ -19,7 +25,8 @@ from tiercast.problem import (
     Solution,
     Violation,
 )
-from tiercast.solvers import CellAllocation
+from tiercast.problem import objective as ledger_objective
+from tiercast.solvers import CellAllocation, SolverReport, _cell_allocator, _finalize
 
 _NO_TIE = np.iinfo(np.int64).max
 
@@ -256,3 +263,124 @@ def place_caches(demands, nearest, n_cells, n_views, cache_capacity):
                 break
             caches[j].add(k)
     return caches
+
+
+class _CellState:
+    """Incrementally maintained per-cell subproblem value for the search."""
+
+    __slots__ = ("members", "costs", "max_basic", "value")
+
+    def __init__(self):
+        self.members = []
+        self.costs = np.empty(0)
+        self.max_basic = 0
+        self.value = 0.0
+
+
+def cell_value_from_costs(costs, budget):
+    """A cell's fractional-knapsack value from its sorted enhanced costs:
+    ``np.cumsum`` prefix sums and a right-sided ``searchsorted``."""
+    if budget <= 0 or costs.size == 0:
+        return 0.0
+    prefix = np.cumsum(costs)
+    full = int(np.searchsorted(prefix, budget, side="right"))
+    if full >= costs.size:
+        return float(costs.size)
+    spent = prefix[full - 1] if full else 0.0
+    return full + (budget - spent) / costs[full]
+
+
+def solve_bb(instance, node_budget=None, mode=UNICAST):
+    """The branch-and-bound with a numpy cost array per cell, re-sorted and
+    re-summed at every node, and a recursive call per node."""
+    start = time.perf_counter()
+    m, s = instance.n_users, instance.n_cells
+    wsum = instance.reward_counts()
+    nb = instance.rb_basic
+    budgets = instance.rb_budget.astype(float)
+    multicast = mode == MULTICAST
+    allocator = _cell_allocator(mode)
+
+    user_costs = [
+        [
+            np.sort(instance.rb_enhanced[i, j][instance.w[i, j].astype(bool)]).astype(
+                float
+            )
+            for j in range(s)
+        ]
+        for i in range(m)
+    ]
+
+    def pair_key(i, j):
+        return (-wsum[i, j], nb[i, j], j)
+
+    cell_order = [sorted(range(s), key=lambda j: pair_key(i, j)) for i in range(m)]
+    best_w = wsum.max(axis=1)
+    user_order = sorted(
+        range(m), key=lambda i: (-best_w[i], nb[i, cell_order[i][0]], i)
+    )
+    suffix = np.zeros(m + 1)
+    for t in range(m - 1, -1, -1):
+        suffix[t] = suffix[t + 1] + best_w[user_order[t]]
+
+    cells = [_CellState() for _ in range(s)]
+    assoc = np.zeros(m, dtype=np.int64)
+    best_value = -np.inf
+    best_assoc = None
+    nodes = 0
+    pruned = 0
+    budget_hit = False
+
+    def cell_value(state, j):
+        budget = budgets[j] - state.max_basic
+        if multicast:
+            if budget < 0:
+                return 0.0
+            return allocator(instance, j, state.members, budget).value
+        return cell_value_from_costs(state.costs, budget)
+
+    def descend(t, partial):
+        nonlocal nodes, pruned, best_value, best_assoc, budget_hit
+        if budget_hit:
+            return
+        if node_budget is not None and nodes >= node_budget:
+            budget_hit = True
+            return
+        nodes += 1
+        if t == m:
+            if partial >= best_value:
+                best_value = partial
+                best_assoc = assoc.copy()
+            return
+        if best_assoc is not None and suffix[t] <= best_value - partial:
+            pruned += 1
+            return
+        i = user_order[t]
+        for j in cell_order[i]:
+            state = cells[j]
+            saved = (state.members, state.costs, state.max_basic, state.value)
+            state.members = state.members + [i]
+            state.costs = np.sort(np.concatenate((state.costs, user_costs[i][j])))
+            state.max_basic = max(state.max_basic, int(nb[i, j]))
+            old_value = state.value
+            state.value = cell_value(state, j)
+            assoc[i] = j
+            descend(t + 1, partial + state.value - old_value)
+            state.members, state.costs, state.max_basic, state.value = saved
+            if budget_hit:
+                return
+
+    descend(0, 0.0)
+
+    if best_assoc is None:
+        best_assoc = np.array([cell_order[i][0] for i in range(m)], dtype=np.int64)
+    solution, _ = _finalize(instance, best_assoc, mode)
+    return solution, SolverReport(
+        solver="bb",
+        objective=ledger_objective(instance, solution),
+        wall_time=time.perf_counter() - start,
+        nodes_explored=nodes,
+        nodes_pruned=pruned,
+        node_budget_hit=budget_hit if node_budget is not None else False,
+        params={"node_budget": node_budget},
+    )

@@ -6,6 +6,8 @@ with sharing groups, many equal costs and scores, and allocation dicts built
 in arbitrary order.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,15 @@ from tiercast.problem import (
     per_user_rewards,
     rb_usage,
 )
-from tiercast.solvers import _PairRanking, solve_cell_subproblem, solve_elva, solve_eva
+from tiercast.experiments import build_experiment_instance, preset_config
+from tiercast.solvers import (
+    _PairRanking,
+    _cell_value,
+    solve_bb,
+    solve_cell_subproblem,
+    solve_elva,
+    solve_eva,
+)
 
 # NaN and inf allocations warn in both implementations alike.
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -399,3 +409,73 @@ def test_solvers_match_with_reference_cell_fill(solver, rng):
         assert _items(sol.alloc) == _items(ref_sol.alloc)
         assert _bits([rep.objective]) == _bits([ref_rep.objective])
         assert rep.tie_breaks == ref_rep.tie_breaks
+
+
+def _bb_record(solution, report):
+    return (
+        solution.assoc.tolist(),
+        _items(solution.alloc),
+        float(report.objective).hex(),
+        report.nodes_explored,
+        report.nodes_pruned,
+        report.node_budget_hit,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    instances(),
+    st.sampled_from([UNICAST, MULTICAST]),
+    st.one_of(st.none(), st.sampled_from([0, 1]), st.integers(2, 40)),
+)
+def test_bb_explores_the_nodes_of_the_numpy_search(inst, mode, node_budget):
+    # Same nodes, prunes and limit flag, and the same result bit for bit.
+    mine = solve_bb(inst, node_budget=node_budget, mode=mode)
+    ref = reference.solve_bb(inst, node_budget=node_budget, mode=mode)
+    assert _bb_record(*mine) == _bb_record(*ref)
+
+
+# Integer costs, as RB tables hold, and fractional ones, whose running sums
+# round: there ``spent + cost == budget`` need not mean ``budget - spent == cost``.
+COSTS = st.lists(
+    st.one_of(st.integers(1, 9).map(float), st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7])),
+    max_size=8,
+).map(sorted)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COSTS, st.data())
+def test_cell_value_matches_prefix_search(costs, data):
+    # Budgets at and just off every prefix sum (exact fits, and past the
+    # last cost), at and below zero, and arbitrary fractions.
+    prefix = list(itertools.accumulate(costs, initial=0.0))
+    edge = data.draw(st.sampled_from(prefix))
+    budget = data.draw(
+        st.one_of(
+            st.sampled_from([edge, edge + 1e-12, edge - 1e-12, edge + 0.5, edge + 100.0]),
+            st.sampled_from([0.0, -0.0, -1.0, -1e-12, 5e-324]),
+            st.floats(-5.0, 80.0),
+        )
+    )
+    mine = _cell_value(costs, budget)
+    ref = reference.cell_value_from_costs(np.array(costs, dtype=float), budget)
+    assert _bits([mine]) == _bits([ref])
+
+
+def test_cell_value_takes_a_cost_that_fits_exactly():
+    # The third 0.7 fits a budget of 0.7 + 0.7 + 0.7 whole: the value is 3,
+    # where its share, (budget - 1.4) / 0.7, would give 2.9999999999999996.
+    budget = 0.7 + 0.7 + 0.7
+    assert _cell_value([0.7, 0.7, 0.7], budget) == 3.0
+    assert reference.cell_value_from_costs(np.array([0.7, 0.7, 0.7]), budget) == 3.0
+
+
+def test_bb_fig7_anchor_at_the_default_node_budget():
+    # fig7's 10-user point, seed 0: the benchmark's fig7-exact search.
+    point = preset_config("fig7").at_sweep_value(10)
+    inst, _ = build_experiment_instance(point, 0)
+    _, report = solve_bb(inst, node_budget=point.node_budget)
+    assert report.objective == 24.54122105876056
+    assert report.nodes_explored == 1_000_000
+    assert report.nodes_pruned == 775_144
+    assert report.node_budget_hit
