@@ -15,6 +15,7 @@ group already pays takes a share: it rides the group's transmission.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -205,6 +206,13 @@ def compute_nbar(instance: Instance) -> int:
     return int(instance.rb_basic.min(axis=1).max())
 
 
+def _eligible_cells(instance: Instance) -> np.ndarray:
+    """(M, S) bool: each user's affordable cells, those whose budget covers
+    the user's basic cost, or every cell for a user with none."""
+    affordable = instance.rb_basic <= instance.rb_budget[None, :]
+    return affordable | ~affordable.any(axis=1, keepdims=True)
+
+
 def _finalize(
     instance: Instance, assoc: np.ndarray, mode: str
 ) -> tuple[Solution, float]:
@@ -257,10 +265,7 @@ def solve_eva(
     with np.errstate(invalid="ignore"):
         scores = counts**p / nb
 
-    # A user with no affordable cell may pick among all cells.
-    affordable = nb <= instance.rb_budget[None, :]
-    eligible = affordable | ~affordable.any(axis=1, keepdims=True)
-    masked = np.where(eligible, scores, -np.inf)
+    masked = np.where(_eligible_cells(instance), scores, -np.inf)
     tied = masked == masked.max(axis=1, keepdims=True)
     tie_breaks = int((np.count_nonzero(tied, axis=1) > 1).sum())
     assoc = np.where(tied, nb, _NO_TIE).argmin(axis=1)
@@ -466,13 +471,16 @@ def solve_bb(
 ) -> tuple[Solution, SolverReport]:
     """Depth-first branch-and-bound over user-cell assignments.
 
-    A node's potential is the sum, over unassigned users, of their best
-    per-cell reward count; branches whose partial value plus potential cannot
-    beat the incumbent are pruned. Branching follows the highest-potential
-    pair first (ties: lower basic cost, then lowest indices); because pair
+    Each user branches over its eligible cells: its affordable ones, whose
+    budget covers its basic cost, or every cell if it has none. A node's
+    potential is the sum, over unassigned users, of their best per-cell
+    reward count; branches whose partial value plus potential cannot beat
+    the incumbent are pruned. Branching follows the highest-potential pair
+    first (ties: lower basic cost, then lowest indices); because pair
     potentials are node-independent this yields a static user order with a
-    static per-user cell order. Unbudgeted runs return the global optimum;
-    with ``node_budget`` the best incumbent found is returned and flagged.
+    static per-user cell order. Unbudgeted runs return the best feasible
+    association whenever every user has an affordable cell; with
+    ``node_budget`` the best incumbent found is returned and flagged.
 
     Each cell keeps its members, its enhanced costs as a sorted list, its
     largest basic cost and its value; a child merges the user's costs into
@@ -492,7 +500,11 @@ def solve_bb(
     def pair_key(i, j):
         return (-wsum[i, j], nb[i, j], j)
 
-    cell_order = [sorted(range(s), key=lambda j: pair_key(i, j)) for i in range(m)]
+    eligible = _eligible_cells(instance)
+    cell_order = [
+        sorted(np.flatnonzero(eligible[i]).tolist(), key=lambda j: pair_key(i, j))
+        for i in range(m)
+    ]
     best_w = wsum.max(axis=1)
     user_order = sorted(
         range(m), key=lambda i: (-best_w[i], nb[i, cell_order[i][0]], i)
@@ -599,16 +611,20 @@ def solve_bruteforce(
 ) -> tuple[Solution, SolverReport]:
     """Exhaustive association scan; the verification oracle for tiny instances.
 
-    Of equal-valued associations, the first in lexicographic order wins."""
+    Each user ranges over its eligible cells: its affordable ones, or every
+    cell if it has none. So whenever every user has an affordable cell, the
+    result is the best feasible association. Of equal-valued associations,
+    the first in lexicographic order wins. ``cap`` bounds the number of
+    associations scanned."""
     start = time.perf_counter()
-    m, s = instance.n_users, instance.n_cells
-    total = s**m
+    choices = [np.flatnonzero(row).tolist() for row in _eligible_cells(instance)]
+    total = math.prod(len(cells) for cells in choices)
     if total > cap:
         raise BruteForceCapError(
-            f"{s}^{m} = {total} associations exceed the cap of {cap}"
+            f"{total} eligible associations exceed the cap of {cap}"
         )
     best_value = -np.inf
-    for combo in itertools.product(range(s), repeat=m):
+    for combo in itertools.product(*choices):
         candidate, value = _finalize(instance, np.array(combo, dtype=np.int64), mode)
         if value > best_value:
             best_value = value

@@ -314,7 +314,12 @@ def solve_bb(instance, node_budget=None, mode=UNICAST):
     def pair_key(i, j):
         return (-wsum[i, j], nb[i, j], j)
 
-    cell_order = [sorted(range(s), key=lambda j: pair_key(i, j)) for i in range(m)]
+    affordable = nb <= instance.rb_budget[None, :]
+    eligible = affordable | ~affordable.any(axis=1, keepdims=True)
+    cell_order = [
+        sorted(np.flatnonzero(eligible[i]), key=lambda j: pair_key(i, j))
+        for i in range(m)
+    ]
     best_w = wsum.max(axis=1)
     user_order = sorted(
         range(m), key=lambda i: (-best_w[i], nb[i, cell_order[i][0]], i)

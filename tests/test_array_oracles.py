@@ -437,6 +437,21 @@ def test_bb_explores_the_nodes_of_the_numpy_search(inst, mode, node_budget):
 
 # Integer costs, as RB tables hold, and fractional ones, whose running sums
 # round: there ``spent + cost == budget`` need not mean ``budget - spent == cost``.
+@settings(max_examples=100, deadline=None)
+@given(instances(), st.sampled_from([UNICAST, MULTICAST]))
+def test_exact_solvers_agree_with_budgets_below_basic_costs(inst, mode):
+    # The strategy's budgets fall below some basic costs. Both search the
+    # same eligible cells, and each user has an affordable cell when
+    # ``affordable`` has a 1 in every row: then both results are feasible.
+    bb_sol, bb = solve_bb(inst, mode=mode)
+    bf_sol, bf = solvers.solve_bruteforce(inst, mode=mode)
+    assert bb.objective == pytest.approx(bf.objective, abs=1e-9)
+    affordable = inst.rb_basic <= inst.rb_budget[None, :]
+    if affordable.any(axis=1).all():
+        assert is_feasible(inst, bb_sol, mode).feasible
+        assert is_feasible(inst, bf_sol, mode).feasible
+
+
 COSTS = st.lists(
     st.one_of(st.integers(1, 9).map(float), st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7])),
     max_size=8,
@@ -477,5 +492,5 @@ def test_bb_fig7_anchor_at_the_default_node_budget():
     _, report = solve_bb(inst, node_budget=point.node_budget)
     assert report.objective == 24.54122105876056
     assert report.nodes_explored == 1_000_000
-    assert report.nodes_pruned == 775_144
+    assert report.nodes_pruned == 711_499
     assert report.node_budget_hit

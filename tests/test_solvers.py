@@ -328,6 +328,37 @@ def test_bruteforce_single_user_scans_cells():
     assert report.objective == pytest.approx(best)
 
 
+def _two_by_two_unaffordable():
+    """User 0 can afford only cell 0 (6 <= 7, 5 > 3), and so can user 1
+    (3 <= 7, 5 > 3). Placing user 0 at cell 1 zeroes that cell and frees
+    cell 0 of user 0's broadcast: 0.8 on paper, over budget in fact."""
+    return Instance(
+        n_users=2, n_cells=2, n_views=1,
+        w=[[[0], [1]], [[1], [1]]],
+        rb_budget=[7, 3],
+        rb_basic=[[6, 5], [3, 5]],
+        rb_enhanced=[[[1], [1]], [[5], [5]]],
+    )
+
+
+@pytest.mark.parametrize("solve", [solve_bruteforce, solve_bb])
+def test_exact_solvers_keep_users_at_affordable_cells(solve):
+    inst = _two_by_two_unaffordable()
+    sol, report = solve(inst)
+    assert sol.assoc.tolist() == [0, 0]
+    assert report.objective == pytest.approx(0.2)
+    assert is_feasible(inst, sol).feasible
+
+
+def test_bruteforce_cap_counts_eligible_associations():
+    # One of the 2^2 associations is eligible, so a cap of 1 admits the scan;
+    # fig1's 2^3 are all eligible at its ample budgets.
+    _, report = solve_bruteforce(_two_by_two_unaffordable(), cap=1)
+    assert report.objective == pytest.approx(0.2)
+    with pytest.raises(BruteForceCapError, match="8 eligible associations"):
+        solve_bruteforce(fig1_instance(), cap=7)
+
+
 def test_bruteforce_cap_refuses():
     inst = fig1_instance()
     with pytest.raises(BruteForceCapError):
