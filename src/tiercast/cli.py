@@ -54,6 +54,7 @@ def _load_config(args) -> ExperimentConfig:
         "sharing_fraction",
         "eva_p",
         "node_budget",
+        "bruteforce_cap",
         "master_seed",
     ):
         value = getattr(args, name, None)
@@ -124,9 +125,7 @@ def cmd_solve(args) -> int:
         print(f"cannot load instance: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     # Flags not given keep the defaults of ExperimentConfig.
-    config = dataclasses.replace(
-        _load_config(args), solvers=[args.solver], bruteforce_cap=args.cap
-    )
+    config = dataclasses.replace(_load_config(args), solvers=[args.solver])
     try:
         solution, report = run_solver(args.solver, instance, config, args.mode)
     except BruteForceCapError as exc:
@@ -186,7 +185,8 @@ def cmd_verify(args) -> int:
     }
     if args.oracle:
         try:
-            _, oracle = solve_bruteforce(instance, cap=args.cap, mode=args.mode)
+            cap = _load_config(args).bruteforce_cap
+            _, oracle = solve_bruteforce(instance, cap=cap, mode=args.mode)
             result["oracle_objective"] = oracle.objective
             result["optimality_gap"] = (
                 result["objective"] / oracle.objective if oracle.objective > 0 else 1.0
@@ -222,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", default=UNICAST, choices=[UNICAST, MULTICAST])
     solve.add_argument("--eva-p", dest="eva_p", type=float)
     solve.add_argument("--node-budget", dest="node_budget", type=int)
-    solve.add_argument("--cap", type=int, default=10**6)
+    solve.add_argument(
+        "--cap", dest="bruteforce_cap", type=int, help="brute-force enumeration cap"
+    )
     solve.add_argument("--solution-out", dest="solution_out")
     solve.set_defaults(func=cmd_solve)
 
@@ -236,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("solution")
     verify.add_argument("--mode", default=UNICAST, choices=[UNICAST, MULTICAST])
     verify.add_argument("--oracle", action="store_true", help="brute-force cross-check")
-    verify.add_argument("--cap", type=int, default=10**6)
+    verify.add_argument(
+        "--cap", dest="bruteforce_cap", type=int, help="brute-force enumeration cap"
+    )
     verify.set_defaults(func=cmd_verify)
     return parser
 

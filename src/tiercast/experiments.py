@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,25 +115,57 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Raises ``ValueError`` on a payload that is not an object, another
-        schema, or a key that names no config or channel field."""
+        schema, a key that names no config or channel field, or a value
+        whose type is not its field's."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be an object, got {type(data).__name__}")
         data = dict(data)
         schema = data.pop("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
             raise ValueError(f"expected schema {CONFIG_SCHEMA!r}, got {schema!r}")
-        _check_keys(cls, data, "config")
-        channel = data.get("channel")
-        if isinstance(channel, dict):
-            _check_keys(ChannelParams, channel, "channel")
+        _check_fields(cls, data, "config")
+        if "channel" in data:
+            channel = data["channel"]
+            if not isinstance(channel, dict):
+                raise ValueError(f"config key 'channel' must be an object, got {channel!r}")
+            _check_fields(ChannelParams, channel, "channel")
             data["channel"] = ChannelParams(**channel)
         return cls(**data)
 
 
-def _check_keys(cls, data: dict, what: str):
+def _check_fields(cls, data: dict, what: str):
+    """Every key must name a field of ``cls`` and every value match that
+    field's type, except ``channel``, which ``from_dict`` converts."""
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if key != "channel" and not _has_type(value, hints[key]):
+            raise ValueError(
+                f"{what} key {key!r} must be {_type_name(hints[key])}, got {value!r}"
+            )
+
+
+def _has_type(value, hint) -> bool:
+    """JSON-value type test: ``bool`` is neither ``int`` nor ``float``, an
+    ``int`` passes as a ``float``, and ``None`` only for an optional field."""
+    if isinstance(hint, types.UnionType):
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_has_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint)
 
 
 def derive_seed(base: int, stream: int) -> int:

@@ -1,13 +1,14 @@
 """End-to-end CLI: generate | solve | sweep | verify."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
 
-from tiercast import serialize
+from tiercast import cli, serialize
 from tiercast.cli import main
-from tiercast.experiments import SWEEP_CSV_COLUMNS
+from tiercast.experiments import SWEEP_CSV_COLUMNS, ExperimentConfig
 
 SMALL = [
     "--n-users", "6", "--n-cells", "2", "--n-views", "3",
@@ -60,8 +61,22 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "payload, named",
-    [({"n_userz": 5}, "'n_userz'"), ([1, 2], "list"), ({"channel": {"fq": 5}}, "'fq'")],
-    ids=["unknown-key", "not-an-object", "unknown-channel-key"],
+    [
+        ({"n_userz": 5}, "'n_userz'"),
+        ([1, 2], "list"),
+        ({"channel": {"fq": 5}}, "'fq'"),
+        ({"n_users": "5"}, "'n_users'"),
+        ({"n_users": 5.0}, "'n_users'"),
+        ({"seeds": 3}, "'seeds'"),
+    ],
+    ids=[
+        "unknown-key",
+        "not-an-object",
+        "unknown-channel-key",
+        "string-n_users",
+        "float-n_users",
+        "scalar-seeds",
+    ],
 )
 def test_bad_config_payload_is_a_validation_error(payload, named, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -122,6 +137,28 @@ def test_solve_bruteforce_cap_exit_code(tmp_path, capsys):
     assert rc == 0
     rc = main(["solve", str(out), "--solver", "bruteforce", "--cap", "1000"])
     assert rc == 2
+
+
+@dataclasses.dataclass
+class _SmallCapConfig(ExperimentConfig):
+    bruteforce_cap: int = 3
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_unset_cap_takes_the_config_default(command, tmp_path, capsys, monkeypatch):
+    # 2^6 associations exceed a config default of 3, so that default must
+    # reach both commands when --cap is not given.
+    inst = _generate(tmp_path)
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(inst), "--solver", "sinr", "--solution-out", str(sol)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "ExperimentConfig", _SmallCapConfig)
+    if command == "solve":
+        assert main(["solve", str(inst), "--solver", "bruteforce"]) == 2
+        assert "cap of 3" in capsys.readouterr().err
+    else:
+        assert main(["verify", str(inst), str(sol), "--oracle"]) == 0
+        assert "cap of 3" in json.loads(capsys.readouterr().out)["oracle_skipped"]
 
 
 def test_solve_rejects_malformed_instance(tmp_path, capsys):
