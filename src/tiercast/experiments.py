@@ -141,10 +141,10 @@ def _check_fields(cls, data: dict, what: str):
         raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
     hints = typing.get_type_hints(cls)
     for key, value in data.items():
-        if key != "channel" and not _has_type(value, hints[key]):
-            raise ValueError(
-                f"{what} key {key!r} must be {_type_name(hints[key])}, got {value!r}"
-            )
+        hint = hints[key]
+        if key != "channel" and not _has_type(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
 
 
 def _has_type(value, hint) -> bool:
@@ -162,10 +162,6 @@ def _has_type(value, hint) -> bool:
     if hint is float:
         return isinstance(value, (int, float))
     return isinstance(value, hint)
-
-
-def _type_name(hint) -> str:
-    return hint.__name__ if isinstance(hint, type) else str(hint)
 
 
 def derive_seed(base: int, stream: int) -> int:

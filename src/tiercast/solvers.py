@@ -524,8 +524,8 @@ def solve_bb(
             children.append((j, int(nb[i, j]), sorted(user_costs)))
         levels.append((i, children))
 
-    members: list[list[int]] = [[] for _ in range(s)]
-    costs: list[list[float]] = [[] for _ in range(s)]
+    members = [[] for _ in range(s)]
+    costs = [[] for _ in range(s)]
     max_basic = [0] * s
     values = [0.0] * s
     assoc = [0] * m
@@ -579,20 +579,18 @@ def solve_bb(
             if budget_hit:
                 return
 
-    # The root: node limit, node count, then a leaf only when there are no
-    # users; it is never pruned, because no incumbent exists yet.
+    # The root passes the node limit and is counted like any node; it is
+    # never pruned, as no incumbent exists yet.
     if limit <= 0:
         budget_hit = True
     else:
         nodes = 1
-        if m == 0:
-            best_assoc = []
-        else:
+        if m:
             descend(0, 0.0)
 
     if best_assoc is None:
-        # Node budget exhausted before the first dive reached a leaf; fall
-        # back to the dive's association (first child at every depth).
+        # Node budget exhausted before the first dive reached a leaf, or no
+        # users: the dive's association (first child at every depth).
         best_assoc = [cell_order[i][0] for i in range(m)]
     solution, _ = _finalize(instance, np.array(best_assoc, dtype=np.int64), mode)
     return solution, SolverReport(
