@@ -435,14 +435,12 @@ def test_bb_explores_the_nodes_of_the_numpy_search(inst, mode, node_budget):
     assert _bb_record(*mine) == _bb_record(*ref)
 
 
-# Integer costs, as RB tables hold, and fractional ones, whose running sums
-# round: there ``spent + cost == budget`` need not mean ``budget - spent == cost``.
 @settings(max_examples=100, deadline=None)
 @given(instances(), st.sampled_from([UNICAST, MULTICAST]))
 def test_exact_solvers_agree_with_budgets_below_basic_costs(inst, mode):
-    # The strategy's budgets fall below some basic costs. Both search the
-    # same eligible cells, and each user has an affordable cell when
-    # ``affordable`` has a 1 in every row: then both results are feasible.
+    # The strategy's budgets fall below some basic costs. Both solvers search
+    # the same eligible cells; when every user has an affordable cell, both
+    # results are feasible.
     bb_sol, bb = solve_bb(inst, mode=mode)
     bf_sol, bf = solvers.solve_bruteforce(inst, mode=mode)
     assert bb.objective == pytest.approx(bf.objective, abs=1e-9)
@@ -452,6 +450,8 @@ def test_exact_solvers_agree_with_budgets_below_basic_costs(inst, mode):
         assert is_feasible(inst, bf_sol, mode).feasible
 
 
+# Integer costs, as RB tables hold, and fractional ones, whose running sums
+# round: there ``spent + cost == budget`` need not mean ``budget - spent == cost``.
 COSTS = st.lists(
     st.one_of(st.integers(1, 9).map(float), st.sampled_from([0.1, 0.2, 0.3, 1 / 3, 0.7])),
     max_size=8,
