@@ -599,7 +599,7 @@ def solve_bb(
         wall_time=time.perf_counter() - start,
         nodes_explored=nodes,
         nodes_pruned=pruned,
-        node_budget_hit=budget_hit if node_budget is not None else False,
+        node_budget_hit=budget_hit,
         params={"node_budget": node_budget},
     )
 
