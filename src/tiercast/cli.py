@@ -16,6 +16,7 @@ from pathlib import Path
 from . import serialize
 from .experiments import (
     ExperimentConfig,
+    SOLVERS,
     SWEEP_CSV_COLUMNS,
     build_experiment_instance,
     preset_config,
@@ -23,7 +24,7 @@ from .experiments import (
     run_sweep,
 )
 from .problem import MULTICAST, UNICAST, is_feasible, objective
-from .solvers import BruteForceCapError, solve_bruteforce
+from .solvers import BruteForceCapError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -42,27 +43,14 @@ def _load_config(args) -> ExperimentConfig:
         config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
     else:
         config = ExperimentConfig()
-    overrides = {}
-    for name in (
-        "scenario",
-        "n_users",
-        "n_cells",
-        "n_views",
-        "cache_capacity",
-        "views_per_user",
-        "rb_budget",
-        "sharing_fraction",
-        "eva_p",
-        "node_budget",
-        "bruteforce_cap",
-        "master_seed",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ExperimentConfig)
+        if getattr(args, f.name, None) is not None
+    }
     if getattr(args, "seeds", None) is not None:
         overrides["seeds"] = list(range(args.seeds))
-    if getattr(args, "solvers", None):
+    if getattr(args, "solvers", None) is not None:
         overrides["solvers"] = args.solvers.split(",")
     if getattr(args, "mode", None):
         overrides["modes"] = args.mode.split(",")
@@ -124,9 +112,9 @@ def cmd_solve(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot load instance: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    # Flags not given keep the defaults of ExperimentConfig.
-    config = dataclasses.replace(_load_config(args), solvers=[args.solver])
     try:
+        # Flags not given keep the defaults of ExperimentConfig.
+        config = _load_config(args)
         solution, report = run_solver(args.solver, instance, config, args.mode)
     except BruteForceCapError as exc:
         print(f"enumeration cap exceeded: {exc}", file=sys.stderr)
@@ -185,8 +173,7 @@ def cmd_verify(args) -> int:
     }
     if args.oracle:
         try:
-            cap = _load_config(args).bruteforce_cap
-            _, oracle = solve_bruteforce(instance, cap=cap, mode=args.mode)
+            _, oracle = run_solver("bruteforce", instance, _load_config(args), args.mode)
             result["oracle_objective"] = oracle.objective
             result["optimality_gap"] = (
                 result["objective"] / oracle.objective if oracle.objective > 0 else 1.0
@@ -214,11 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one solver on a saved instance")
     solve.add_argument("instance", help="instance JSON path")
-    solve.add_argument(
-        "--solver",
-        required=True,
-        choices=["bb", "elva", "eva", "sinr", "bruteforce"],
-    )
+    solve.add_argument("--solver", required=True, choices=list(SOLVERS))
     solve.add_argument("--mode", default=UNICAST, choices=[UNICAST, MULTICAST])
     solve.add_argument("--eva-p", dest="eva_p", type=float)
     solve.add_argument("--node-budget", dest="node_budget", type=int)

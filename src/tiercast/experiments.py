@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import solvers
 from .channel import ChannelParams
 from .problem import Instance, MULTICAST, UNICAST
 from .scenario import (
@@ -38,6 +39,20 @@ SWEEP_PARAMS = (
     "eva_p",
     "cache_capacity",
 )
+
+# Each solver by name, called with the config's setting for it. The entries
+# look up ``solvers.solve_*`` at call time, so that a replaced solver runs.
+SOLVERS = {
+    "bb": lambda inst, cfg, mode: solvers.solve_bb(
+        inst, node_budget=cfg.node_budget, mode=mode
+    ),
+    "elva": lambda inst, cfg, mode: solvers.solve_elva(inst, T=cfg.elva_T, mode=mode),
+    "eva": lambda inst, cfg, mode: solvers.solve_eva(inst, p=cfg.eva_p, mode=mode),
+    "sinr": lambda inst, cfg, mode: solvers.solve_sinr(inst, mode=mode),
+    "bruteforce": lambda inst, cfg, mode: solvers.solve_bruteforce(
+        inst, cap=cfg.bruteforce_cap, mode=mode
+    ),
+}
 
 
 @dataclass
@@ -85,15 +100,19 @@ class ExperimentConfig:
         for mode in self.modes:
             if mode not in (UNICAST, MULTICAST):
                 raise ValueError(f"unknown mode {mode!r}")
+        for name in self.solvers:
+            if name not in SOLVERS:
+                raise ValueError(f"unknown solver {name!r}")
+        if self.sweep_param != "none":
+            for value in self.sweep_values:
+                _check_fields(type(self), {self.sweep_param: value}, "sweep")
 
     def at_sweep_value(self, value) -> "ExperimentConfig":
         """Resolve one sweep point into a concrete configuration."""
-        cfg = dataclasses.replace(self)
-        cfg.sweep_param = "none"
-        cfg.sweep_values = [None]
-        if self.sweep_param != "none":
-            setattr(cfg, self.sweep_param, value)
-        return cfg
+        swept = {} if self.sweep_param == "none" else {self.sweep_param: value}
+        return dataclasses.replace(
+            self, sweep_param="none", sweep_values=[None], **swept
+        )
 
     @property
     def effective_cache_capacity(self) -> int:
@@ -266,20 +285,10 @@ def preset_config(name: str) -> ExperimentConfig:
 
 
 def run_solver(name: str, instance: Instance, config: ExperimentConfig, mode: str):
-    """Dispatch one solver by name with the config's parameters."""
-    from . import solvers
-
-    if name == "bb":
-        return solvers.solve_bb(instance, node_budget=config.node_budget, mode=mode)
-    if name == "elva":
-        return solvers.solve_elva(instance, T=config.elva_T, mode=mode)
-    if name == "eva":
-        return solvers.solve_eva(instance, p=config.eva_p, mode=mode)
-    if name == "sinr":
-        return solvers.solve_sinr(instance, mode=mode)
-    if name == "bruteforce":
-        return solvers.solve_bruteforce(instance, cap=config.bruteforce_cap, mode=mode)
-    raise ValueError(f"unknown solver {name!r}")
+    """Run the solver ``SOLVERS`` names with the config's setting for it."""
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver {name!r}")
+    return SOLVERS[name](instance, config, mode)
 
 
 SWEEP_CSV_COLUMNS = (
@@ -358,7 +367,7 @@ def run_sweep(config: ExperimentConfig):
                         yield _row(config, value, seed, mode, solver, errors[solver])
                         continue
                     solution, report = results[solver]
-                    row = summary.row(solver)
+                    row = summary.solvers[solver]
                     yield _row(
                         config, value, seed, mode, solver, "ok",
                         objective=report.objective,

@@ -31,11 +31,9 @@ def jain_index(rewards) -> float | None:
 @dataclass
 class SolverSummary:
     solver: str
-    objective: float
     gap: float
     jain: float | None
     mean_utilization: float
-    wall_time: float
 
 
 @dataclass
@@ -44,9 +42,6 @@ class RunSummary:
 
     solvers: dict[str, SolverSummary] = field(default_factory=dict)
     reference: str = ""
-
-    def row(self, solver: str) -> SolverSummary:
-        return self.solvers[solver]
 
 
 def summarize(
@@ -75,10 +70,8 @@ def summarize(
         gap = rep.objective / ref_obj if ref_obj > 0 else 1.0
         summary.solvers[name] = SolverSummary(
             solver=name,
-            objective=rep.objective,
             gap=gap,
             jain=jain_index(rewards),
             mean_utilization=float(util.mean()),
-            wall_time=rep.wall_time,
         )
     return summary

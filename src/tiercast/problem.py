@@ -72,8 +72,11 @@ class Instance:
             # Compared as given, so that no cast turns a bad entry into a
             # valid one before the range checks.
             with np.errstate(invalid="ignore"):
-                stored = given.astype(dtype, copy=False)
-                if not (stored == given).all():
+                try:
+                    stored = given.astype(dtype, copy=False)
+                except OverflowError:  # a Python int beyond int64
+                    stored = None
+                if stored is None or not (stored == given).all():
                     raise ValueError(f"{name} entries must be {dtype.__name__} integers")
             setattr(self, name, stored)
         if not np.isin(self.w, (0, 1)).all():

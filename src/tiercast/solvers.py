@@ -55,12 +55,10 @@ class SolverReport:
 
 @dataclass
 class CellAllocation:
-    """Per-cell allocation: (user, view) -> fraction, its value, and a flag
-    set when the basic view alone exceeds the cell budget."""
+    """Per-cell allocation: (user, view) -> fraction, and its value."""
 
     alloc: dict[tuple[int, int], float]
     value: float
-    basic_infeasible: bool = False
 
 
 def _fill(items, left: float, paid: dict):
@@ -107,7 +105,7 @@ def solve_cell_subproblem(
     exceeds the cell budget.
     """
     if budget < 0:
-        return CellAllocation(alloc={}, value=0.0, basic_infeasible=True)
+        return CellAllocation(alloc={}, value=0.0)
     users = np.asarray(users, dtype=np.int64)
     rows, views = np.nonzero(instance.w[users, cell])
     owners = users[rows]
@@ -137,7 +135,7 @@ def solve_cell_subproblem_multicast(
     densities decrease within each view.
     """
     if budget < 0:
-        return CellAllocation(alloc={}, value=0.0, basic_infeasible=True)
+        return CellAllocation(alloc={}, value=0.0)
 
     # (density, tag, payload) pooled segments; tag orders determinism only.
     segments = []
@@ -259,6 +257,8 @@ def solve_eva(
     index; ``tie_breaks`` counts the users with more than one such cell.
     Users fill views in descending rank, then ascending user index.
     """
+    if mode not in (UNICAST, MULTICAST):
+        raise ValueError(f"unknown mode {mode!r}")
     start = time.perf_counter()
     counts = instance.reward_counts().astype(float)
     nb = instance.rb_basic

@@ -109,7 +109,7 @@ def is_feasible(instance, solution, mode=UNICAST):
 
 def solve_cell_subproblem(instance, cell, users, budget):
     if budget < 0:
-        return CellAllocation(alloc={}, value=0.0, basic_infeasible=True)
+        return CellAllocation(alloc={}, value=0.0)
     candidates = sorted(
         (int(instance.rb_enhanced[i, cell, k]), i, k)
         for i in users

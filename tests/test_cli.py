@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from tiercast import cli, serialize
+from tiercast import cli, experiments, serialize
 from tiercast.cli import main
 from tiercast.experiments import SWEEP_CSV_COLUMNS, ExperimentConfig
 
@@ -68,6 +68,11 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         ({"n_users": "5"}, "'n_users'"),
         ({"n_users": 5.0}, "'n_users'"),
         ({"seeds": 3}, "'seeds'"),
+        (
+            {"sweep_param": "n_views", "sweep_values": ["3"], "seeds": [0],
+             "solvers": ["sinr"]},
+            "'n_views'",
+        ),
     ],
     ids=[
         "unknown-key",
@@ -76,6 +81,7 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         "string-n_users",
         "float-n_users",
         "scalar-seeds",
+        "string-sweep-value",
     ],
 )
 def test_bad_config_payload_is_a_validation_error(payload, named, tmp_path, capsys):
@@ -87,6 +93,33 @@ def test_bad_config_payload_is_a_validation_error(payload, named, tmp_path, caps
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("invalid configuration") and named in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_unknown_solver_flag_is_refused_before_any_instance(
+    command, tmp_path, capsys, monkeypatch
+):
+    def build(*args):
+        raise AssertionError("an instance was built")
+
+    monkeypatch.setattr(cli, "build_experiment_instance", build)
+    monkeypatch.setattr(experiments, "build_experiment_instance", build)
+    out = tmp_path / "out"
+    rc = main([command, "--preset", "fig7", "--seeds", "1",
+               "--solvers", "sinr,elvaa", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("invalid configuration")
+    assert not out.exists()
+
+
+def test_generate_refuses_a_budget_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"rb_budget": 10**20}))
+    out = tmp_path / "out"
+    rc = main(["generate", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert "generation failed: rb_budget entries" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -49,6 +49,8 @@ def test_config_validation():
         ExperimentConfig(seeds=[1, 1])
     with pytest.raises(ValueError):
         ExperimentConfig(modes=["broadcast"])
+    with pytest.raises(ValueError, match="unknown solver 'elvaa'"):
+        ExperimentConfig(solvers=["sinr", "elvaa"])
 
 
 def test_config_round_trip():

@@ -52,7 +52,7 @@ def test_summarize_single_solver_gap_is_one(rng):
     inst = random_tiny_instance(rng)
     sol, rep = solve_sinr(inst)
     summary = summarize(inst, {"sinr": (sol, rep)})
-    assert summary.row("sinr").gap == pytest.approx(1.0)
+    assert summary.solvers["sinr"].gap == pytest.approx(1.0)
     assert summary.reference == "sinr"
 
 
@@ -66,9 +66,9 @@ def test_summarize_bb_reference_dominates(rng):
         }
         summary = summarize(inst, results)
         assert summary.reference == "bb"
-        assert summary.row("bb").gap == pytest.approx(1.0)
+        assert summary.solvers["bb"].gap == pytest.approx(1.0)
         for name in ("elva", "sinr"):
-            assert summary.row(name).gap <= 1.0 + 1e-9
+            assert summary.solvers[name].gap <= 1.0 + 1e-9
 
 
 def test_summarize_gap_ordering_matches_objectives(rng):
@@ -76,5 +76,5 @@ def test_summarize_gap_ordering_matches_objectives(rng):
     results = {"elva": solve_elva(inst), "sinr": solve_sinr(inst)}
     summary = summarize(inst, results)
     objs = {n: r.objective for n, (_, r) in results.items()}
-    gaps = {n: summary.row(n).gap for n in results}
+    gaps = {n: summary.solvers[n].gap for n in results}
     assert (objs["elva"] >= objs["sinr"]) == (gaps["elva"] >= gaps["sinr"])

@@ -118,6 +118,17 @@ def test_instance_rejects_values_the_cast_would_change(field, value):
         Instance(n_users=inst.n_users, n_cells=inst.n_cells, n_views=inst.n_views, **arrays)
 
 
+def test_instance_rejects_entries_beyond_int64():
+    # A Python int past int64 makes an object array, whose cast overflows.
+    inst = fig1_instance()
+    with pytest.raises(ValueError, match="rb_budget entries must be int64"):
+        Instance(
+            n_users=inst.n_users, n_cells=inst.n_cells, n_views=inst.n_views,
+            w=inst.w, rb_budget=[10**20] * inst.n_cells, rb_basic=inst.rb_basic,
+            rb_enhanced=inst.rb_enhanced,
+        )
+
+
 def test_rb_usage_multicast_max_versus_sum():
     inst = fig1_instance()
     inst.sharing[:, 2] = 1

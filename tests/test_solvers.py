@@ -25,6 +25,14 @@ from tiercast.solvers import (
 from conftest import fig1_instance, random_tiny_instance
 
 
+@pytest.mark.parametrize(
+    "solve", [solve_bb, solve_bruteforce, solve_elva, solve_eva, solve_sinr]
+)
+def test_solvers_refuse_an_unknown_mode(solve):
+    with pytest.raises(ValueError, match="unknown mode 'multicats'"):
+        solve(fig1_instance(), mode="multicats")
+
+
 def test_compute_nbar_single_link():
     inst = random_tiny_instance(np.random.default_rng(1))
     expected = max(min(inst.rb_basic[i, j] for j in range(inst.n_cells))
