@@ -68,12 +68,7 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--views-per-user", dest="views_per_user", type=int)
     parser.add_argument("--rb-budget", dest="rb_budget", type=int)
     parser.add_argument("--sharing-fraction", dest="sharing_fraction", type=float)
-    parser.add_argument("--eva-p", dest="eva_p", type=float)
-    parser.add_argument("--node-budget", dest="node_budget", type=int)
     parser.add_argument("--master-seed", dest="master_seed", type=int)
-    parser.add_argument("--seeds", type=int, help="replicate seeds 0..N-1")
-    parser.add_argument("--solvers", help="comma-separated solver list")
-    parser.add_argument("--mode", help="unicast, multicast, or both (comma-separated)")
 
 
 def cmd_generate(args) -> int:
@@ -213,6 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a (preset) sweep and write CSV")
     _add_config_flags(sweep)
+    sweep.add_argument("--eva-p", dest="eva_p", type=float)
+    sweep.add_argument("--node-budget", dest="node_budget", type=int)
+    sweep.add_argument("--seeds", type=int, help="replicate seeds 0..N-1")
+    sweep.add_argument("--solvers", help="comma-separated solver list")
+    sweep.add_argument("--mode", help="unicast, multicast, or both (comma-separated)")
     sweep.add_argument("--out", required=True, help="CSV output path")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -10,6 +10,7 @@ the config file's or preset's master seed.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import types
 import typing
@@ -91,10 +92,13 @@ class ExperimentConfig:
     preset: str = ""
 
     def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        _check_fields(type(self), values, "config")
         if self.sweep_param not in SWEEP_PARAMS:
             raise ValueError(f"unknown sweep_param {self.sweep_param!r}")
-        if not self.sweep_values:
-            raise ValueError("sweep_values must be nonempty")
+        for name in ("sweep_values", "seeds", "solvers", "modes"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must be distinct")
         for mode in self.modes:
@@ -142,33 +146,38 @@ class ExperimentConfig:
         schema = data.pop("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
             raise ValueError(f"expected schema {CONFIG_SCHEMA!r}, got {schema!r}")
-        _check_fields(cls, data, "config")
         if "channel" in data:
             channel = data["channel"]
             if not isinstance(channel, dict):
                 raise ValueError(f"config key 'channel' must be an object, got {channel!r}")
             _check_fields(ChannelParams, channel, "channel")
             data["channel"] = ChannelParams(**channel)
+        _check_fields(cls, data, "config")
         return cls(**data)
+
+
+# Read on every config built, so looked up once per class.
+_field_types = functools.cache(typing.get_type_hints)
 
 
 def _check_fields(cls, data: dict, what: str):
     """Every key must name a field of ``cls`` and every value match that
-    field's type, except ``channel``, which ``from_dict`` converts."""
+    field's type."""
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
-    hints = typing.get_type_hints(cls)
+    hints = _field_types(cls)
     for key, value in data.items():
         hint = hints[key]
-        if key != "channel" and not _has_type(value, hint):
+        if not _has_type(value, hint):
             name = hint.__name__ if isinstance(hint, type) else hint
             raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
 
 
 def _has_type(value, hint) -> bool:
     """JSON-value type test: ``bool`` is neither ``int`` nor ``float``, an
-    ``int`` passes as a ``float``, and ``None`` only for an optional field."""
+    ``int`` passes as a ``float`` but NaN and infinities do not, and ``None``
+    only for an optional field."""
     if isinstance(hint, types.UnionType):
         return any(_has_type(value, arg) for arg in typing.get_args(hint))
     if hint is type(None):
@@ -179,7 +188,9 @@ def _has_type(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float))
+        if isinstance(value, float):
+            return math.isfinite(value)
+        return isinstance(value, int)
     return isinstance(value, hint)
 
 

@@ -10,6 +10,10 @@ each with y = min(1, (max(left, 0) + g) / cost), paying max(0, y * cost - g)
 from the budget left, where g is what its sharing group already pays (0 for
 an item outside a group). Once the budget is spent, only a member whose
 group already pays takes a share: it rides the group's transmission.
+
+Both cell allocators take a cell's pairs from ``_cell_pairs``. The multicast
+one puts every pair in a group, a pair outside a sharing group being a group
+of one.
 """
 
 from __future__ import annotations
@@ -92,6 +96,18 @@ def _view_items(instance: Instance, i: int, j: int, multicast: bool) -> list:
     return [(cost, (i, k), k if shared and shared[k] else None) for cost, k in views]
 
 
+def _cell_pairs(instance: Instance, cell: int, users):
+    """The rewardable (user, view) pairs of ``users`` at ``cell`` as
+    ``(users, views, costs)`` arrays, by ascending enhanced cost, then user,
+    then view."""
+    users = np.asarray(users, dtype=np.int64)
+    rows, views = np.nonzero(instance.w[users, cell])
+    owners = users[rows]
+    costs = instance.rb_enhanced[owners, cell, views]
+    order = np.lexsort((views, owners, costs))
+    return owners[order], views[order], costs[order]
+
+
 def solve_cell_subproblem(
     instance: Instance, cell: int, users, budget: float
 ) -> CellAllocation:
@@ -106,14 +122,10 @@ def solve_cell_subproblem(
     """
     if budget < 0:
         return CellAllocation(alloc={}, value=0.0)
-    users = np.asarray(users, dtype=np.int64)
-    rows, views = np.nonzero(instance.w[users, cell])
-    owners = users[rows]
-    costs = instance.rb_enhanced[owners, cell, views]
-    order = np.lexsort((views, owners, costs))
+    owners, views, costs = _cell_pairs(instance, cell, users)
     items = zip(
-        costs[order].tolist(),
-        zip(owners[order].tolist(), views[order].tolist()),
+        costs.tolist(),
+        zip(owners.tolist(), views.tolist()),
         itertools.repeat(None),
     )
     taken, _ = _fill(items, float(budget), {})
@@ -128,65 +140,50 @@ def solve_cell_subproblem_multicast(
 ) -> CellAllocation:
     """Exact per-cell optimum under multicast RB accounting.
 
-    A view's sharing-group members ride a single transmission charged at the
-    group's max cost, making the per-view reward a concave piecewise-linear
-    function of the charge. Pooling its linear segments with the unicast
-    items and filling by marginal reward per RB is exact, because segment
-    densities decrease within each view.
+    Every pair is in a group: view k's sharing-group members, keyed
+    ``(0, k)``, or a group of one, keyed ``(1, user, k)``. A group rides one
+    transmission charged at its max member cost, so its reward is a concave
+    piecewise-linear function of the charge. Filling all groups' segments by
+    reward per RB (ties: key, then level) is exact, because segment densities
+    decrease within each group; each share is then min(1, charge / cost).
     """
     if budget < 0:
         return CellAllocation(alloc={}, value=0.0)
 
-    # (density, tag, payload) pooled segments; tag orders determinism only.
-    segments = []
-    group_members: dict[int, list[tuple[int, int]]] = {}
-    for k in range(instance.n_views):
-        shared = instance.sharing[:, k].tolist()
-        members = sorted(
-            (int(instance.rb_enhanced[i, cell, k]), i)
-            for i in users
-            if instance.w[i, cell, k] and shared[i]
-        )
-        if members:
-            group_members[k] = members
-            costs = [c for c, _ in members]
-            inv = [1.0 / c for c in costs]
-            prev = 0.0
-            for lvl, c in enumerate(costs):
-                length = c - prev
-                if length > 0:
-                    density = sum(inv[lvl:])
-                    segments.append((density, ("g", k, lvl), length))
-                prev = c
-        for i in users:
-            if instance.w[i, cell, k] and not shared[i]:
-                cost = int(instance.rb_enhanced[i, cell, k])
-                segments.append((1.0 / cost, ("u", i, k), float(cost)))
+    # Members by ascending cost, then user: the order of the cell's pairs.
+    groups: dict[tuple, list[tuple[int, int]]] = {}
+    owners, views, costs = _cell_pairs(instance, cell, users)
+    shared = instance.sharing[owners, views].tolist()
+    pairs = zip(owners.tolist(), views.tolist(), costs.tolist(), shared)
+    for i, k, cost, member in pairs:
+        groups.setdefault((0, k) if member else (1, i, k), []).append((cost, i))
 
-    segments.sort(key=lambda s: (-s[0], s[1]))
+    # (density, key, level, length) segments; key and level order ties.
+    segments = []
+    for key, members in groups.items():
+        inv = [1.0 / c for c, _ in members]
+        prev = 0.0
+        for lvl, (c, _) in enumerate(members):
+            if c > prev:
+                segments.append((sum(inv[lvl:]), key, lvl, c - prev))
+            prev = c
+    segments.sort(key=lambda s: (-s[0], s[1], s[2]))
 
     remaining = float(budget)
     value = 0.0
-    group_charge: dict[int, float] = {}
-    alloc: dict[tuple[int, int], float] = {}
-    for density, tag, length in segments:
+    charge: dict[tuple, float] = {}
+    for density, key, _, length in segments:
         if remaining <= 0:
             break
         take = min(length, remaining)
         remaining -= take
         value += density * take
-        if tag[0] == "g":
-            k = tag[1]
-            group_charge[k] = group_charge.get(k, 0.0) + take
-        else:
-            _, i, k = tag
-            alloc[(i, k)] = take * density  # take / cost
+        charge[key] = charge.get(key, 0.0) + take
 
-    for k, charge in group_charge.items():
-        if charge <= 0:
-            continue
-        for cost, i in group_members[k]:
-            alloc[(i, k)] = min(1.0, charge / cost)
+    alloc = {}
+    for key, paid in charge.items():
+        for cost, i in groups[key]:
+            alloc[(i, key[-1])] = min(1.0, paid / cost)
     return CellAllocation(alloc=alloc, value=value)
 
 
@@ -209,6 +206,13 @@ def _eligible_cells(instance: Instance) -> np.ndarray:
     the user's basic cost, or every cell for a user with none."""
     affordable = instance.rb_basic <= instance.rb_budget[None, :]
     return affordable | ~affordable.any(axis=1, keepdims=True)
+
+
+def _report(solver: str, instance: Instance, solution: Solution, start, **fields):
+    """The solution and its report, timed from ``start``."""
+    value = objective(instance, solution)
+    wall_time = time.perf_counter() - start
+    return solution, SolverReport(solver, value, wall_time, **fields)
 
 
 def _finalize(
@@ -236,11 +240,7 @@ def solve_sinr(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     start = time.perf_counter()
     assoc = instance.rb_basic.argmin(axis=1).astype(np.int64)
     solution, _ = _finalize(instance, assoc, mode)
-    return solution, SolverReport(
-        solver="sinr",
-        objective=objective(instance, solution),
-        wall_time=time.perf_counter() - start,
-    )
+    return _report("sinr", instance, solution, start)
 
 
 def solve_eva(
@@ -284,12 +284,8 @@ def solve_eva(
         )
         solution.alloc.update(taken)
 
-    return solution, SolverReport(
-        solver="eva",
-        objective=objective(instance, solution),
-        wall_time=time.perf_counter() - start,
-        tie_breaks=tie_breaks,
-        params={"p": p},
+    return _report(
+        "eva", instance, solution, start, tie_breaks=tie_breaks, params={"p": p}
     )
 
 
@@ -439,12 +435,8 @@ def solve_elva(
         ranking.set_column(j, np.where(unassigned, penalty[:, j] + gain, -np.inf))
 
     solution, _ = _finalize(instance, assoc, mode)
-    return solution, SolverReport(
-        solver="elva",
-        objective=objective(instance, solution),
-        wall_time=time.perf_counter() - start,
-        tie_breaks=tie_breaks,
-        params={"T": T},
+    return _report(
+        "elva", instance, solution, start, tie_breaks=tie_breaks, params={"T": T}
     )
 
 
@@ -553,11 +545,7 @@ def solve_bb(
             budget = budgets[j] - cell_basic
             if multicast:
                 cell_members = members[j] + [i]
-                value = (
-                    allocator(instance, j, cell_members, budget).value
-                    if budget >= 0
-                    else 0.0
-                )
+                value = allocator(instance, j, cell_members, budget).value
             else:
                 value = _cell_value(cell_costs, budget)
             child = partial + value - values[j]
@@ -593,14 +581,9 @@ def solve_bb(
         # users: the dive's association (first child at every depth).
         best_assoc = [cell_order[i][0] for i in range(m)]
     solution, _ = _finalize(instance, np.array(best_assoc, dtype=np.int64), mode)
-    return solution, SolverReport(
-        solver="bb",
-        objective=objective(instance, solution),
-        wall_time=time.perf_counter() - start,
-        nodes_explored=nodes,
-        nodes_pruned=pruned,
-        node_budget_hit=budget_hit,
-        params={"node_budget": node_budget},
+    return _report(
+        "bb", instance, solution, start, nodes_explored=nodes, nodes_pruned=pruned,
+        node_budget_hit=budget_hit, params={"node_budget": node_budget},
     )
 
 
@@ -628,8 +611,4 @@ def solve_bruteforce(
             best_value = value
             solution = candidate
 
-    return solution, SolverReport(
-        solver="bruteforce",
-        objective=objective(instance, solution),
-        wall_time=time.perf_counter() - start,
-    )
+    return _report("bruteforce", instance, solution, start)

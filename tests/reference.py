@@ -3,10 +3,16 @@
 Each is a plain loop over the allocation dict or over a sorted candidate
 list, adding its terms one at a time in order. They are the oracles for the
 allocation ledger in ``tiercast.problem``; in ``tiercast.solvers``, for
-the unicast cell kernel, EVA's and ELVA's per-user fills, the single-user
-gain lookup and ELVA's pair ranking; and, in ``tiercast.scenario``, for the
-demand draw and the cache placement, as per-user view tuples and per-cell
-view sets.
+the unicast and multicast cell kernels, EVA's and ELVA's per-user fills, the
+single-user gain lookup and ELVA's pair ranking; and, in
+``tiercast.scenario``, for the demand draw and the cache placement, as
+per-user view tuples and per-cell view sets.
+
+``solve_cell_subproblem_multicast`` is the per-view loop with separate
+group and unicast segments that the one-kind group fill replaced. Its
+values and group members' shares are the solver's bit for bit; a pair
+outside a group gets take * (1 / cost) here, within 2 ulp of the solver's
+charge / cost.
 
 ``solve_bb`` is the other way round: the numpy branch-and-bound that the
 list-based search in ``tiercast.solvers`` replaced, kept as the oracle for
@@ -125,6 +131,71 @@ def solve_cell_subproblem(instance, cell, users, budget):
         alloc[(i, int(k))] = y
         value += y
         remaining -= y * cost
+    return CellAllocation(alloc=alloc, value=value)
+
+
+def solve_cell_subproblem_multicast(instance, cell, users, budget):
+    """Exact per-cell optimum under multicast RB accounting.
+
+    A view's sharing-group members ride a single transmission charged at the
+    group's max cost, making the per-view reward a concave piecewise-linear
+    function of the charge. Pooling its linear segments with the unicast
+    items and filling by marginal reward per RB is exact, because segment
+    densities decrease within each view.
+    """
+    if budget < 0:
+        return CellAllocation(alloc={}, value=0.0)
+
+    # (density, tag, payload) pooled segments; tag orders determinism only.
+    segments = []
+    group_members: dict[int, list[tuple[int, int]]] = {}
+    for k in range(instance.n_views):
+        shared = instance.sharing[:, k].tolist()
+        members = sorted(
+            (int(instance.rb_enhanced[i, cell, k]), i)
+            for i in users
+            if instance.w[i, cell, k] and shared[i]
+        )
+        if members:
+            group_members[k] = members
+            costs = [c for c, _ in members]
+            inv = [1.0 / c for c in costs]
+            prev = 0.0
+            for lvl, c in enumerate(costs):
+                length = c - prev
+                if length > 0:
+                    density = sum(inv[lvl:])
+                    segments.append((density, ("g", k, lvl), length))
+                prev = c
+        for i in users:
+            if instance.w[i, cell, k] and not shared[i]:
+                cost = int(instance.rb_enhanced[i, cell, k])
+                segments.append((1.0 / cost, ("u", i, k), float(cost)))
+
+    segments.sort(key=lambda s: (-s[0], s[1]))
+
+    remaining = float(budget)
+    value = 0.0
+    group_charge: dict[int, float] = {}
+    alloc: dict[tuple[int, int], float] = {}
+    for density, tag, length in segments:
+        if remaining <= 0:
+            break
+        take = min(length, remaining)
+        remaining -= take
+        value += density * take
+        if tag[0] == "g":
+            k = tag[1]
+            group_charge[k] = group_charge.get(k, 0.0) + take
+        else:
+            _, i, k = tag
+            alloc[(i, k)] = take * density  # take / cost
+
+    for k, charge in group_charge.items():
+        if charge <= 0:
+            continue
+        for cost, i in group_members[k]:
+            alloc[(i, k)] = min(1.0, charge / cost)
     return CellAllocation(alloc=alloc, value=value)
 
 

@@ -68,6 +68,8 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         ({"n_users": "5"}, "'n_users'"),
         ({"n_users": 5.0}, "'n_users'"),
         ({"seeds": 3}, "'seeds'"),
+        ({"eva_p": float("nan")}, "'eva_p'"),
+        ({"elva_T": float("inf")}, "'elva_T'"),
         (
             {"sweep_param": "n_views", "sweep_values": ["3"], "seeds": [0],
              "solvers": ["sinr"]},
@@ -81,6 +83,8 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         "string-n_users",
         "float-n_users",
         "scalar-seeds",
+        "nan-eva_p",
+        "infinity-elva_T",
         "string-sweep-value",
     ],
 )
@@ -105,12 +109,45 @@ def test_unknown_solver_flag_is_refused_before_any_instance(
 
     monkeypatch.setattr(cli, "build_experiment_instance", build)
     monkeypatch.setattr(experiments, "build_experiment_instance", build)
+    if command == "generate":
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"solvers": ["sinr", "elvaa"]}))
+        flags = ["--config", str(path)]
+    else:
+        flags = ["--preset", "fig7", "--seeds", "1", "--solvers", "sinr,elvaa"]
     out = tmp_path / "out"
-    rc = main([command, "--preset", "fig7", "--seeds", "1",
-               "--solvers", "sinr,elvaa", "--out", str(out)])
+    rc = main([command, *flags, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("invalid configuration")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, config, flags",
+    [
+        ("seeds", {}, ["--seeds", "0"]),
+        ("solvers", {"solvers": []}, []),
+        ("modes", {"modes": []}, []),
+    ],
+    ids=["seeds", "solvers", "modes"],
+)
+def test_sweep_refuses_an_empty_run_list(field, config, flags, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    rc = main(["sweep", "--config", str(path), *flags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"invalid configuration: {field} must be nonempty"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag", ["--eva-p", "--node-budget", "--seeds", "--solvers", "--mode"]
+)
+def test_generate_has_no_run_flags(flag, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", flag, "1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
 
 
 def test_generate_refuses_a_budget_beyond_int64(tmp_path, capsys):
@@ -159,6 +196,13 @@ def test_solve_eva_records_p(tmp_path, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert report["params"]["p"] == 3.0
+
+
+def test_solve_refuses_a_nonfinite_eva_p(tmp_path, capsys):
+    inst = _generate(tmp_path)
+    rc = main(["solve", str(inst), "--solver", "eva", "--eva-p", "nan"])
+    assert rc == 1
+    assert "'eva_p'" in capsys.readouterr().err
 
 
 def test_solve_bruteforce_cap_exit_code(tmp_path, capsys):
