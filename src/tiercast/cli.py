@@ -52,7 +52,7 @@ def _load_config(args) -> ExperimentConfig:
         overrides["seeds"] = list(range(args.seeds))
     if getattr(args, "solvers", None) is not None:
         overrides["solvers"] = args.solvers.split(",")
-    if getattr(args, "mode", None):
+    if getattr(args, "mode", None) is not None:
         overrides["modes"] = args.mode.split(",")
     return dataclasses.replace(config, **overrides) if overrides else config
 

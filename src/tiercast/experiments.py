@@ -47,7 +47,7 @@ SOLVERS = {
     "bb": lambda inst, cfg, mode: solvers.solve_bb(
         inst, node_budget=cfg.node_budget, mode=mode
     ),
-    "elva": lambda inst, cfg, mode: solvers.solve_elva(inst, T=cfg.elva_T, mode=mode),
+    "elva": lambda inst, cfg, mode: solvers.solve_elva(inst, mode=mode),
     "eva": lambda inst, cfg, mode: solvers.solve_eva(inst, p=cfg.eva_p, mode=mode),
     "sinr": lambda inst, cfg, mode: solvers.solve_sinr(inst, mode=mode),
     "bruteforce": lambda inst, cfg, mode: solvers.solve_bruteforce(
@@ -80,7 +80,6 @@ class ExperimentConfig:
     )
     solvers: list[str] = field(default_factory=lambda: ["bb", "elva", "eva", "sinr"])
     eva_p: float = 1.0
-    elva_T: float | None = None
     node_budget: int | None = 1_000_000
     bruteforce_cap: int = 10**6
     modes: list[str] = field(default_factory=lambda: [UNICAST])
@@ -257,7 +256,7 @@ PRESETS = {
     "fig6": lambda: ExperimentConfig(
         preset="fig6",
         sweep_param="n_cells",
-        sweep_values=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+        sweep_values=[2, 3, 4, 5, 6, 7, 8, 9, 10],
     ),
     "fig7": lambda: ExperimentConfig(
         preset="fig7", sweep_param="n_users", sweep_values=[10, 20, 30, 40, 50]
@@ -369,7 +368,7 @@ def run_sweep(config: ExperimentConfig):
                         results[solver] = run_solver(solver, instance, point, mode)
                     # AssertionError stays a row until the benchmark's
                     # over-budget test double, which asserts inside the
-                    # solver call, is reworked (ROADMAP item 4).
+                    # solver call, is reworked (ROADMAP item 1b).
                     except (ValueError, BruteForceCapError, AssertionError) as exc:
                         errors[solver] = str(exc)
                 summary = summarize(instance, results, mode) if results else None
@@ -382,7 +381,7 @@ def run_sweep(config: ExperimentConfig):
                     yield _row(
                         config, value, seed, mode, solver, "ok",
                         objective=report.objective,
-                        gap=row.gap,
+                        gap="" if row.gap is None else row.gap,
                         jain="" if row.jain is None else row.jain,
                         mean_utilization=row.mean_utilization,
                         feasible=is_feasible(instance, solution, mode).feasible,

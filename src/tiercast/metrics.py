@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import Instance, Solution, UNICAST, per_user_rewards, rb_usage
+from .problem import FEAS_TOL, Instance, Solution, UNICAST, per_user_rewards, rb_usage
 from .solvers import SolverReport
 
 
@@ -31,7 +31,7 @@ def jain_index(rewards) -> float | None:
 @dataclass
 class SolverSummary:
     solver: str
-    gap: float
+    gap: float | None  # None for an over-budget result
     jain: float | None
     mean_utilization: float
 
@@ -51,27 +51,34 @@ def summarize(
 ) -> RunSummary:
     """Aggregate objectives, utilizations, fairness, and gaps per solver.
 
-    Gaps are relative to the branch-and-bound objective when present,
-    otherwise to the best objective among the given solvers.
+    A result is over budget when its RB usage tops some cell budget by more
+    than ``FEAS_TOL``, as in ``is_feasible``. Such a result is never the
+    reference and has no gap. Gaps are relative to the branch-and-bound
+    objective when bb is present and within budget, otherwise to the best
+    objective within budget; with no result within budget the reference is
+    empty.
     """
     if not solutions:
         raise ValueError("no solutions to summarize")
-    objectives = {name: rep.objective for name, (_, rep) in solutions.items()}
-    if "bb" in solutions:
-        reference = "bb"
-    else:
-        reference = max(objectives, key=lambda n: (objectives[n], n))
-    ref_obj = objectives[reference]
+    usage = {name: rb_usage(instance, sol, mode) for name, (sol, _) in solutions.items()}
+    within = {
+        name: rep.objective
+        for name, (_, rep) in solutions.items()
+        if not (usage[name] > instance.rb_budget + FEAS_TOL).any()
+    }
+    best = max(within, key=lambda n: (within[n], n), default="")
+    reference = "bb" if "bb" in within else best
+    ref_obj = within.get(reference, 0.0)
 
     summary = RunSummary(reference=reference)
     for name, (sol, rep) in sorted(solutions.items()):
-        util = resource_utilization(instance, sol, mode)
-        rewards = per_user_rewards(instance, sol)
-        gap = rep.objective / ref_obj if ref_obj > 0 else 1.0
+        gap = None
+        if name in within:
+            gap = rep.objective / ref_obj if ref_obj > 0 else 1.0
         summary.solvers[name] = SolverSummary(
             solver=name,
             gap=gap,
-            jain=jain_index(rewards),
-            mean_utilization=float(util.mean()),
+            jain=jain_index(per_user_rewards(instance, sol)),
+            mean_utilization=float((usage[name] / instance.rb_budget).mean()),
         )
     return summary

@@ -2,7 +2,10 @@
 
 All solvers return ``(Solution, SolverReport)`` and are deterministic for a
 fixed instance: each breaks ties by the total order stated in its docstring,
-with the basic RB cost serving as the SINR proxy.
+with the basic RB cost serving as the SINR proxy. EVA, ELVA, bb and brute
+force place each user only at its eligible cells (``_eligible_cells``); SINR,
+the baseline, takes the max-SINR cell. EVA and ELVA pick a user's cell among
+equal scores by one rule, ``_row_best``.
 
 Every enhanced-view fill, the unicast cell allocator's and EVA's and ELVA's
 per-user ones, goes through ``_fill``: items are taken in the caller's order,
@@ -203,9 +206,20 @@ def compute_nbar(instance: Instance) -> int:
 
 def _eligible_cells(instance: Instance) -> np.ndarray:
     """(M, S) bool: each user's affordable cells, those whose budget covers
-    the user's basic cost, or every cell for a user with none."""
+    the user's basic cost, or every cell for a user with none: the cells EVA,
+    ELVA, bb and brute force may choose (SINR takes the max-SINR cell)."""
     affordable = instance.rb_basic <= instance.rb_budget[None, :]
     return affordable | ~affordable.any(axis=1, keepdims=True)
+
+
+def _row_best(scores: np.ndarray, nb: np.ndarray):
+    """Per row of an (M, S) score matrix: the best score, how many cells tie
+    at it, and the tied cell with the lowest basic cost, then the lowest
+    index."""
+    best = scores.max(axis=1)
+    tied = scores == best[:, None]
+    cell = np.where(tied, nb, _NO_TIE).argmin(axis=1)
+    return best, tied.sum(axis=1), cell
 
 
 def _report(solver: str, instance: Instance, solution: Solution, start, **fields):
@@ -266,9 +280,8 @@ def solve_eva(
         scores = counts**p / nb
 
     masked = np.where(_eligible_cells(instance), scores, -np.inf)
-    tied = masked == masked.max(axis=1, keepdims=True)
-    tie_breaks = int((np.count_nonzero(tied, axis=1) > 1).sum())
-    assoc = np.where(tied, nb, _NO_TIE).argmin(axis=1)
+    _, ties, assoc = _row_best(masked, nb)
+    tie_breaks = int((ties > 1).sum())
 
     residual = instance.rb_budget - broadcast_cost(instance, assoc)
     residual = residual.astype(float).tolist()
@@ -323,23 +336,15 @@ def _gain_column(costs_j, prefix_j, budget: float) -> np.ndarray:
 class _PairRanking:
     """ELVA's greedy pick over an (M, S) score matrix, kept per row.
 
-    Each row keeps its best score, how many of its cells tie at it, and the
-    tied cell with the lowest basic cost (then the lowest index). ``pick``
-    compares rows only, and a column rewrite re-summarizes only the rows
-    whose best it can change. Scores must not be NaN.
+    Each row keeps its ``_row_best`` summary. ``pick`` compares rows only,
+    and a column rewrite re-summarizes only the rows whose best it can
+    change. Scores must not be NaN.
     """
 
     def __init__(self, scores: np.ndarray, nb: np.ndarray):
         self.scores = scores
         self.nb = nb
-        self.best, self.ties, self.cell = self._summarize(scores, nb)
-
-    @staticmethod
-    def _summarize(scores, nb):
-        best = scores.max(axis=1)
-        tied = scores == best[:, None]
-        cell = np.where(tied, nb, _NO_TIE).argmin(axis=1)
-        return best, tied.sum(axis=1), cell
+        self.best, self.ties, self.cell = _row_best(scores, nb)
 
     def pick(self) -> tuple[int, int, bool]:
         """The best pair, by lowest basic cost, then user, then cell among
@@ -366,30 +371,26 @@ class _PairRanking:
         self.scores[:, j] = values
         rows = stale.nonzero()[0]
         if rows.size:
-            self.best[rows], self.ties[rows], self.cell[rows] = self._summarize(
+            self.best[rows], self.ties[rows], self.cell[rows] = _row_best(
                 self.scores[rows], self.nb[rows]
             )
 
 
-def solve_elva(
-    instance: Instance, T: float | None = None, mode: str = UNICAST
-) -> tuple[Solution, SolverReport]:
+def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, SolverReport]:
     """Submodular-style greedy association with layered budgets.
 
     Every cell starts from the reduced budget N_j - nbar, where nbar bounds
     any broadcast cost under best-cell association. Each round scores every
-    unassigned (user, cell) pair by a penalty for unaffordable basic costs
-    plus the user's single-user fractional-knapsack gain at the cell's live
+    unassigned user at each of its eligible cells (``_eligible_cells``) by
+    the user's single-user fractional-knapsack gain at the cell's live
     budget, assigns the best pair, and provisionally allocates that user's
     views. After all users are placed, each cell re-solves its allocation at
     the true residual budget, which is the returned allocation.
 
-    The penalty fires when a pair's basic cost exceeds the cell budget (the
-    association could never be served), scaled by the deficit times T, which
-    by default dominates any achievable reward. Keying the penalty to the
-    cell budget rather than to nbar keeps users away from cells that cannot
-    carry their broadcast while still letting them reach views cached only
-    at cells costlier than their best one.
+    Eligibility is keyed to the cell budget, not to nbar: it keeps users off
+    cells that cannot carry their broadcast yet lets them reach views cached
+    only at cells costlier than their best one. A user with no affordable
+    cell ranks all cells.
 
     Ties among the best-scored pairs go to the lower basic RB cost, then the
     lower user index, then the lower cell index; ``tie_breaks`` counts the
@@ -397,14 +398,7 @@ def solve_elva(
     """
     start = time.perf_counter()
     m, s = instance.n_users, instance.n_cells
-    if T is None:
-        T = float(m * instance.n_views + 1)
     nbar = compute_nbar(instance)
-    nb = instance.rb_basic
-
-    penalty = (
-        np.minimum(instance.rb_budget[None, :] - nb.astype(float), 0.0) * T
-    )
     budgets = (instance.rb_budget.astype(float) - nbar).tolist()
     costs, prefix = _single_user_gain_tables(instance)
 
@@ -412,32 +406,31 @@ def solve_elva(
     for j in range(s):
         gains[:, j] = _gain_column(costs[j], prefix[j], budgets[j])
 
+    # (S, M) eligible, unassigned pairs: each round reads one cell's row.
+    open_pairs = np.ascontiguousarray(_eligible_cells(instance).T)
     assoc = np.full(m, -1, dtype=np.int64)
-    unassigned = np.ones(m, dtype=bool)
     paid = [{} for _ in range(s)]
     multicast = mode == MULTICAST
     tie_breaks = 0
 
-    # Scores of the unassigned pairs; assigned users' rows hold -inf. Only
-    # the assigned user's row and the chosen cell's column change per round.
-    ranking = _PairRanking(penalty + gains, nb)
+    # Scores of the open pairs, -inf elsewhere. Only the assigned user's row
+    # and the chosen cell's column change per round.
+    ranking = _PairRanking(np.where(open_pairs.T, gains, -np.inf), instance.rb_basic)
     for _ in range(m):
         i, j, tied = ranking.pick()
         tie_breaks += tied
         assoc[i] = j
-        unassigned[i] = False
+        open_pairs[:, i] = False
         ranking.drop_row(i)
 
         _, budgets[j] = _fill(
             _view_items(instance, i, j, multicast), budgets[j], paid[j]
         )
         gain = _gain_column(costs[j], prefix[j], budgets[j])
-        ranking.set_column(j, np.where(unassigned, penalty[:, j] + gain, -np.inf))
+        ranking.set_column(j, np.where(open_pairs[j], gain, -np.inf))
 
     solution, _ = _finalize(instance, assoc, mode)
-    return _report(
-        "elva", instance, solution, start, tie_breaks=tie_breaks, params={"T": T}
-    )
+    return _report("elva", instance, solution, start, tie_breaks=tie_breaks)
 
 
 def _cell_value(costs: list, budget: float) -> float:
@@ -463,9 +456,8 @@ def solve_bb(
 ) -> tuple[Solution, SolverReport]:
     """Depth-first branch-and-bound over user-cell assignments.
 
-    Each user branches over its eligible cells: its affordable ones, whose
-    budget covers its basic cost, or every cell if it has none. A node's
-    potential is the sum, over unassigned users, of their best per-cell
+    Each user branches over its eligible cells (``_eligible_cells``). A
+    node's potential is the sum, over unassigned users, of their best per-cell
     reward count; branches whose partial value plus potential cannot beat
     the incumbent are pruned. Branching follows the highest-potential pair
     first (ties: lower basic cost, then lowest indices); because pair
@@ -592,11 +584,11 @@ def solve_bruteforce(
 ) -> tuple[Solution, SolverReport]:
     """Exhaustive association scan; the verification oracle for tiny instances.
 
-    Each user ranges over its eligible cells: its affordable ones, or every
-    cell if it has none. So whenever every user has an affordable cell, the
-    result is the best feasible association. Of equal-valued associations,
-    the first in lexicographic order wins. ``cap`` bounds the number of
-    associations scanned."""
+    Each user ranges over its eligible cells (``_eligible_cells``), so
+    whenever every user has an affordable cell, the result is the best
+    feasible association. Of equal-valued associations, the first in
+    lexicographic order wins. ``cap`` bounds the number of associations
+    scanned."""
     start = time.perf_counter()
     choices = [np.flatnonzero(row).tolist() for row in _eligible_cells(instance)]
     total = math.prod(len(cells) for cells in choices)

@@ -14,6 +14,11 @@ values and group members' shares are the solver's bit for bit; a pair
 outside a group gets take * (1 / cost) here, within 2 ulp of the solver's
 charge / cost.
 
+``solve_elva`` is ELVA as it was before it ranked only eligible cells: an
+unaffordable pair scored ``(N_j - nb_ij) * T`` plus its gain, which is
+negative, below every affordable pair. Wherever every user has an
+affordable cell it is the solver's oracle bit for bit, tie-breaks included.
+
 ``solve_bb`` is the other way round: the numpy branch-and-bound that the
 list-based search in ``tiercast.solvers`` replaced, kept as the oracle for
 its nodes, prune counts and results.
@@ -28,11 +33,24 @@ from tiercast.problem import (
     MULTICAST,
     UNICAST,
     FeasibilityReport,
+    Instance,
     Solution,
     Violation,
 )
 from tiercast.problem import objective as ledger_objective
-from tiercast.solvers import CellAllocation, SolverReport, _cell_allocator, _finalize
+from tiercast.solvers import (
+    CellAllocation,
+    SolverReport,
+    _PairRanking,
+    _cell_allocator,
+    _fill,
+    _finalize,
+    _gain_column,
+    _report,
+    _single_user_gain_tables,
+    _view_items,
+    compute_nbar,
+)
 
 _NO_TIE = np.iinfo(np.int64).max
 
@@ -278,6 +296,75 @@ def solve_eva(instance, p=1.0, mode=UNICAST):
                 solution.alloc[(i, int(k))] = y
                 residual[j] -= charge
     return solution, objective(instance, solution), tie_breaks
+
+
+def solve_elva(
+    instance: Instance, T: float | None = None, mode: str = UNICAST
+) -> tuple[Solution, SolverReport]:
+    """Submodular-style greedy association with layered budgets.
+
+    Every cell starts from the reduced budget N_j - nbar, where nbar bounds
+    any broadcast cost under best-cell association. Each round scores every
+    unassigned (user, cell) pair by a penalty for unaffordable basic costs
+    plus the user's single-user fractional-knapsack gain at the cell's live
+    budget, assigns the best pair, and provisionally allocates that user's
+    views. After all users are placed, each cell re-solves its allocation at
+    the true residual budget, which is the returned allocation.
+
+    The penalty fires when a pair's basic cost exceeds the cell budget (the
+    association could never be served), scaled by the deficit times T, which
+    by default dominates any achievable reward. Keying the penalty to the
+    cell budget rather than to nbar keeps users away from cells that cannot
+    carry their broadcast while still letting them reach views cached only
+    at cells costlier than their best one.
+
+    Ties among the best-scored pairs go to the lower basic RB cost, then the
+    lower user index, then the lower cell index; ``tie_breaks`` counts the
+    rounds with more than one such pair.
+    """
+    start = time.perf_counter()
+    m, s = instance.n_users, instance.n_cells
+    if T is None:
+        T = float(m * instance.n_views + 1)
+    nbar = compute_nbar(instance)
+    nb = instance.rb_basic
+
+    penalty = (
+        np.minimum(instance.rb_budget[None, :] - nb.astype(float), 0.0) * T
+    )
+    budgets = (instance.rb_budget.astype(float) - nbar).tolist()
+    costs, prefix = _single_user_gain_tables(instance)
+
+    gains = np.empty((m, s))
+    for j in range(s):
+        gains[:, j] = _gain_column(costs[j], prefix[j], budgets[j])
+
+    assoc = np.full(m, -1, dtype=np.int64)
+    unassigned = np.ones(m, dtype=bool)
+    paid = [{} for _ in range(s)]
+    multicast = mode == MULTICAST
+    tie_breaks = 0
+
+    # Scores of the unassigned pairs; assigned users' rows hold -inf. Only
+    # the assigned user's row and the chosen cell's column change per round.
+    ranking = _PairRanking(penalty + gains, nb)
+    for _ in range(m):
+        i, j, tied = ranking.pick()
+        tie_breaks += tied
+        assoc[i] = j
+        unassigned[i] = False
+        ranking.drop_row(i)
+
+        _, budgets[j] = _fill(
+            _view_items(instance, i, j, multicast), budgets[j], paid[j]
+        )
+        gain = _gain_column(costs[j], prefix[j], budgets[j])
+        ranking.set_column(j, np.where(unassigned, penalty[:, j] + gain, -np.inf))
+
+    solution, _ = _finalize(instance, assoc, mode)
+    return _report(
+        "elva", instance, solution, start, tie_breaks=tie_breaks, params={"T": T}
+    )
 
 
 def elva_fill(instance, i, j, budget, group_charge, mode=UNICAST):

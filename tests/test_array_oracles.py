@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -466,6 +466,21 @@ def test_elva_matches_full_matrix_ranking(inst, mode):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_PairRanking", reference.FullMatrixRanking)
         ref_sol, ref_rep = solve_elva(inst, mode=mode)
+    assert list(sol.assoc) == list(ref_sol.assoc)
+    assert _items(sol.alloc) == _items(ref_sol.alloc)
+    assert _bits([rep.objective]) == _bits([ref_rep.objective])
+    assert rep.tie_breaks == ref_rep.tie_breaks
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.sampled_from([UNICAST, MULTICAST]))
+def test_elva_matches_penalty_elva_where_every_user_has_an_affordable_cell(inst, mode):
+    # The old penalty scored an unaffordable pair (N_j - nb_ij) * T + gain
+    # <= E - T < 0, below every affordable pair's gain >= 0, so it was never
+    # a row's best nor tied with it: ranking eligible cells only is the same.
+    assume((inst.rb_basic <= inst.rb_budget).any(axis=1).all())
+    sol, rep = solve_elva(inst, mode=mode)
+    ref_sol, ref_rep = reference.solve_elva(inst, mode=mode)
     assert list(sol.assoc) == list(ref_sol.assoc)
     assert _items(sol.alloc) == _items(ref_sol.alloc)
     assert _bits([rep.objective]) == _bits([ref_rep.objective])

@@ -69,7 +69,7 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         ({"n_users": 5.0}, "'n_users'"),
         ({"seeds": 3}, "'seeds'"),
         ({"eva_p": float("nan")}, "'eva_p'"),
-        ({"elva_T": float("inf")}, "'elva_T'"),
+        ({"map_radius": float("inf")}, "'map_radius'"),
         (
             {"sweep_param": "n_views", "sweep_values": ["3"], "seeds": [0],
              "solvers": ["sinr"]},
@@ -84,7 +84,7 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         "float-n_users",
         "scalar-seeds",
         "nan-eva_p",
-        "infinity-elva_T",
+        "infinity-map_radius",
         "string-sweep-value",
     ],
 )
@@ -138,6 +138,14 @@ def test_sweep_refuses_an_empty_run_list(field, config, flags, tmp_path, capsys)
     rc = main(["sweep", "--config", str(path), *flags, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.strip() == f"invalid configuration: {field} must be nonempty"
+    assert not out.exists()
+
+
+def test_sweep_refuses_an_empty_mode(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    rc = main(["sweep", "--preset", "fig8", "--seeds", "1", "--mode", "", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == "invalid configuration: unknown mode ''"
     assert not out.exists()
 
 

@@ -110,6 +110,14 @@ def test_presets_cover_paper_sweeps():
         preset_config("fig99")
 
 
+@pytest.mark.parametrize("name", sorted(experiments.PRESETS))
+def test_every_preset_point_generates_on_seed_0(name):
+    config = preset_config(name)
+    for value in config.sweep_values:
+        instance, _ = build_experiment_instance(config.at_sweep_value(value), 0)
+        assert instance.n_users > 0
+
+
 def test_run_solver_rejects_unknown():
     cfg = small_config()
     inst, _ = build_experiment_instance(cfg, 0)

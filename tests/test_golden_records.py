@@ -56,10 +56,7 @@ def compute_records() -> dict[str, str]:
                 config.at_sweep_value(value), node_budget=BB_NODE_BUDGET
             )
             for seed in seeds:
-                try:
-                    instance, _ = build_experiment_instance(point, seed)
-                except ValueError:  # e.g. fig6 points whose caches cannot be placed
-                    continue
+                instance, _ = build_experiment_instance(point, seed)
                 for mode in point.modes:
                     for solver in point.solvers:
                         solution, report = run_solver(solver, instance, point, mode)

@@ -1,11 +1,14 @@
 """Utilization, Jain fairness, and cross-solver summaries."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tiercast.experiments import preset_config, run_sweep
 from tiercast.metrics import jain_index, resource_utilization, summarize
-from tiercast.problem import Solution, is_feasible
-from tiercast.solvers import solve_bb, solve_elva, solve_sinr
+from tiercast.problem import Solution, is_feasible, objective
+from tiercast.solvers import SolverReport, solve_bb, solve_elva, solve_sinr
 
 from conftest import fig1_instance, random_tiny_instance
 
@@ -78,3 +81,37 @@ def test_summarize_gap_ordering_matches_objectives(rng):
     objs = {n: r.objective for n, (_, r) in results.items()}
     gaps = {n: summary.solvers[n].gap for n in results}
     assert (objs["elva"] >= objs["sinr"]) == (gaps["elva"] >= gaps["sinr"])
+
+
+def _report(name, inst, sol):
+    return sol, SolverReport(name, objective(inst, sol), 0.0)
+
+
+def test_summarize_never_takes_an_over_budget_reference():
+    inst = fig1_instance(ample_budget=False)  # budget 24 per cell
+    # Cell 0 pays 2 RBs of broadcast plus three 10-RB views: 32 > 24.
+    over = Solution(assoc=np.array([0, 0, 1]), alloc={(0, 0): 1.0, (0, 2): 1.0, (1, 0): 1.0})
+    within = Solution(assoc=np.array([0, 0, 1]), alloc={(0, 0): 1.0, (0, 2): 1.0})
+    assert not is_feasible(inst, over).feasible and is_feasible(inst, within).feasible
+    results = {"bb": _report("bb", inst, over), "sinr": _report("sinr", inst, within)}
+    summary = summarize(inst, results)
+    assert summary.reference == "sinr"
+    assert summary.solvers["bb"].gap is None
+    assert summary.solvers["sinr"].gap == 1.0
+    assert summary.solvers["bb"].mean_utilization == pytest.approx((32 / 24 + 2 / 24) / 2)
+    summary = summarize(inst, {"bb": results["bb"]})
+    assert summary.reference == ""
+    assert summary.solvers["bb"].gap is None
+
+
+def test_sweep_gives_over_budget_rows_no_gap():
+    # fig6 at two cells, seed 0: three users can afford neither cell, so
+    # every solver's result is over budget.
+    config = dataclasses.replace(
+        preset_config("fig6"), sweep_values=[2], seeds=[0], solvers=["elva", "eva", "sinr"]
+    )
+    rows = list(run_sweep(config))
+    assert [r["solver"] for r in rows] == ["elva", "eva", "sinr"]
+    for row in rows:
+        assert row["status"] == "ok" and row["feasible"] is False
+        assert row["gap"] == ""

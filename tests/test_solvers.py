@@ -22,6 +22,7 @@ from tiercast.solvers import (
     solve_sinr,
 )
 
+import reference
 from conftest import fig1_instance, random_tiny_instance
 
 
@@ -245,7 +246,7 @@ def test_elva_fig10_seed0_regression():
     # cells, 20 views); any change to ELVA's scoring or tie order moves it.
     config = preset_config("fig10")
     inst, _ = build_experiment_instance(config, 0)
-    _, report = solve_elva(inst, T=config.elva_T)
+    _, report = solve_elva(inst)
     assert report.objective == 1815.7253365062843
     assert report.tie_breaks == 396
 
@@ -270,7 +271,7 @@ def test_elva_never_beats_bb(rng):
 
 def test_elva_penalizes_unaffordable_pairs_only():
     # The user's reward sits on a cell whose basic cost tops the best-cell
-    # bound but stays affordable; the penalty must not exclude it.
+    # bound but stays affordable; eligibility must not exclude it.
     inst = Instance(
         n_users=1, n_cells=3, n_views=1,
         w=np.array([[[0], [0], [1]]], dtype=np.int8),
@@ -291,6 +292,31 @@ def test_elva_penalizes_unaffordable_pairs_only():
     )
     sol2, _ = solve_elva(inst2)
     assert sol2.assoc[0] == 0
+
+
+def test_elva_ranks_a_user_without_affordable_cells_by_gain():
+    # User 1 can afford neither cell (20 > 10, 150 > 100), so it ranks both,
+    # by gain alone: cell 1's layered budget 100 - nbar = 80 buys its view,
+    # cell 0's is negative. Round 1 places it there; round 2 ties user 0 at
+    # gain 0 on both cells, and the lower basic cost takes cell 0.
+    inst = Instance(
+        n_users=2, n_cells=2, n_views=1,
+        w=np.array([[[1], [0]], [[0], [1]]], dtype=np.int8),
+        rb_budget=np.array([10, 100]),
+        rb_basic=np.array([[2, 3], [20, 150]]),
+        rb_enhanced=np.full((2, 2, 1), 7),
+    )
+    sol, report = solve_elva(inst)
+    assert sol.assoc.tolist() == [0, 1]
+    assert report.tie_breaks == 1
+    assert report.objective == 1.0  # cell 1 cannot carry user 1's broadcast
+    assert not is_feasible(inst, sol).feasible
+    assert report.params == {}
+    # The old deficit penalty sent user 1 to the smaller deficit, cell 0,
+    # whose broadcast then overran it.
+    ref_sol, ref_report = reference.solve_elva(inst)
+    assert ref_sol.assoc.tolist() == [0, 0]
+    assert ref_report.objective == 0.0
 
 
 def test_elva_approximation_bound_on_tiny_instances(rng):
