@@ -71,6 +71,11 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--master-seed", dest="master_seed", type=int)
 
 
+def _cannot_write(path, exc: OSError) -> int:
+    print(f"cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def cmd_generate(args) -> int:
     try:
         config = _load_config(args)
@@ -83,10 +88,16 @@ def cmd_generate(args) -> int:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    serialize.save_instance(instance, out)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        serialize.save_instance(instance, out)
+    except OSError as exc:
+        return _cannot_write(out, exc)
     if args.topology_out:
-        serialize.save_topology(topology, args.topology_out)
+        try:
+            serialize.save_topology(topology, args.topology_out)
+        except OSError as exc:
+            return _cannot_write(args.topology_out, exc)
     print(
         json.dumps(
             {
@@ -119,7 +130,10 @@ def cmd_solve(args) -> int:
         return EXIT_VALIDATION
 
     if args.solution_out:
-        serialize.save_solution(solution, args.solution_out)
+        try:
+            serialize.save_solution(solution, args.solution_out)
+        except OSError as exc:
+            return _cannot_write(args.solution_out, exc)
     feasible = is_feasible(instance, solution, args.mode)
     payload = dataclasses.asdict(report)
     payload["feasible"] = feasible.feasible
@@ -135,10 +149,14 @@ def cmd_sweep(args) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        fh = out.open("w", newline="")
+    except OSError as exc:
+        return _cannot_write(out, exc)
     n_rows = 0
     failures = 0
-    with out.open("w", newline="") as fh:
+    with fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_COLUMNS)
         writer.writeheader()
         for row in run_sweep(config):
@@ -161,12 +179,17 @@ def cmd_verify(args) -> int:
         return EXIT_VALIDATION
 
     report = is_feasible(instance, solution, args.mode)
+    # An index out of range leaves nothing to score: numpy would raise, or
+    # wrap a negative index round to another user's reward.
+    scorable = not any(
+        v.constraint in ("association", "alloc-index") for v in report.violations
+    )
     result = {
         "feasible": report.feasible,
         "violations": [str(v) for v in report.violations],
-        "objective": objective(instance, solution),
+        "objective": objective(instance, solution) if scorable else None,
     }
-    if args.oracle:
+    if args.oracle and scorable:
         try:
             _, oracle = run_solver("bruteforce", instance, _load_config(args), args.mode)
             result["oracle_objective"] = oracle.objective

@@ -332,6 +332,52 @@ def test_verify_refuses_nan_share(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "assoc, alloc, constraint",
+    [
+        ([0] * 6, [[6, 0, 1.0]], "alloc-index"),
+        ([0] * 6, [[0, 3, 1.0]], "alloc-index"),
+        # numpy would read user -1 as the last user.
+        ([0] * 6, [[-1, 0, 1.0]], "alloc-index"),
+        ([2] + [0] * 5, [[0, 0, 1.0]], "association"),
+    ],
+    ids=["user-past-end", "view-past-end", "negative-user", "cell-past-end"],
+)
+def test_verify_does_not_score_an_out_of_range_index(
+    assoc, alloc, constraint, tmp_path, capsys
+):
+    inst_path = _generate(tmp_path)
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(json.dumps(
+        {"schema": serialize.SOLUTION_SCHEMA, "assoc": assoc, "alloc": alloc}
+    ))
+    capsys.readouterr()
+    rc = main(["verify", str(inst_path), str(sol_path), "--oracle"])
+    assert rc == 2
+    result = json.loads(capsys.readouterr().out)
+    assert result["objective"] is None
+    assert "optimality_gap" not in result
+    assert any(v.startswith(constraint) for v in result["violations"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", *SMALL, "--out", "{dir}"],
+        ["generate", *SMALL, "--out", "{file}", "--topology-out", "{dir}"],
+        ["solve", "{instance}", "--solver", "sinr", "--solution-out", "{dir}"],
+        ["sweep", "--preset", "fig8", "--seeds", "1", "--out", "{dir}"],
+    ],
+    ids=["generate", "generate-topology", "solve", "sweep"],
+)
+def test_unwritable_output_is_a_validation_error(argv, tmp_path, capsys):
+    paths = {"dir": tmp_path, "file": tmp_path / "out.json",
+             "instance": _generate(tmp_path)}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    assert f"cannot write {tmp_path}: " in capsys.readouterr().err
+
+
 def test_multicast_round_trip_through_files(tmp_path, capsys):
     inst_path = tmp_path / "fig4.json"
     sol_path = tmp_path / "sol.json"

@@ -3,6 +3,8 @@
 import base64
 import json
 import struct
+import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from tiercast.solvers import solve_sinr
 
 from conftest import random_tiny_instance
 
-GOLDEN = Path(__file__).parent / "data" / "instance_v3.json"
+GOLDEN = Path(__file__).parent / "data" / "instance_v4.json"
 
 
 def _golden_instance():
@@ -41,7 +43,23 @@ def _write(tmp_path, payload):
 
 
 def _b64(values, dtype):
-    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
+    return _text(zlib.compress(np.asarray(values, dtype=dtype).tobytes()))
+
+
+def _text(stream):
+    return base64.b64encode(stream).decode()
+
+
+def _inflate(text):
+    return zlib.decompress(base64.b64decode(text))
+
+
+def _zero_stream(n_bytes):
+    """A small zlib stream that inflates to ``n_bytes`` zero bytes."""
+    packer = zlib.compressobj(9)
+    chunk = bytes(2**20)
+    body = b"".join(packer.compress(chunk) for _ in range(n_bytes // len(chunk)))
+    return body + packer.flush()
 
 
 def test_topology_round_trip(tmp_path):
@@ -64,6 +82,9 @@ def test_instance_round_trip_with_sharing(tmp_path, rng):
     assert (back.rb_basic == inst.rb_basic).all()
     assert (back.rb_enhanced == inst.rb_enhanced).all()
     assert (back.sharing == inst.sharing).all()
+    again = tmp_path / "again.json"
+    serialize.save_instance(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_solution_round_trip(tmp_path, rng):
@@ -124,14 +145,14 @@ def test_instance_bytes_are_pinned(tmp_path):
 
 def test_golden_arrays_are_little_endian_c_order():
     data = json.loads(GOLDEN.read_text())
-    assert data["schema"] == "instance/v3"
-    assert base64.b64decode(data["w"]) == bytes([1, 0, 0, 1, 1, 1, 0, 0])
-    assert base64.b64decode(data["rb_budget"]) == struct.pack("<2q", 300, 2**40 + 1)
-    assert base64.b64decode(data["rb_basic"]) == struct.pack("<4q", 1, 2, 3, 258)
-    assert base64.b64decode(data["rb_enhanced"]) == struct.pack(
+    assert data["schema"] == "instance/v4"
+    assert _inflate(data["w"]) == bytes([1, 0, 0, 1, 1, 1, 0, 0])
+    assert _inflate(data["rb_budget"]) == struct.pack("<2q", 300, 2**40 + 1)
+    assert _inflate(data["rb_basic"]) == struct.pack("<4q", 1, 2, 3, 258)
+    assert _inflate(data["rb_enhanced"]) == struct.pack(
         "<8q", 10, 11, 12, 13, 14, 15, 16, 65536
     )
-    assert base64.b64decode(data["sharing"]) == bytes([1, 0, 1, 0])
+    assert _inflate(data["sharing"]) == bytes([1, 0, 1, 0])
 
 
 def test_loaded_arrays_are_owned_writable_and_native(tmp_path):
@@ -163,6 +184,16 @@ def _v2_payload(data):
             "sharing": [[0, 0, [0, 1]], [1, 1, []]]}
 
 
+def _v3_payload(data):
+    """The golden instance as ``instance/v3`` stored it: raw bytes, unpacked."""
+    return {
+        **data,
+        "schema": "instance/v3",
+        **{name: _text(_inflate(data[name]))
+           for name in ("w", "rb_budget", "rb_basic", "rb_enhanced", "sharing")},
+    }
+
+
 def _without(data, name):
     return {key: value for key, value in data.items() if key != name}
 
@@ -170,24 +201,55 @@ def _without(data, name):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_v1_payload, "expected schema 'instance/v3'"),
-        (_v2_payload, "expected schema 'instance/v3'"),
+        (_v1_payload, "expected schema 'instance/v4'"),
+        (_v2_payload, "expected schema 'instance/v4'"),
+        (_v3_payload, "expected schema 'instance/v4'"),
         # Decoders that skip unknown characters would read the right bytes.
         (lambda d: {**d, "w": d["w"][:4] + "*!*!" + d["w"][4:]}, "array 'w'"),
-        (lambda d: {**d, "rb_enhanced": d["rb_enhanced"][:-8]}, "array 'rb_enhanced'"),
-        (lambda d: {**d, "rb_basic": _b64(np.arange(5), "<i8")}, "40 bytes, expected 32"),
+        (lambda d: {**d, "rb_enhanced": d["rb_enhanced"][:-8]},
+         "array 'rb_enhanced': truncated zlib stream"),
+        # Every byte is there; only the stream's checksum is not.
+        (lambda d: {**d, "rb_basic": _text(zlib.compress(bytes(32))[:-4])},
+         "array 'rb_basic': truncated zlib stream"),
+        (lambda d: {**d, "rb_basic": _b64(np.arange(5), "<i8")},
+         "inflates past 32 bytes"),
+        (lambda d: {**d, "rb_basic": _b64(np.arange(3), "<i8")},
+         "24 bytes, expected 32"),
+        (lambda d: {**d, "rb_basic": _text(zlib.compress(bytes(32)) + b"\0")},
+         "array 'rb_basic': bytes after the end of the zlib stream"),
+        (lambda d: {**d, "rb_basic": _text(bytes(32))},
+         "array 'rb_basic': Error -3"),
+        (lambda d: {**d, "n_users": 0}, "array 'w': inflates past 0 bytes"),
         (lambda d: {**d, "n_users": 2.0}, "n_users must be an integer"),
         (lambda d: {**d, "n_users": True}, "n_users must be an integer"),
         (lambda d: _without(d, "rb_enhanced"), "missing field 'rb_enhanced'"),
-        (lambda d: {**d, "sharing": _b64(np.zeros(5), "<i1")}, "5 bytes, expected 4"),
+        (lambda d: {**d, "sharing": _b64(np.zeros(5), "<i1")}, "inflates past 4 bytes"),
     ],
-    ids=["v1", "v2", "non-base64", "truncated", "one-item-long", "float-count",
-         "bool-count", "missing-array", "sharing-one-byte-long"],
+    ids=["v1", "v2", "v3", "non-base64", "truncated", "checksum-missing",
+         "one-item-long", "one-item-short", "trailing-bytes", "not-zlib",
+         "empty-array-with-bytes", "float-count", "bool-count", "missing-array",
+         "sharing-one-byte-long"],
 )
 def test_malformed_instance_raises_schema_error(tmp_path, corrupt, message):
     payload = corrupt(serialize.instance_to_dict(_golden_instance()))
     with pytest.raises(serialize.SchemaError, match=message):
         serialize.load_instance(_write(tmp_path, payload))
+
+
+def test_inflating_an_empty_array_is_bounded(tmp_path):
+    """A header whose counts allow no bytes inflates at most one byte of a
+    64 MiB stream before the payload is refused."""
+    payload = serialize.instance_to_dict(_golden_instance())
+    payload = {**payload, "n_users": 0, "w": _text(_zero_stream(2**26))}
+    path = _write(tmp_path, payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(serialize.SchemaError, match="inflates past 0 bytes"):
+            serialize.load_instance(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**22
 
 
 def _solution_payload(alloc, assoc=(0, 1)):
