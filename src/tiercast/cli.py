@@ -97,6 +97,7 @@ def cmd_generate(args) -> int:
         try:
             serialize.save_topology(topology, args.topology_out)
         except OSError as exc:
+            out.unlink()  # no instance without the topology asked for
             return _cannot_write(args.topology_out, exc)
     print(
         json.dumps(
@@ -181,15 +182,15 @@ def cmd_verify(args) -> int:
     report = is_feasible(instance, solution, args.mode)
     # An index out of range leaves nothing to score: numpy would raise, or
     # wrap a negative index round to another user's reward.
-    scorable = not any(
-        v.constraint in ("association", "alloc-index") for v in report.violations
-    )
+    scorable = report.usage is not None
     result = {
         "feasible": report.feasible,
         "violations": [str(v) for v in report.violations],
         "objective": objective(instance, solution) if scorable else None,
     }
-    if args.oracle and scorable:
+    # As in summarize, only a feasible result has a gap; then every user has
+    # an affordable cell, so the brute-force oracle is feasible too.
+    if args.oracle and report.feasible:
         try:
             _, oracle = run_solver("bruteforce", instance, _load_config(args), args.mode)
             result["oracle_objective"] = oracle.objective

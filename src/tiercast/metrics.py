@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import FEAS_TOL, Instance, Solution, UNICAST, per_user_rewards, rb_usage
+from .problem import Instance, Solution, UNICAST, is_feasible, per_user_rewards, rb_usage
 from .solvers import SolverReport
 
 
@@ -31,9 +31,10 @@ def jain_index(rewards) -> float | None:
 @dataclass
 class SolverSummary:
     solver: str
-    gap: float | None  # None for an over-budget result
+    gap: float | None  # None for an infeasible result
     jain: float | None
     mean_utilization: float
+    feasible: bool
 
 
 @dataclass
@@ -51,34 +52,34 @@ def summarize(
 ) -> RunSummary:
     """Aggregate objectives, utilizations, fairness, and gaps per solver.
 
-    A result is over budget when its RB usage tops some cell budget by more
-    than ``FEAS_TOL``, as in ``is_feasible``. Such a result is never the
-    reference and has no gap. Gaps are relative to the branch-and-bound
-    objective when bb is present and within budget, otherwise to the best
-    objective within budget; with no result within budget the reference is
-    empty.
+    Each result's verdict comes from one ``is_feasible`` call. An infeasible
+    result is never the reference and has no gap. Gaps are relative to the
+    branch-and-bound objective when bb is present and feasible, otherwise to
+    the best feasible objective; with no feasible result the reference is
+    empty. Raises ``ValueError`` on a result with an index out of range.
     """
     if not solutions:
         raise ValueError("no solutions to summarize")
-    usage = {name: rb_usage(instance, sol, mode) for name, (sol, _) in solutions.items()}
-    within = {
-        name: rep.objective
-        for name, (_, rep) in solutions.items()
-        if not (usage[name] > instance.rb_budget + FEAS_TOL).any()
-    }
-    best = max(within, key=lambda n: (within[n], n), default="")
-    reference = "bb" if "bb" in within else best
-    ref_obj = within.get(reference, 0.0)
+    verdicts = {}
+    for name, (sol, _) in solutions.items():
+        verdicts[name] = verdict = is_feasible(instance, sol, mode)
+        if verdict.usage is None:
+            raise ValueError(f"{name} has an index out of range: {verdict}")
+    feasible = {n: solutions[n][1].objective for n, v in verdicts.items() if v.feasible}
+    best = max(feasible, key=lambda n: (feasible[n], n), default="")
+    reference = "bb" if "bb" in feasible else best
+    ref_obj = feasible.get(reference, 0.0)
 
     summary = RunSummary(reference=reference)
     for name, (sol, rep) in sorted(solutions.items()):
         gap = None
-        if name in within:
+        if name in feasible:
             gap = rep.objective / ref_obj if ref_obj > 0 else 1.0
         summary.solvers[name] = SolverSummary(
             solver=name,
             gap=gap,
             jain=jain_index(per_user_rewards(instance, sol)),
-            mean_utilization=float((usage[name] / instance.rb_budget).mean()),
+            mean_utilization=float((verdicts[name].usage / instance.rb_budget).mean()),
+            feasible=verdicts[name].feasible,
         )
     return summary

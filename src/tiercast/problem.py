@@ -120,6 +120,7 @@ class Violation:
 class FeasibilityReport:
     feasible: bool
     violations: tuple[Violation, ...]
+    usage: np.ndarray | None = field(default=None, compare=False)  # per cell
 
     def __str__(self):
         if self.feasible:
@@ -208,7 +209,9 @@ def is_feasible(
 
     Violations come in user order for the association, then in allocation
     order per entry (index, else bounds then mask), then in cell order for
-    the budgets, which are checked only when every index is in range.
+    the budgets, which are checked only when every index is in range. The
+    report's ``usage`` is ``rb_usage``'s per-cell array, and ``None`` exactly
+    when an ``association`` or ``alloc-index`` violation was reported.
     """
     violations: list[Violation] = []
 
@@ -257,8 +260,8 @@ def is_feasible(
                     Violation("alloc-mask", (i, int(cells[t]), k), f"y={value} but w=0")
                 )
 
+    usage = rb_usage(instance, solution, mode) if indices_ok else None
     if indices_ok:
-        usage = rb_usage(instance, solution, mode)
         for j in np.flatnonzero(usage > instance.rb_budget + FEAS_TOL):
             violations.append(
                 Violation(
@@ -268,4 +271,4 @@ def is_feasible(
                 )
             )
 
-    return FeasibilityReport(not violations, tuple(violations))
+    return FeasibilityReport(not violations, tuple(violations), usage)

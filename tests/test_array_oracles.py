@@ -130,6 +130,11 @@ def test_is_feasible_matches_loop(data, mode):
     assert mine.feasible == ref.feasible
     assert [str(v) for v in mine.violations] == [str(v) for v in ref.violations]
     assert mine.violations == ref.violations
+    # The report carries rb_usage's array unless an index is out of range.
+    if any(v.constraint in ("association", "alloc-index") for v in ref.violations):
+        assert mine.usage is None
+    else:
+        assert _bits(mine.usage) == _bits(rb_usage(inst, sol, mode))
 
 
 def _one_user_all_views(n_views, sharing=None):

@@ -51,6 +51,17 @@ def test_generate_refuses_uncoverable_caches(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_refuses_more_views_per_user_than_views(tmp_path, capsys):
+    out = tmp_path / "bad.json"
+    rc = main(
+        ["generate", "--n-users", "5", "--n-cells", "2", "--n-views", "3",
+         "--views-per-user", "7", "--seed", "0", "--out", str(out)]
+    )
+    assert rc == 1
+    assert "generation failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "sweep"])
 def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
     rc = main([command, "--config", str(tmp_path / "absent.json"),
@@ -332,6 +343,25 @@ def test_verify_refuses_nan_share(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_verify_gives_an_over_budget_solution_no_gap(tmp_path, capsys):
+    # At 3,000 RBs per cell some of fig7's four users afford no cell, so
+    # SINR's result is over budget.
+    inst_path = tmp_path / "tight.json"
+    sol_path = tmp_path / "sol.json"
+    assert main(["generate", "--preset", "fig7", "--n-users", "4", "--n-cells", "3",
+                 "--rb-budget", "3000", "--out", str(inst_path)]) == 0
+    assert main(["solve", str(inst_path), "--solver", "sinr",
+                 "--solution-out", str(sol_path)]) == 2
+    capsys.readouterr()
+    rc = main(["verify", str(inst_path), str(sol_path), "--oracle"])
+    assert rc == 2
+    result = json.loads(capsys.readouterr().out)
+    assert result["feasible"] is False
+    assert any(v.startswith("budget") for v in result["violations"])
+    assert result["objective"] is not None
+    assert "optimality_gap" not in result and "oracle_objective" not in result
+
+
 @pytest.mark.parametrize(
     "assoc, alloc, constraint",
     [
@@ -376,6 +406,8 @@ def test_unwritable_output_is_a_validation_error(argv, tmp_path, capsys):
     capsys.readouterr()
     assert main([arg.format(**paths) for arg in argv]) == 1
     assert f"cannot write {tmp_path}: " in capsys.readouterr().err
+    # A failed topology write takes the instance it followed with it.
+    assert not paths["file"].exists()
 
 
 def test_multicast_round_trip_through_files(tmp_path, capsys):

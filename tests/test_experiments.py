@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from tiercast import experiments
+from tiercast import experiments, metrics, problem
 from tiercast.cli import _load_config, build_parser
 from tiercast.experiments import (
     ExperimentConfig,
@@ -161,6 +161,23 @@ def test_run_sweep_multicast_mode_rows():
     rows = list(run_sweep(cfg))
     assert [r["mode"] for r in rows] == [UNICAST, MULTICAST]
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_run_sweep_measures_each_result_once(monkeypatch):
+    calls = []
+    real = problem.rb_usage
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # Both names a caller may look up.
+    monkeypatch.setattr(problem, "rb_usage", counting)
+    monkeypatch.setattr(metrics, "rb_usage", counting)
+    cfg = small_config(seeds=[0, 1], solvers=["sinr", "eva"])
+    rows = list(run_sweep(cfg))
+    assert len(rows) == 4 and all(r["status"] == "ok" for r in rows)
+    assert len(calls) == len(rows)
 
 
 def _raising(exc):

@@ -104,6 +104,33 @@ def test_summarize_never_takes_an_over_budget_reference():
     assert summary.solvers["bb"].gap is None
 
 
+def test_summarize_never_takes_a_mask_violating_reference():
+    inst = fig1_instance()  # ample budget
+    # Within budget, but user 0 holds view 1, which cell 0 does not cache.
+    masked = Solution(
+        assoc=np.array([0, 0, 1]),
+        alloc={(0, 0): 1.0, (0, 2): 1.0, (1, 0): 1.0, (2, 2): 1.0, (0, 1): 1.0},
+    )
+    clean = Solution(assoc=np.array([0, 0, 1]), alloc={(0, 0): 1.0, (0, 2): 1.0})
+    verdict = is_feasible(inst, masked)
+    assert [v.constraint for v in verdict.violations] == ["alloc-mask"]
+    results = {"bb": _report("bb", inst, masked), "sinr": _report("sinr", inst, clean)}
+    assert results["bb"][1].objective > results["sinr"][1].objective
+    summary = summarize(inst, results)
+    assert summary.reference == "sinr"
+    assert summary.solvers["bb"].gap is None
+    assert summary.solvers["bb"].feasible is False
+    assert summary.solvers["sinr"].gap == 1.0
+    assert summary.solvers["sinr"].feasible is True
+
+
+def test_summarize_refuses_an_out_of_range_index():
+    inst = fig1_instance()
+    results = {"sinr": _report("sinr", inst, Solution(assoc=np.array([0, 0, 2])))}
+    with pytest.raises(ValueError, match="out of range"):
+        summarize(inst, results)
+
+
 def test_sweep_gives_over_budget_rows_no_gap():
     # fig6 at two cells, seed 0: three users can afford neither cell, so
     # every solver's result is over budget.
