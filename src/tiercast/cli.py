@@ -1,7 +1,7 @@
 """Command-line entry point: generate | solve | sweep | verify.
 
-Exit codes: 0 success, 1 validation/input error, 2 infeasible result or
-enumeration cap exceeded.
+Exit codes: 0 success, 1 validation/input error (a malformed or unknown
+flag included), 2 infeasible result or enumeration cap exceeded.
 """
 
 from __future__ import annotations
@@ -31,6 +31,15 @@ EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits ``EXIT_VALIDATION`` on a malformed command line, not argparse's
+    2, which is ``EXIT_INFEASIBLE`` here. Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def _load_config(args) -> ExperimentConfig:
     """Config from preset, file or defaults; then the flags, which take
     precedence.
@@ -58,8 +67,9 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="JSON experiment config file")
-    parser.add_argument("--preset", help="named preset (fig3, fig4, ... fig10)")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--config", help="JSON experiment config file")
+    source.add_argument("--preset", help="named preset (fig3, fig4, ... fig10)")
     parser.add_argument("--scenario", choices=["hotspot", "uniform"])
     parser.add_argument("--n-users", dest="n_users", type=int)
     parser.add_argument("--n-cells", dest="n_cells", type=int)
@@ -76,12 +86,7 @@ def _cannot_write(path, exc: OSError) -> int:
     return EXIT_VALIDATION
 
 
-def cmd_generate(args) -> int:
-    try:
-        config = _load_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+def cmd_generate(args, config: ExperimentConfig) -> int:
     try:
         instance, topology = build_experiment_instance(config, args.seed)
     except ValueError as exc:
@@ -113,15 +118,13 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args, config: ExperimentConfig) -> int:
     try:
         instance = serialize.load_instance(args.instance)
     except (OSError, ValueError) as exc:
         print(f"cannot load instance: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        # Flags not given keep the defaults of ExperimentConfig.
-        config = _load_config(args)
         solution, report = run_solver(args.solver, instance, config, args.mode)
     except BruteForceCapError as exc:
         print(f"enumeration cap exceeded: {exc}", file=sys.stderr)
@@ -143,12 +146,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK if feasible.feasible else EXIT_INFEASIBLE
 
 
-def cmd_sweep(args) -> int:
-    try:
-        config = _load_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+def cmd_sweep(args, config: ExperimentConfig) -> int:
     out = Path(args.out)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -171,7 +169,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, config: ExperimentConfig) -> int:
     try:
         instance = serialize.load_instance(args.instance)
         solution = serialize.load_solution(args.solution)
@@ -192,7 +190,7 @@ def cmd_verify(args) -> int:
     # an affordable cell, so the brute-force oracle is feasible too.
     if args.oracle and report.feasible:
         try:
-            _, oracle = run_solver("bruteforce", instance, _load_config(args), args.mode)
+            _, oracle = run_solver("bruteforce", instance, config, args.mode)
             result["oracle_objective"] = oracle.objective
             result["optimality_gap"] = (
                 result["objective"] / oracle.objective if oracle.objective > 0 else 1.0
@@ -205,7 +203,7 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tiercast",
         description="Two-tier 360 video association/allocation solvers and sweeps",
     )
@@ -254,7 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        # Flags not given keep the defaults of ExperimentConfig.
+        config = _load_config(args)
+    except (OSError, ValueError) as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    return args.func(args, config)
 
 
 if __name__ == "__main__":

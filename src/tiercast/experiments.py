@@ -72,12 +72,7 @@ class ExperimentConfig:
     view_size: float = 2e6
     map_radius: float = 1000.0
     hotspot_sigma: float = 200.0
-    # Experiment default: orthogonal spectrum across cells. Ten cells at
-    # 50,000 RB/s of 180 kHz x 0.5 ms each occupy 45 MHz of the 100 MHz
-    # system band, so the small-scale deployment needs no co-channel reuse.
-    channel: ChannelParams = field(
-        default_factory=lambda: ChannelParams(interference_scale=0.0)
-    )
+    channel: ChannelParams = field(default_factory=ChannelParams)
     solvers: list[str] = field(default_factory=lambda: ["bb", "elva", "eva", "sinr"])
     eva_p: float = 1.0
     node_budget: int | None = 1_000_000
@@ -106,9 +101,13 @@ class ExperimentConfig:
         for name in self.solvers:
             if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}")
+        for name, least in (("node_budget", 0), ("bruteforce_cap", 1), ("eva_p", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}")
         if self.sweep_param != "none":
             for value in self.sweep_values:
-                _check_fields(type(self), {self.sweep_param: value}, "sweep")
+                self.at_sweep_value(value)  # each point passes these checks
 
     def at_sweep_value(self, value) -> "ExperimentConfig":
         """Resolve one sweep point into a concrete configuration."""
@@ -219,14 +218,12 @@ def build_experiment_instance(
         seed=derive_seed(base, 1),
     )
     cached = place_caches(wants, topology, config.effective_cache_capacity)
-    sharing = None
-    if config.sharing_fraction > 0:
-        sharing = generate_sharing_groups(
-            config.n_users,
-            config.n_views,
-            config.sharing_fraction,
-            seed=derive_seed(base, 3),
-        )
+    sharing = generate_sharing_groups(
+        config.n_users,
+        config.n_views,
+        config.sharing_fraction,
+        seed=derive_seed(base, 3),
+    )
     instance = build_instance(
         topology,
         wants,

@@ -54,9 +54,11 @@ def summarize(
 
     Each result's verdict comes from one ``is_feasible`` call. An infeasible
     result is never the reference and has no gap. Gaps are relative to the
-    branch-and-bound objective when bb is present and feasible, otherwise to
-    the best feasible objective; with no feasible result the reference is
-    empty. Raises ``ValueError`` on a result with an index out of range.
+    best feasible objective of the run, ties going to the later solver name;
+    with no feasible result the reference is empty. That is not a certified
+    gap: the reference may itself be below the optimum (ROADMAP step 1a
+    divides by a proven bound here instead). Raises ``ValueError`` on a
+    result with an index out of range.
     """
     if not solutions:
         raise ValueError("no solutions to summarize")
@@ -66,8 +68,7 @@ def summarize(
         if verdict.usage is None:
             raise ValueError(f"{name} has an index out of range: {verdict}")
     feasible = {n: solutions[n][1].objective for n, v in verdicts.items() if v.feasible}
-    best = max(feasible, key=lambda n: (feasible[n], n), default="")
-    reference = "bb" if "bb" in feasible else best
+    reference = max(feasible, key=lambda n: (feasible[n], n), default="")
     ref_obj = feasible.get(reference, 0.0)
 
     summary = RunSummary(reference=reference)

@@ -21,7 +21,8 @@ from tiercast.channel import (
     link_bits_per_rb,
 )
 
-TABLE_PARAMS = ChannelParams()  # a=36.8, b=43.8, c=20, fc=5
+# a=36.8, b=43.8, c=20, fc=5, with full co-channel interference
+TABLE_PARAMS = ChannelParams(interference_scale=1.0)
 
 
 def test_path_loss_at_one_meter_is_intercept():
@@ -66,6 +67,16 @@ def test_params_invariants():
         ChannelParams(tx_power=0)
     with pytest.raises(ValueError):
         ChannelParams(shadow_sigma=-1)
+
+
+@pytest.mark.parametrize("scale", [-1.0, 1.5, 2.0])
+def test_params_refuse_interference_scale_outside_unit_interval(scale):
+    with pytest.raises(ValueError, match="interference_scale"):
+        ChannelParams(interference_scale=scale)
+
+
+def test_params_default_to_orthogonal_spectrum():
+    assert ChannelParams().interference_scale == 0.0
 
 
 def test_sinr_single_cell_is_noise_limited():
@@ -173,7 +184,7 @@ def test_rb_tables_deterministic_per_seed():
     rng = np.random.default_rng(4)
     cells = rng.uniform(-500, 500, size=(3, 2))
     users = rng.uniform(-500, 500, size=(5, 2))
-    p = ChannelParams(shadow_sigma=4.0)
+    p = ChannelParams(shadow_sigma=4.0, interference_scale=1.0)
     t1 = build_rb_tables(cells, users, p, 2e6, np.array([2e6, 1e6]), seed=9)
     t2 = build_rb_tables(cells, users, p, 2e6, np.array([2e6, 1e6]), seed=9)
     t3 = build_rb_tables(cells, users, p, 2e6, np.array([2e6, 1e6]), seed=10)
@@ -209,7 +220,7 @@ def test_vectorized_bits_match_scalar_path():
     cells = rng.uniform(-400, 400, size=(3, 2))
     users = rng.uniform(-400, 400, size=(4, 2))
     shadow = rng.normal(0, 3.0, size=(4, 3))
-    p = ChannelParams(shadow_sigma=3.0)
+    p = ChannelParams(shadow_sigma=3.0, interference_scale=1.0)
     bits = link_bits_per_rb(cells, users, p, shadow)
     for i in range(4):
         for j in range(3):

@@ -166,7 +166,44 @@ def test_sweep_refuses_an_empty_mode(tmp_path, capsys):
 def test_generate_has_no_run_flags(flag, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", flag, "1", "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "inst.json", "--solver", "nope"],
+        ["generate", "--n-users", "abc", "--out", "out.json"],
+    ],
+    ids=["unknown-solver", "non-integer-n-users"],
+)
+def test_malformed_flag_is_a_validation_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+def test_preset_and_config_together_are_refused(command, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_users": 7}))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--preset", "fig3", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_refuses_a_negative_sharing_fraction(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    rc = main(["generate", *SMALL, "--sharing-fraction", "-0.5", "--out", str(out)])
+    assert rc == 1
+    assert "generation failed: fraction must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_refuses_a_budget_beyond_int64(tmp_path, capsys):
@@ -222,6 +259,47 @@ def test_solve_refuses_a_nonfinite_eva_p(tmp_path, capsys):
     rc = main(["solve", str(inst), "--solver", "eva", "--eva-p", "nan"])
     assert rc == 1
     assert "'eva_p'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--solver", "bb", "--node-budget", "-5"], "node_budget"),
+        (["--solver", "eva", "--eva-p", "-1"], "eva_p"),
+        (["--solver", "bruteforce", "--cap", "-3"], "bruteforce_cap"),
+    ],
+    ids=["node-budget", "eva-p", "cap"],
+)
+def test_solve_refuses_an_out_of_range_setting(flags, named, tmp_path, capsys):
+    inst = _generate(tmp_path)
+    capsys.readouterr()
+    rc = main(["solve", str(inst), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"invalid configuration: {named} must be")
+
+
+def test_verify_refuses_an_out_of_range_cap(tmp_path, capsys):
+    inst = _generate(tmp_path)
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(inst), "--solver", "sinr", "--solution-out", str(sol)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(sol), "--oracle", "--cap", "0"]) == 1
+    assert "bruteforce_cap must be at least 1" in capsys.readouterr().err
+    # The flags are checked as given, whether or not the oracle runs.
+    assert main(["verify", str(inst), str(sol), "--cap", "0"]) == 1
+    assert "bruteforce_cap must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_refuses_an_out_of_range_swept_eva_p(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"sweep_param": "eva_p", "sweep_values": [1.0, -1.0], "solvers": ["eva"]}
+    ))
+    out = tmp_path / "out.csv"
+    rc = main(["sweep", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert "eva_p must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_bruteforce_cap_exit_code(tmp_path, capsys):

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from tiercast import experiments, metrics, problem
+from tiercast.channel import ChannelParams
 from tiercast.cli import _load_config, build_parser
 from tiercast.experiments import (
     ExperimentConfig,
@@ -51,6 +52,39 @@ def test_config_validation():
         ExperimentConfig(modes=["broadcast"])
     with pytest.raises(ValueError, match="unknown solver 'elvaa'"):
         ExperimentConfig(solvers=["sinr", "elvaa"])
+
+
+def test_a_partial_channel_object_keeps_the_channel_defaults():
+    # ChannelParams holds the one channel default: naming a channel field
+    # in a config file leaves every other channel field as it was.
+    assert ExperimentConfig().channel == ChannelParams()
+    restated = ExperimentConfig.from_dict({"channel": {"shadow_sigma": 0.0}})
+    assert restated == ExperimentConfig()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("node_budget", -5), ("bruteforce_cap", 0), ("eva_p", -1.0)]
+)
+def test_out_of_range_run_setting_is_refused(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least"):
+        ExperimentConfig(**{field: value})
+
+
+def test_out_of_range_swept_eva_p_is_refused():
+    with pytest.raises(ValueError, match="eva_p must be at least 0"):
+        ExperimentConfig(sweep_param="eva_p", sweep_values=[1, 2, -1])
+
+
+@pytest.mark.parametrize("budget", [None, 0])
+def test_node_budget_none_and_zero_are_valid(budget):
+    [row] = run_sweep(small_config(node_budget=budget, solvers=["bb"]))
+    assert row["status"] == "ok" and row["feasible"] is True
+
+
+@pytest.mark.parametrize("fraction", [-0.5, 1.5])
+def test_sharing_fraction_out_of_range_is_refused(fraction):
+    with pytest.raises(ValueError, match="fraction must lie in"):
+        build_experiment_instance(small_config(sharing_fraction=fraction), 0)
 
 
 def test_config_round_trip():

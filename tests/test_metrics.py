@@ -7,8 +7,8 @@ import pytest
 
 from tiercast.experiments import preset_config, run_sweep
 from tiercast.metrics import jain_index, resource_utilization, summarize
-from tiercast.problem import Solution, is_feasible, objective
-from tiercast.solvers import SolverReport, solve_bb, solve_elva, solve_sinr
+from tiercast.problem import MULTICAST, UNICAST, Solution, is_feasible, objective
+from tiercast.solvers import SolverReport, solve_bb, solve_elva, solve_eva, solve_sinr
 
 from conftest import fig1_instance, random_tiny_instance
 
@@ -68,10 +68,48 @@ def test_summarize_bb_reference_dominates(rng):
             "sinr": solve_sinr(inst),
         }
         summary = summarize(inst, results)
-        assert summary.reference == "bb"
         assert summary.solvers["bb"].gap == pytest.approx(1.0)
         for name in ("elva", "sinr"):
             assert summary.solvers[name].gap <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+def test_summarize_reference_is_the_best_feasible_result(mode, rng):
+    # bb at a node budget of 0-50 may stop below a heuristic; the reference
+    # is still the largest feasible objective and no gap exceeds 1.
+    stopped_below = 0
+    for _ in range(100):
+        inst = random_tiny_instance(rng, with_sharing=mode == MULTICAST)
+        results = {
+            "bb": solve_bb(inst, node_budget=int(rng.integers(0, 51)), mode=mode),
+            "elva": solve_elva(inst, mode=mode),
+            "eva": solve_eva(inst, mode=mode),
+            "sinr": solve_sinr(inst, mode=mode),
+        }
+        summary = summarize(inst, results, mode)
+        feasible = {
+            name: rep.objective
+            for name, (sol, rep) in results.items()
+            if is_feasible(inst, sol, mode).feasible
+        }
+        assert feasible[summary.reference] == max(feasible.values())
+        stopped_below += feasible.get("bb", 0.0) < max(feasible.values())
+        for name, row in summary.solvers.items():
+            assert (row.gap is None) == (name not in feasible)
+            assert row.gap is None or 0.0 <= row.gap <= 1.0
+    assert stopped_below > 0
+
+
+def test_sweep_gap_is_not_taken_against_a_stopped_bb():
+    # fig3 n_views=5, seed 0: bb stops at 2,000 nodes at 71.394, below
+    # ELVA's 76.803, so ELVA is the reference.
+    config = dataclasses.replace(
+        preset_config("fig3"), sweep_values=[5], seeds=[0], node_budget=2000
+    )
+    rows = {row["solver"]: row for row in run_sweep(config)}
+    assert rows["bb"]["objective"] < rows["elva"]["objective"]
+    assert rows["elva"]["gap"] == 1.0
+    assert all(0.0 <= row["gap"] <= 1.0 for row in rows.values())
 
 
 def test_summarize_gap_ordering_matches_objectives(rng):
