@@ -1,7 +1,10 @@
 """Command-line entry point: generate | solve | sweep | verify.
 
 Exit codes: 0 success, 1 validation/input error (a malformed or unknown
-flag included), 2 infeasible result or enumeration cap exceeded.
+flag included), 2 infeasible result or enumeration cap exceeded. ``sweep``
+is the exception: it records a failed generation or solve, an exceeded cap
+included, in the row's status, writes every row, and exits 1 if any row
+failed; an infeasible result is an ``ok`` row with ``feasible`` False.
 """
 
 from __future__ import annotations
@@ -159,8 +162,6 @@ def cmd_sweep(args, config: ExperimentConfig) -> int:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_COLUMNS)
         writer.writeheader()
         for row in run_sweep(config):
-            if row["sweep_value"] is None:
-                row = {**row, "sweep_value": ""}
             writer.writerow(row)
             n_rows += 1
             if row["status"] != "ok":

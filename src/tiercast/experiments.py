@@ -9,6 +9,7 @@ the config file's or preset's master seed.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import math
@@ -238,57 +239,35 @@ def build_experiment_instance(
     return instance, topology
 
 
+# Each preset's overrides of the ExperimentConfig defaults, by name.
 PRESETS = {
-    "fig3": lambda: ExperimentConfig(
-        preset="fig3", sweep_param="n_views", sweep_values=[1, 2, 3, 4, 5]
-    ),
-    "fig4": lambda: ExperimentConfig(
-        preset="fig4",
+    "fig3": dict(sweep_param="n_views", sweep_values=[1, 2, 3, 4, 5]),
+    "fig4": dict(
         sweep_param="n_views",
         sweep_values=[1, 2, 3, 4, 5],
         modes=[UNICAST, MULTICAST],
         sharing_fraction=1.0,
         solvers=["elva", "eva", "sinr"],
     ),
-    "fig6": lambda: ExperimentConfig(
-        preset="fig6",
-        sweep_param="n_cells",
-        sweep_values=[2, 3, 4, 5, 6, 7, 8, 9, 10],
-    ),
-    "fig7": lambda: ExperimentConfig(
-        preset="fig7", sweep_param="n_users", sweep_values=[10, 20, 30, 40, 50]
-    ),
-    "fig8": lambda: ExperimentConfig(
-        preset="fig8",
-        sweep_param="eva_p",
-        sweep_values=[1, 2, 3, 4, 5],
-        solvers=["eva"],
-    ),
-    "fig9": lambda: ExperimentConfig(
-        preset="fig9",
+    "fig6": dict(sweep_param="n_cells", sweep_values=[2, 3, 4, 5, 6, 7, 8, 9, 10]),
+    "fig7": dict(sweep_param="n_users", sweep_values=[10, 20, 30, 40, 50]),
+    "fig8": dict(sweep_param="eva_p", sweep_values=[1, 2, 3, 4, 5], solvers=["eva"]),
+    "fig9": dict(
         n_views=10,
         views_per_user=2,
         sweep_param="cache_capacity",
         sweep_values=[1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
     ),
-    "fig10": lambda: ExperimentConfig(
-        preset="fig10",
-        n_users=500,
-        n_cells=100,
-        n_views=20,
-        solvers=["elva", "eva", "sinr"],
-        seeds=[0, 1, 2],
-    ),
+    "fig10": dict(n_users=500, n_cells=100, n_views=20, solvers=["elva", "eva", "sinr"]),
 }
 
 
 def preset_config(name: str) -> ExperimentConfig:
-    try:
-        return PRESETS[name]()
-    except KeyError:
+    if name not in PRESETS:
         raise ValueError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        ) from None
+        )
+    return ExperimentConfig(preset=name, **copy.deepcopy(PRESETS[name]))
 
 
 def run_solver(name: str, instance: Instance, config: ExperimentConfig, mode: str):
@@ -317,8 +296,8 @@ SWEEP_CSV_COLUMNS = (
 
 def _row(config: ExperimentConfig, value, seed, mode, solver, status, **results):
     """One sweep row keyed by SWEEP_CSV_COLUMNS; result columns not given
-    stay empty."""
-    row = dict.fromkeys(SWEEP_CSV_COLUMNS, "")
+    are None, which ``csv`` writes as an empty cell."""
+    row = dict.fromkeys(SWEEP_CSV_COLUMNS)
     row.update(
         preset=config.preset,
         sweep_param=config.sweep_param,
@@ -342,7 +321,6 @@ def run_sweep(config: ExperimentConfig):
     """
     # Function-local, so that the benchmark's wrapper of metrics.summarize is called.
     from .metrics import summarize
-    from .solvers import BruteForceCapError
 
     for value in config.sweep_values:
         point = config.at_sweep_value(value)
@@ -366,7 +344,7 @@ def run_sweep(config: ExperimentConfig):
                     # AssertionError stays a row until the benchmark's
                     # over-budget test double, which asserts inside the
                     # solver call, is reworked (ROADMAP item 1b).
-                    except (ValueError, BruteForceCapError, AssertionError) as exc:
+                    except (ValueError, solvers.BruteForceCapError, AssertionError) as exc:
                         errors[solver] = str(exc)
                 summary = summarize(instance, results, mode) if results else None
                 for solver in point.solvers:
@@ -378,8 +356,8 @@ def run_sweep(config: ExperimentConfig):
                     yield _row(
                         config, value, seed, mode, solver, "ok",
                         objective=report.objective,
-                        gap="" if row.gap is None else row.gap,
-                        jain="" if row.jain is None else row.jain,
+                        gap=row.gap,
+                        jain=row.jain,
                         mean_utilization=row.mean_utilization,
                         feasible=row.feasible,
                         wall_time=report.wall_time,

@@ -19,6 +19,11 @@ from .problem import Instance
 # propagation model needs strictly positive distances.
 MIN_USER_CELL_DISTANCE = 1.0
 
+# Draws allowed per point: a hotspot cell is drawn until it lies inside the
+# map disc, and a user until it lies MIN_USER_CELL_DISTANCE or more from
+# every cell, at most this many times each; then generation raises.
+MAX_DRAWS = 10_000
+
 
 class PlacementError(ValueError):
     """Cache placement cannot satisfy the coverage requirement."""
@@ -74,9 +79,12 @@ def generate_topology(
     Uniform places both populations uniformly over the disc; hotspot draws
     cells from a centered Gaussian with std dev ``hotspot_sigma`` (resampled
     when outside the disc) and users uniformly. Deterministic per seed.
+    Raises ``ValueError`` on a point that ``MAX_DRAWS`` draws do not place.
     """
     if n_cells <= 0 or n_users <= 0:
         raise ValueError("counts must be positive")
+    if not map_radius > 0:
+        raise ValueError(f"map_radius must be positive, got {map_radius}")
     if kind not in ("uniform", "hotspot"):
         raise ValueError(f"unknown topology kind {kind!r}")
     rng = np.random.default_rng(seed)
@@ -86,18 +94,29 @@ def generate_topology(
     else:
         cells = np.empty((n_cells, 2))
         for idx in range(n_cells):
-            while True:
+            for _ in range(MAX_DRAWS):
                 p = rng.normal(0.0, hotspot_sigma, size=2)
                 if np.linalg.norm(p) <= map_radius:
                     cells[idx] = p
                     break
+            else:
+                raise ValueError(
+                    f"cell {idx}: no draw of {MAX_DRAWS} lies inside the map disc"
+                )
 
     users = _uniform_disc(rng, n_users, map_radius)
     for idx in range(n_users):
+        draws = 1
         while (
             np.linalg.norm(cells - users[idx], axis=1).min() < MIN_USER_CELL_DISTANCE
         ):
+            if draws == MAX_DRAWS:
+                raise ValueError(
+                    f"user {idx}: no draw of {MAX_DRAWS} lies at least "
+                    f"{MIN_USER_CELL_DISTANCE} m from every cell"
+                )
             users[idx] = _uniform_disc(rng, 1, map_radius)[0]
+            draws += 1
 
     return Topology(cell_positions=cells, user_positions=users, map_radius=map_radius)
 
@@ -117,6 +136,8 @@ def generate_demands(
     """
     if n_views < 1:
         raise ValueError("n_views must be >= 1")
+    if views_per_user < 0:
+        raise ValueError(f"views_per_user must be >= 0, got {views_per_user}")
     if views_per_user > n_views:
         raise ValueError("views_per_user exceeds n_views")
     if views_per_user == n_views:

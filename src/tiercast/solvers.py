@@ -120,11 +120,9 @@ def solve_cell_subproblem(
     (equivalently ascending enhanced cost, then user, then view), and filled
     in that order. The pairs that fit receive y=1 and the next a fraction;
     the float remainder that fraction leaves can give later pairs shares
-    below 1e-9. A negative budget signals that the basic broadcast alone
-    exceeds the cell budget.
+    below 1e-9. A negative budget, the basic broadcast alone exceeding the
+    cell budget, gets no enhanced view.
     """
-    if budget < 0:
-        return CellAllocation(alloc={}, value=0.0)
     owners, views, costs = _cell_pairs(instance, cell, users)
     items = zip(
         costs.tolist(),
@@ -149,10 +147,8 @@ def solve_cell_subproblem_multicast(
     piecewise-linear function of the charge. Filling all groups' segments by
     reward per RB (ties: key, then level) is exact, because segment densities
     decrease within each group; each share is then min(1, charge / cost).
+    A negative budget gets no enhanced view.
     """
-    if budget < 0:
-        return CellAllocation(alloc={}, value=0.0)
-
     # Members by ascending cost, then user: the order of the cell's pairs.
     groups: dict[tuple, list[tuple[int, int]]] = {}
     owners, views, costs = _cell_pairs(instance, cell, users)
@@ -276,8 +272,7 @@ def solve_eva(
     start = time.perf_counter()
     counts = instance.reward_counts().astype(float)
     nb = instance.rb_basic
-    with np.errstate(invalid="ignore"):
-        scores = counts**p / nb
+    scores = counts**p / nb
 
     masked = np.where(_eligible_cells(instance), scores, -np.inf)
     _, ties, assoc = _row_best(masked, nb)
@@ -406,28 +401,29 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     for j in range(s):
         gains[:, j] = _gain_column(costs[j], prefix[j], budgets[j])
 
-    # (S, M) eligible, unassigned pairs: each round reads one cell's row.
-    open_pairs = np.ascontiguousarray(_eligible_cells(instance).T)
     assoc = np.full(m, -1, dtype=np.int64)
     paid = [{} for _ in range(s)]
     multicast = mode == MULTICAST
     tie_breaks = 0
 
-    # Scores of the open pairs, -inf elsewhere. Only the assigned user's row
-    # and the chosen cell's column change per round.
-    ranking = _PairRanking(np.where(open_pairs.T, gains, -np.inf), instance.rb_basic)
+    # Scores of the open pairs (eligible, user unassigned), -inf elsewhere;
+    # gains are finite, so -inf marks a closed pair. Only the assigned
+    # user's row and the chosen cell's column change per round.
+    ranking = _PairRanking(
+        np.where(_eligible_cells(instance), gains, -np.inf), instance.rb_basic
+    )
     for _ in range(m):
         i, j, tied = ranking.pick()
         tie_breaks += tied
         assoc[i] = j
-        open_pairs[:, i] = False
         ranking.drop_row(i)
 
         _, budgets[j] = _fill(
             _view_items(instance, i, j, multicast), budgets[j], paid[j]
         )
         gain = _gain_column(costs[j], prefix[j], budgets[j])
-        ranking.set_column(j, np.where(open_pairs[j], gain, -np.inf))
+        column = ranking.scores[:, j]
+        ranking.set_column(j, np.where(column == -np.inf, column, gain))
 
     solution, _ = _finalize(instance, assoc, mode)
     return _report("elva", instance, solution, start, tie_breaks=tie_breaks)
@@ -466,11 +462,11 @@ def solve_bb(
     association whenever every user has an affordable cell; with
     ``node_budget`` the best incumbent found is returned and flagged.
 
-    Each cell keeps its members, its enhanced costs as a sorted list, its
-    largest basic cost and its value; a child merges the user's costs into
-    its cell's list and revalues only that cell. A parent enters each child
-    in turn (node limit, node count, then the leaf or prune test) and
-    recurses only into children that are neither.
+    Each cell keeps one list (its members in multicast, its enhanced costs
+    sorted ascending in unicast), its largest basic cost and its value; a
+    child adds the user to its cell's list and revalues only that cell. A
+    parent enters each child in turn (node limit, node count, then the leaf
+    or prune test) and recurses only into children that are neither.
     """
     start = time.perf_counter()
     m, s = instance.n_users, instance.n_cells
@@ -508,8 +504,7 @@ def solve_bb(
             children.append((j, int(nb[i, j]), sorted(user_costs)))
         levels.append((i, children))
 
-    members = [[] for _ in range(s)]
-    costs = [[] for _ in range(s)]
+    contents = [[] for _ in range(s)]
     max_basic = [0] * s
     values = [0.0] * s
     assoc = [0] * m
@@ -530,16 +525,16 @@ def solve_bb(
                 budget_hit = True
                 return
             nodes += 1
-            cell_costs = sorted(costs[j] + user_costs)
             cell_basic = max_basic[j]
             if basic > cell_basic:
                 cell_basic = basic
             budget = budgets[j] - cell_basic
             if multicast:
-                cell_members = members[j] + [i]
-                value = allocator(instance, j, cell_members, budget).value
+                cell = contents[j] + [i]
+                value = allocator(instance, j, cell, budget).value
             else:
-                value = _cell_value(cell_costs, budget)
+                cell = sorted(contents[j] + user_costs)
+                value = _cell_value(cell, budget)
             child = partial + value - values[j]
             assoc[i] = j
             if leaf:
@@ -550,12 +545,10 @@ def solve_bb(
             if best_assoc is not None and potential <= best_value - child:
                 pruned += 1
                 continue
-            saved = members[j], costs[j], max_basic[j], values[j]
-            if multicast:
-                members[j] = cell_members
-            costs[j], max_basic[j], values[j] = cell_costs, cell_basic, value
+            saved = contents[j], max_basic[j], values[j]
+            contents[j], max_basic[j], values[j] = cell, cell_basic, value
             descend(t + 1, child)
-            members[j], costs[j], max_basic[j], values[j] = saved
+            contents[j], max_basic[j], values[j] = saved
             if budget_hit:
                 return
 

@@ -228,6 +228,35 @@ def test_vectorized_bits_match_scalar_path():
             assert bits[i, j] == pytest.approx(rate_per_rb(s, p), rel=1e-12)
 
 
+def test_vectorized_bits_reject_a_collocated_user():
+    cells = np.array([[0.0, 0.0], [10.0, 0.0]])
+    users = np.array([[5.0, 0.0], [10.0, 0.0]])
+    with pytest.raises(ValueError, match="zero distance"):
+        link_bits_per_rb(cells, users, TABLE_PARAMS, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "n_cells, n_users, view_sizes",
+    [(0, 1, [2e6]), (1, 0, [2e6]), (1, 1, [])],
+    ids=["no-cells", "no-users", "no-views"],
+)
+def test_rb_tables_reject_an_empty_axis(n_cells, n_users, view_sizes):
+    cells = np.full((n_cells, 2), 10.0)
+    users = np.zeros((n_users, 2))
+    with pytest.raises(InstanceConstructionError, match="must be nonempty"):
+        build_rb_tables(cells, users, TABLE_PARAMS, 2e6, np.array(view_sizes), seed=0)
+
+
+@pytest.mark.parametrize(
+    "basic_size, view_sizes", [(0.0, [2e6]), (2e6, [2e6, -1.0])], ids=["basic", "view"]
+)
+def test_rb_tables_reject_a_nonpositive_payload(basic_size, view_sizes):
+    cells = np.array([[0.0, 0.0]])
+    users = np.array([[10.0, 0.0]])
+    with pytest.raises(ValueError, match="payload sizes must be positive"):
+        build_rb_tables(cells, users, TABLE_PARAMS, basic_size, np.array(view_sizes), seed=0)
+
+
 def test_all_links_dead_raises():
     cells = np.array([[0.0, 0.0]])
     users = np.array([[1e150, 0.0]])

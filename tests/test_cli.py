@@ -62,6 +62,25 @@ def test_generate_refuses_more_views_per_user_than_views(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_refuses_a_negative_views_per_user(tmp_path, capsys):
+    out = tmp_path / "bad.json"
+    rc = main(["generate", *SMALL, "--views-per-user", "-1", "--out", str(out)])
+    assert rc == 1
+    assert "views_per_user must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", ["hotspot", "uniform"])
+def test_generate_refuses_a_map_of_radius_zero(scenario, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"map_radius": 0, "scenario": scenario}))
+    out = tmp_path / "bad.json"
+    rc = main(["generate", "--config", str(config), "--out", str(out)])
+    assert rc == 1
+    assert "generation failed: map_radius must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "sweep"])
 def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
     rc = main([command, "--config", str(tmp_path / "absent.json"),
@@ -86,6 +105,9 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
              "solvers": ["sinr"]},
             "'n_views'",
         ),
+        ({"schema": "config/v0"}, "'config/v0'"),
+        ({"channel": [0.0]}, "'channel' must be an object"),
+        ({"n_users": True}, "'n_users' must be int, got True"),
     ],
     ids=[
         "unknown-key",
@@ -97,6 +119,9 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         "nan-eva_p",
         "infinity-map_radius",
         "string-sweep-value",
+        "other-schema",
+        "channel-not-an-object",
+        "bool-n_users",
     ],
 )
 def test_bad_config_payload_is_a_validation_error(payload, named, tmp_path, capsys):
@@ -354,6 +379,25 @@ def test_sweep_single_row_and_columns(tmp_path, capsys):
     assert len(rows) == 1
     assert list(rows[0].keys()) == list(SWEEP_CSV_COLUMNS)
     assert rows[0]["status"] == "ok"
+
+
+def test_sweep_with_a_failed_row_writes_every_row_and_exits_1(tmp_path, capsys):
+    # 3^4 associations exceed a cap of 1: the brute-force row fails, the
+    # ELVA row does not, and both are written.
+    config = tmp_path / "capped.json"
+    config.write_text(json.dumps({
+        "n_users": 4, "n_cells": 3, "solvers": ["bruteforce", "elva"],
+        "bruteforce_cap": 1, "seeds": [0],
+    }))
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"csv": str(out), "rows": 2, "failures": 1}
+    with out.open() as fh:
+        capped, elva = csv.DictReader(fh)
+    assert capped["solver"] == "bruteforce" and "exceed the cap of 1" in capped["status"]
+    assert elva["solver"] == "elva" and elva["status"] == "ok"
+    results = ("sweep_value", "objective", "gap", "jain", "mean_utilization", "feasible", "wall_time")
+    assert [capped[name] for name in results] == [""] * len(results)
 
 
 def test_sweep_reruns_identically(tmp_path, capsys):

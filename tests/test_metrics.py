@@ -169,6 +169,11 @@ def test_summarize_refuses_an_out_of_range_index():
         summarize(inst, results)
 
 
+def test_summarize_refuses_no_results():
+    with pytest.raises(ValueError, match="no solutions to summarize"):
+        summarize(fig1_instance(), {})
+
+
 def test_sweep_gives_over_budget_rows_no_gap():
     # fig6 at two cells, seed 0: three users can afford neither cell, so
     # every solver's result is over budget.
@@ -179,4 +184,4 @@ def test_sweep_gives_over_budget_rows_no_gap():
     assert [r["solver"] for r in rows] == ["elva", "eva", "sinr"]
     for row in rows:
         assert row["status"] == "ok" and row["feasible"] is False
-        assert row["gap"] == ""
+        assert row["gap"] is None

@@ -79,6 +79,12 @@ def test_rb_usage_rejects_bad_association(assoc):
         rb_usage(inst, Solution(assoc=np.array(assoc)))
 
 
+def test_rb_usage_rejects_an_unknown_mode():
+    inst = fig1_instance()
+    with pytest.raises(ValueError, match="unknown mode 'broadcast'"):
+        rb_usage(inst, Solution(assoc=np.array([0, 0, 1])), "broadcast")
+
+
 @pytest.mark.parametrize(
     "sharing, message",
     [
@@ -115,6 +121,27 @@ def test_instance_rejects_values_the_cast_would_change(field, value):
     arrays[field] = arrays[field].astype(type(value))
     arrays[field].flat[0] = value
     with pytest.raises(ValueError, match=f"{field} entries must be"):
+        Instance(n_users=inst.n_users, n_cells=inst.n_cells, n_views=inst.n_views, **arrays)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("w", 2, "w entries must be 0/1"),
+        ("w", -1, "w entries must be 0/1"),
+        ("rb_basic", 0, "RB costs must be >= 1"),
+        ("rb_enhanced", 0, "RB costs must be >= 1"),
+    ],
+    ids=["w-two", "w-minus-one", "rb_basic-zero", "rb_enhanced-zero"],
+)
+def test_instance_rejects_out_of_range_entries(field, value, message):
+    inst = fig1_instance()
+    arrays = {
+        name: getattr(inst, name).copy()
+        for name in ("w", "rb_budget", "rb_basic", "rb_enhanced")
+    }
+    arrays[field].flat[0] = value
+    with pytest.raises(ValueError, match=message):
         Instance(n_users=inst.n_users, n_cells=inst.n_cells, n_views=inst.n_views, **arrays)
 
 
@@ -163,6 +190,13 @@ def test_is_feasible_empty_solution():
     inst = fig1_instance()
     report = is_feasible(inst, Solution(assoc=np.array([0, 1, 0])))
     assert report.feasible and not report.violations
+
+
+@pytest.mark.parametrize("assoc", [[0, 1], [0, 0, 1, 1], [[0, 0, 1]]])
+def test_is_feasible_flags_an_association_of_the_wrong_shape(assoc):
+    report = is_feasible(fig1_instance(), Solution(assoc=np.array(assoc)))
+    assert not report.feasible and report.usage is None
+    assert [v.constraint for v in report.violations] == ["association"]
 
 
 def test_is_feasible_flags_mask_violation():

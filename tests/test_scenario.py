@@ -9,6 +9,8 @@ import reference
 from tiercast.channel import ChannelParams
 from tiercast.problem import Solution, objective
 from tiercast.scenario import (
+    MAX_DRAWS,
+    MIN_USER_CELL_DISTANCE,
     PlacementError,
     Topology,
     build_instance,
@@ -16,6 +18,7 @@ from tiercast.scenario import (
     generate_sharing_groups,
     generate_topology,
     place_caches,
+    _uniform_disc,
 )
 
 CH = ChannelParams(interference_scale=0.0)
@@ -79,6 +82,42 @@ def test_topology_invariant_checks():
         )
 
 
+@pytest.mark.parametrize(
+    "kind, radius, message",
+    [
+        ("uniform", 0, "map_radius must be positive"),
+        ("hotspot", 0, "map_radius must be positive"),
+        ("uniform", -5, "map_radius must be positive"),
+        ("hotspot", -5, "map_radius must be positive"),
+        ("hotspot", 0.5, f"cell 0: no draw of {MAX_DRAWS} lies inside the map disc"),
+        ("uniform", 0.5, f"user 0: no draw of {MAX_DRAWS} lies at least 1.0 m from"),
+    ],
+)
+def test_topology_that_cannot_be_placed_is_refused(kind, radius, message):
+    # Every case but uniform at -5 drew forever before: no hotspot cell
+    # falls in a disc of radius 0 or less (nor, at sigma 200, is one likely
+    # to in one of 0.5 m), and no user of a 0.5 m disc is 1 m from every cell.
+    with pytest.raises(ValueError, match=message):
+        generate_topology(kind, 3, 5, map_radius=radius, seed=0)
+
+
+def test_user_near_a_cell_is_drawn_again():
+    # On a 3 m disc users often land within 1 m of the one cell. Each such
+    # user is drawn again; every other draw stays where it fell.
+    radius, n_users, seed = 3.0, 12, 4
+    rng = np.random.default_rng(seed)
+    cell = _uniform_disc(rng, 1, radius)
+    first = _uniform_disc(rng, n_users, radius)
+    near = np.linalg.norm(first - cell, axis=1) < MIN_USER_CELL_DISTANCE
+    assert 0 < near.sum() < n_users
+
+    topology = generate_topology("uniform", 1, n_users, map_radius=radius, seed=seed)
+    assert (topology.cell_positions == cell).all()
+    assert (topology.user_positions[~near] == first[~near]).all()
+    assert (topology.user_positions[near] != first[near]).any(axis=1).all()
+    assert topology.distances().min() >= MIN_USER_CELL_DISTANCE
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 30),
@@ -131,6 +170,8 @@ def test_demands_deterministic_and_validated():
         generate_demands(3, 2, 5)
     with pytest.raises(ValueError):
         generate_demands(3, 0, 0)
+    with pytest.raises(ValueError, match="views_per_user must be >= 0, got -1"):
+        generate_demands(3, 2, -1)
 
 
 def test_place_caches_coverage_and_capacity():

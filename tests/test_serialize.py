@@ -283,6 +283,20 @@ def test_solution_rejects_missing_field(tmp_path, field):
 
 
 @pytest.mark.parametrize(
+    "payload, message",
+    [
+        (_solution_payload([[0, 0, 1.0]], assoc=(0, 1.0)), "assoc must be a list of integer"),
+        ({**_solution_payload([]), "assoc": 0}, "assoc must be a list of integer"),
+        ({**_solution_payload([]), "alloc": {"0": 1.0}}, "alloc must be a list of"),
+    ],
+    ids=["float-cell", "assoc-not-a-list", "alloc-not-a-list"],
+)
+def test_solution_rejects_malformed_lists(tmp_path, payload, message):
+    with pytest.raises(serialize.SchemaError, match=message):
+        serialize.load_solution(_write(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
     "corrupt, message",
     [
         (lambda d: _without(d, "user_positions"), "missing field 'user_positions'"),

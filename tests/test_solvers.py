@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiercast.experiments import build_experiment_instance, preset_config
 from tiercast.problem import (
@@ -423,3 +425,57 @@ def test_greedy_solvers_multicast_mode_feasible_and_dominant(rng):
         mc_sol, mc_rep = solve_sinr(inst, mode=MULTICAST)
         # same association, exact per-cell solvers: multicast cannot lose
         assert mc_rep.objective >= uc_rep.objective - 1e-9
+
+
+@st.composite
+def _each_user_can_afford_a_cell(draw):
+    """2-6 users, 2-3 cells, 1-3 views, budgets 1-80 and RB costs 1-40, so
+    that some (user, cell) pairs are unaffordable; each user's basic cost at
+    one drawn home cell is cut to that cell's budget, so none is without an
+    affordable cell."""
+    m, s, e = draw(st.integers(2, 6)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+
+    def ints(lo, hi, *shape):
+        n = int(np.prod(shape))
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n))).reshape(shape)
+
+    budget = ints(1, 80, s)
+    nb = ints(1, 40, m, s)
+    home = ints(0, s - 1, m)
+    nb[np.arange(m), home] = np.minimum(nb[np.arange(m), home], budget[home])
+    return Instance(
+        n_users=m, n_cells=s, n_views=e, w=ints(0, 1, m, s, e), rb_budget=budget,
+        rb_basic=nb, rb_enhanced=ints(1, 40, m, s, e), sharing=ints(0, 1, m, e),
+    )
+
+
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+@pytest.mark.parametrize("solve", [solve_elva, solve_eva])
+@settings(max_examples=200, deadline=None)
+@given(inst=_each_user_can_afford_a_cell())
+def test_greedy_result_is_feasible_when_every_user_can_afford_a_cell(solve, mode, inst):
+    solution, _ = solve(inst, mode=mode)
+    assert is_feasible(inst, solution, mode).feasible
+
+
+def test_greedy_solvers_can_score_zero_where_the_optimum_is_positive():
+    # This documents today's behaviour; it is not a bound. Only user 1 has a
+    # rewardable view, at cell 1 for 18 RBs. nbar is 14, so ELVA's layered
+    # budget at cell 1 is 14 - 14 = 0: every gain is 0 and ties go to the
+    # lowest basic cost, which sends users 0 and 2 to cell 1 (EVA and SINR
+    # send them there too). Their broadcast of 14 spends cell 1's budget.
+    # The optimum serves them at cell 0 and leaves user 1 11 of the 18 RBs.
+    w = np.zeros((4, 2, 1), dtype=np.int8)
+    w[1, 1, 0] = 1
+    inst = Instance(
+        n_users=4, n_cells=2, n_views=1, w=w, rb_budget=[76, 14],
+        rb_basic=[[39, 14], [27, 3], [39, 14], [2, 16]],
+        rb_enhanced=np.full((4, 2, 1), 18),
+    )
+    for solve in (solve_elva, solve_eva, solve_sinr):
+        solution, report = solve(inst)
+        assert list(solution.assoc) == [1, 1, 1, 0]
+        assert report.objective == 0.0
+    solution, report = solve_bruteforce(inst)
+    assert list(solution.assoc)[:3] == [0, 1, 0]
+    assert report.objective == 11 / 18
