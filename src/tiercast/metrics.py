@@ -6,15 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import Instance, Solution, UNICAST, is_feasible, per_user_rewards, rb_usage
+from .problem import Instance, Solution, UNICAST, is_feasible, per_user_rewards
+from .problem import rb_usage  # noqa: F401 (bench/spans.py wraps it here by name)
 from .solvers import SolverReport
-
-
-def resource_utilization(
-    instance: Instance, solution: Solution, mode: str = UNICAST
-) -> np.ndarray:
-    """Fraction of each cell's RB budget consumed by the solution."""
-    return rb_usage(instance, solution, mode) / instance.rb_budget
 
 
 def jain_index(rewards) -> float | None:

@@ -49,8 +49,9 @@ INSTANCE_ARRAYS = (
 @dataclass
 class Instance:
     """Inputs of the joint association/allocation problem. Raises
-    ``ValueError`` on an array of the wrong shape, or with an entry that its
-    dtype cannot hold exactly (257 in int8, 1.7 in int64) or out of range."""
+    ``ValueError`` on no cell, on an array of the wrong shape, or with an
+    entry that its dtype cannot hold exactly (257 in int8, 1.7 in int64) or
+    out of range."""
 
     n_users: int
     n_cells: int
@@ -85,6 +86,8 @@ class Instance:
             raise ValueError("sharing entries must be 0/1")
         if (self.rb_basic < 1).any() or (self.rb_enhanced < 1).any():
             raise ValueError("RB costs must be >= 1")
+        if self.n_cells < 1:
+            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
         if (self.rb_budget <= 0).any():
             raise ValueError("budgets must be positive")
 

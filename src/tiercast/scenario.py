@@ -85,6 +85,8 @@ def generate_topology(
         raise ValueError("counts must be positive")
     if not map_radius > 0:
         raise ValueError(f"map_radius must be positive, got {map_radius}")
+    if not hotspot_sigma >= 0:
+        raise ValueError(f"hotspot_sigma must be >= 0, got {hotspot_sigma}")
     if kind not in ("uniform", "hotspot"):
         raise ValueError(f"unknown topology kind {kind!r}")
     rng = np.random.default_rng(seed)

@@ -3,26 +3,27 @@
 Every payload is one JSON object with a ``schema`` tag. Dumps are
 deterministic: sorted keys, fixed separators.
 
-An ``instance/v4`` object has a plain header: ``n_users``, ``n_cells`` and
-``n_views`` (integers >= 0). Each array is one base64 string of its
-little-endian bytes in C order, packed by zlib at level 1: ``w`` as ``<i1``
-with shape ``(n_users, n_cells, n_views)``, ``rb_budget`` as ``<i8`` with
-shape ``(n_cells,)``, ``rb_basic`` as ``<i8`` with shape
-``(n_users, n_cells)``, ``rb_enhanced`` as ``<i8`` with shape
-``(n_users, n_cells, n_views)`` and the multicast mask ``sharing`` as
-``<i1`` with shape ``(n_users, n_views)``. Shapes are not stored; they follow
-from the header's counts. The loader inflates at most one byte more than the
-counts allow, so a hostile stream cannot grow past them, and refuses a
-stream that is truncated, followed by other bytes or of any other length.
-Loaded arrays are owned, writable and in native byte order. Older instance
-schemas (v1 to v3) are refused, not converted.
+An ``instance/v4`` object has a plain header: ``n_users`` and ``n_views``
+(integers >= 0) and ``n_cells`` (>= 1, which ``Instance`` checks). Each
+array is one base64 string of its little-endian bytes in C order, packed by
+zlib at level 1: ``w`` as ``<i1`` with shape
+``(n_users, n_cells, n_views)``, ``rb_budget`` as ``<i8`` with shape
+``(n_cells,)``, ``rb_basic`` as ``<i8`` with shape ``(n_users, n_cells)``,
+``rb_enhanced`` as ``<i8`` with shape ``(n_users, n_cells, n_views)`` and
+the multicast mask ``sharing`` as ``<i1`` with shape ``(n_users, n_views)``.
+Shapes are not stored; they follow from the header's counts. The loader
+inflates at most one byte more than the counts allow, so a hostile stream
+cannot grow past them, and refuses a stream that is truncated, followed by
+other bytes or of any other length. Loaded arrays are owned, writable and in
+native byte order. Older instance schemas (v1 to v3) are refused, not
+converted.
 
-Topologies (``topology/v1``) store their positions as lists of ``[x, y]``
-pairs; solutions (``solution/v1``) store the association as a list and the
-allocation as ``[user, view, y]`` triples. Every loader raises
-``SchemaError`` on a wrong tag, a missing field or a field of the wrong type
-or size, and on a non-finite number where a position, the map radius or an
-allocation share belongs; the solution loader also on a repeated entry.
+Topologies (``topology/v1``) are written only, never read back: their
+positions as lists of ``[x, y]`` pairs, and the map radius. Solutions
+(``solution/v1``) store the association as a list and the allocation as
+``[user, view, y]`` triples. Both loaders raise ``SchemaError`` on a wrong
+tag, a missing field or a field of the wrong type or size; the solution
+loader also on a non-finite allocation share or a repeated entry.
 """
 
 from __future__ import annotations
@@ -95,31 +96,6 @@ def topology_to_dict(topology: Topology) -> dict:
         "user_positions": topology.user_positions.tolist(),
         "map_radius": topology.map_radius,
     }
-
-
-def _points(data: dict, name: str) -> np.ndarray:
-    """The ``(n, 2)`` array stored under ``name`` as a list of [x, y] pairs."""
-    points = _field(data, name)
-    if not (
-        isinstance(points, list)
-        and all(
-            isinstance(p, list) and len(p) == 2 and all(map(_is_finite_number, p))
-            for p in points
-        )
-    ):
-        raise SchemaError(f"{name} must be a list of [x, y] pairs of finite numbers")
-    return np.array(points, dtype=float).reshape(len(points), 2)
-
-
-def topology_from_dict(data: dict) -> Topology:
-    radius = _field(data, "map_radius")
-    if not _is_finite_number(radius):
-        raise SchemaError(f"map_radius must be a finite number, got {radius!r}")
-    return Topology(
-        cell_positions=_points(data, "cell_positions"),
-        user_positions=_points(data, "user_positions"),
-        map_radius=float(radius),
-    )
 
 
 # Level 6 packs fig10's rb_basic only 5 % smaller, at 8x the time.
@@ -212,10 +188,6 @@ def solution_from_dict(data: dict) -> Solution:
 
 def save_topology(topology: Topology, path) -> None:
     _dump(topology_to_dict(topology), path)
-
-
-def load_topology(path) -> Topology:
-    return topology_from_dict(_load(path, TOPOLOGY_SCHEMA))
 
 
 def save_instance(instance: Instance, path) -> None:

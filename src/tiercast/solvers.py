@@ -196,8 +196,8 @@ def _cell_allocator(mode: str):
 
 def compute_nbar(instance: Instance) -> int:
     """Upper bound on any cell's broadcast cost under best-cell association:
-    max over users of their cheapest basic-view cost."""
-    return int(instance.rb_basic.min(axis=1).max())
+    max over users of their cheapest basic-view cost, 0 with no users."""
+    return int(instance.rb_basic.min(axis=1).max(initial=0))
 
 
 def _eligible_cells(instance: Instance) -> np.ndarray:

@@ -1,8 +1,10 @@
 """End-to-end CLI: generate | solve | sweep | verify."""
 
+import base64
 import csv
 import dataclasses
 import json
+import zlib
 
 import pytest
 
@@ -79,6 +81,48 @@ def test_generate_refuses_a_map_of_radius_zero(scenario, tmp_path, capsys):
     assert rc == 1
     assert "generation failed: map_radius must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_generate_refuses_a_negative_hotspot_sigma(tmp_path, capsys):
+    # It used to reach numpy, which said only "scale < 0".
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"hotspot_sigma": -1.0}))
+    out = tmp_path / "bad.json"
+    rc = main(["generate", "--config", str(config), "--out", str(out)])
+    assert rc == 1
+    assert "generation failed: hotspot_sigma must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_topology_out_writes_topology_v1(tmp_path, capsys):
+    out, topo_out = tmp_path / "inst.json", tmp_path / "topo.json"
+    rc = main(["generate", "--preset", "fig3", "--seed", "0", "--out", str(out),
+               "--topology-out", str(topo_out)])
+    assert rc == 0
+    written = json.loads(topo_out.read_text())
+    _, topology = experiments.build_experiment_instance(
+        experiments.preset_config("fig3"), 0
+    )
+    assert written["schema"] == "topology/v1"
+    assert written["cell_positions"] == topology.cell_positions.tolist()
+    assert written["user_positions"] == topology.user_positions.tolist()
+    assert written["map_radius"] == topology.map_radius
+
+
+def test_solve_refuses_an_instance_with_no_cells(tmp_path, capsys):
+    # Every solver used to fail on it, brute force with a traceback.
+    def packed(n_bytes):
+        return base64.b64encode(zlib.compress(bytes(n_bytes))).decode()
+
+    path = tmp_path / "no_cells.json"
+    path.write_text(json.dumps({
+        "schema": serialize.INSTANCE_SCHEMA, "n_users": 2, "n_cells": 0, "n_views": 2,
+        "w": packed(0), "rb_budget": packed(0), "rb_basic": packed(0),
+        "rb_enhanced": packed(0), "sharing": packed(4),
+    }))
+    assert main(["solve", str(path), "--solver", "bruteforce"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot load instance: n_cells must be >= 1, got 0")
 
 
 @pytest.mark.parametrize("command", ["generate", "sweep"])

@@ -188,6 +188,14 @@ def test_run_sweep_records_generation_failures():
     assert "generation failed" in rows[0]["status"]
 
 
+def test_run_sweep_names_a_negative_hotspot_sigma_in_each_row():
+    # The config checks no scenario range; generation does, once per row.
+    rows = list(run_sweep(small_config(hotspot_sigma=-1.0, seeds=[0, 1])))
+    assert [row["status"] for row in rows] == [
+        "generation failed: hotspot_sigma must be >= 0, got -1.0"
+    ] * 2
+
+
 def test_run_sweep_multicast_mode_rows():
     cfg = small_config(
         modes=[UNICAST, MULTICAST], sharing_fraction=1.0, solvers=["eva"]

@@ -6,35 +6,40 @@ import numpy as np
 import pytest
 
 from tiercast.experiments import preset_config, run_sweep
-from tiercast.metrics import jain_index, resource_utilization, summarize
+from tiercast.metrics import jain_index, summarize
 from tiercast.problem import MULTICAST, UNICAST, Solution, is_feasible, objective
 from tiercast.solvers import SolverReport, solve_bb, solve_elva, solve_eva, solve_sinr
 
 from conftest import fig1_instance, random_tiny_instance
 
 
-def test_utilization_empty_solution_is_zero():
-    inst = fig1_instance()
+def _mean_utilization(inst, sol):
+    return summarize(inst, {"x": _report("x", inst, sol)}).solvers["x"].mean_utilization
+
+
+def test_summarize_utilization_of_an_empty_allocation_is_the_broadcast_share():
+    inst = fig1_instance()  # budget 1000 per cell
+    # Each cell pays its users' largest basic cost: 2 and 2.
     sol = Solution(assoc=np.array([0, 0, 1]))
-    util = resource_utilization(inst, sol)
-    assert util[0] == pytest.approx(2 / 1000)
+    assert _mean_utilization(inst, sol) == pytest.approx((2 / 1000 + 2 / 1000) / 2)
+    # An empty cell pays nothing; cell 1 pays 4.
     sol_none = Solution(assoc=np.array([1, 1, 1]))
-    assert resource_utilization(inst, sol_none)[0] == 0.0
+    assert _mean_utilization(inst, sol_none) == pytest.approx((0 + 4 / 1000) / 2)
 
 
-def test_utilization_exhausted_cell_reaches_one():
-    inst = fig1_instance(ample_budget=False)  # budget 24
+def test_summarize_utilization_of_an_exhausted_cell_reaches_one():
+    inst = fig1_instance(ample_budget=False)  # budget 24 per cell
+    # Cell 0 pays 2 + 10 + 10 + 0.2 * 10 = 24; cell 1 pays user 2's 2.
     sol = Solution(assoc=np.array([0, 0, 1]), alloc={(0, 0): 1.0, (0, 2): 1.0, (1, 0): 0.2})
-    util = resource_utilization(inst, sol)
-    assert util[0] == pytest.approx(1.0, abs=1e-9)
+    assert _mean_utilization(inst, sol) == pytest.approx((1.0 + 2 / 24) / 2, abs=1e-9)
 
 
-def test_utilization_never_exceeds_one_for_feasible(rng):
+def test_summarize_utilization_of_a_feasible_elva_result_is_at_most_one(rng):
     for _ in range(50):
         inst = random_tiny_instance(rng)
-        sol, _ = solve_elva(inst)
-        assert is_feasible(inst, sol).feasible
-        assert (resource_utilization(inst, sol) <= 1 + 1e-9).all()
+        row = summarize(inst, {"elva": solve_elva(inst)}).solvers["elva"]
+        assert row.feasible
+        assert 0.0 < row.mean_utilization <= 1 + 1e-9
 
 
 def test_jain_values():

@@ -156,6 +156,16 @@ def test_instance_rejects_entries_beyond_int64():
         )
 
 
+def test_instance_refuses_no_cells():
+    # Every solver failed on such an instance; brute force with a traceback.
+    with pytest.raises(ValueError, match="n_cells must be >= 1, got 0"):
+        Instance(
+            n_users=2, n_cells=0, n_views=2, w=np.zeros((2, 0, 2)),
+            rb_budget=np.zeros(0), rb_basic=np.zeros((2, 0)),
+            rb_enhanced=np.zeros((2, 0, 2)),
+        )
+
+
 def test_rb_usage_multicast_max_versus_sum():
     inst = fig1_instance()
     inst.sharing[:, 2] = 1

@@ -101,6 +101,19 @@ def test_topology_that_cannot_be_placed_is_refused(kind, radius, message):
         generate_topology(kind, 3, 5, map_radius=radius, seed=0)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "hotspot"])
+@pytest.mark.parametrize("sigma", [-1.0, float("nan")])
+def test_hotspot_sigma_below_zero_is_refused_by_name(kind, sigma):
+    # At -1 the hotspot draw used to stop in numpy with "scale < 0".
+    with pytest.raises(ValueError, match="hotspot_sigma must be >= 0"):
+        generate_topology(kind, 3, 5, hotspot_sigma=sigma, seed=0)
+
+
+def test_hotspot_sigma_zero_puts_every_cell_at_the_centre():
+    topology = generate_topology("hotspot", 3, 5, hotspot_sigma=0.0, seed=0)
+    assert (topology.cell_positions == 0.0).all()
+
+
 def test_user_near_a_cell_is_drawn_again():
     # On a 3 m disc users often land within 1 m of the one cell. Each such
     # user is drawn again; every other draw stays where it fell.

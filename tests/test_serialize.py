@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from tiercast import serialize
 from tiercast.problem import Instance
-from tiercast.scenario import generate_topology
 from tiercast.solvers import solve_sinr
 
 from conftest import random_tiny_instance
@@ -60,16 +59,6 @@ def _zero_stream(n_bytes):
     chunk = bytes(2**20)
     body = b"".join(packer.compress(chunk) for _ in range(n_bytes // len(chunk)))
     return body + packer.flush()
-
-
-def test_topology_round_trip(tmp_path):
-    topo = generate_topology("hotspot", 4, 9, seed=2)
-    path = tmp_path / "topo.json"
-    serialize.save_topology(topo, path)
-    back = serialize.load_topology(path)
-    assert (back.cell_positions == topo.cell_positions).all()
-    assert (back.user_positions == topo.user_positions).all()
-    assert back.map_radius == topo.map_radius
 
 
 def test_instance_round_trip_with_sharing(tmp_path, rng):
@@ -294,20 +283,3 @@ def test_solution_rejects_missing_field(tmp_path, field):
 def test_solution_rejects_malformed_lists(tmp_path, payload, message):
     with pytest.raises(serialize.SchemaError, match=message):
         serialize.load_solution(_write(tmp_path, payload))
-
-
-@pytest.mark.parametrize(
-    "corrupt, message",
-    [
-        (lambda d: _without(d, "user_positions"), "missing field 'user_positions'"),
-        (lambda d: {**d, "cell_positions": [1, 2]}, "cell_positions must be a list of"),
-        (lambda d: {**d, "cell_positions": [[0.0, 0.0, 0.0]]}, "cell_positions must be"),
-        (lambda d: {**d, "user_positions": [[float("nan"), 1.0]]}, "user_positions must be"),
-        (lambda d: {**d, "map_radius": "1000"}, "map_radius must be a finite number"),
-    ],
-    ids=["missing-field", "flat-array", "three-columns", "non-finite", "string-radius"],
-)
-def test_malformed_topology_raises_schema_error(tmp_path, corrupt, message):
-    payload = corrupt(serialize.topology_to_dict(generate_topology("hotspot", 2, 3, seed=1)))
-    with pytest.raises(serialize.SchemaError, match=message):
-        serialize.load_topology(_write(tmp_path, payload))

@@ -347,6 +347,23 @@ def test_all_solvers_feasible_and_deterministic(rng):
             assert r1.objective == r2.objective
 
 
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+@pytest.mark.parametrize(
+    "solve", [solve_bb, solve_bruteforce, solve_elva, solve_eva, solve_sinr]
+)
+def test_solvers_return_an_empty_feasible_result_with_no_users(solve, mode):
+    # ELVA used to stop in compute_nbar on the max of an empty array.
+    inst = Instance(
+        n_users=0, n_cells=2, n_views=3, w=np.zeros((0, 2, 3)),
+        rb_budget=np.array([5, 5]), rb_basic=np.zeros((0, 2)),
+        rb_enhanced=np.zeros((0, 2, 3)),
+    )
+    sol, report = solve(inst, mode=mode)
+    assert report.objective == 0.0
+    assert sol.assoc.shape == (0,) and sol.alloc == {}
+    assert is_feasible(inst, sol, mode).feasible
+
+
 def test_bruteforce_single_user_scans_cells():
     inst = random_tiny_instance(np.random.default_rng(9))
     inst_one = Instance(
