@@ -17,10 +17,6 @@ import numpy as np
 UNREACHABLE_RBS = 2**40
 
 
-class InstanceConstructionError(ValueError):
-    """Instance inputs cannot yield a usable cost table."""
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Propagation and radio constants.
@@ -106,14 +102,14 @@ def build_rb_tables(
     Returns ``(basic, enhanced)``: the (M, S) and (M, S, E) int64 RB costs,
     every entry >= 1; links with zero rate carry ``UNREACHABLE_RBS``.
     Shadow fading is drawn once per (user, cell) link from N(0, shadow_sigma).
-    Raises InstanceConstructionError if some user has zero rate to every cell.
+    Raises ``ValueError`` if some user has zero rate to every cell.
     """
     view_sizes = np.asarray(view_sizes, dtype=float)
     n_users = np.asarray(user_positions).shape[0]
     n_cells = np.asarray(cell_positions).shape[0]
     n_views = view_sizes.shape[0]
     if n_users == 0 or n_cells == 0 or n_views == 0:
-        raise InstanceConstructionError("topology and view list must be nonempty")
+        raise ValueError("topology and view list must be nonempty")
     if basic_size <= 0 or (view_sizes <= 0).any():
         raise ValueError("payload sizes must be positive")
 
@@ -124,13 +120,13 @@ def build_rb_tables(
     dead = bits <= 0.0
     if dead.all(axis=1).any():
         i = int(np.flatnonzero(dead.all(axis=1))[0])
-        raise InstanceConstructionError(f"user {i} has zero rate to every cell")
+        raise ValueError(f"user {i} has zero rate to every cell")
 
+    # A dead link divides its payload by 0 bits: the cost is +inf, which
+    # the clip sends to UNREACHABLE_RBS.
     with np.errstate(divide="ignore"):
         basic = np.clip(np.ceil(basic_size / bits), 1, UNREACHABLE_RBS)
         enhanced = np.clip(
             np.ceil(view_sizes[None, None, :] / bits[:, :, None]), 1, UNREACHABLE_RBS
         )
-    basic = np.where(dead, UNREACHABLE_RBS, basic).astype(np.int64)
-    enhanced = np.where(dead[:, :, None], UNREACHABLE_RBS, enhanced).astype(np.int64)
-    return basic, enhanced
+    return basic.astype(np.int64), enhanced.astype(np.int64)

@@ -55,6 +55,10 @@ def _load_config(args) -> ExperimentConfig:
         config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
     else:
         config = ExperimentConfig()
+    if args.command == "generate":
+        # One instance at the base values: the flags may set a field that
+        # the preset sweeps.
+        config = dataclasses.replace(config, sweep_param="none", sweep_values=[None])
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(ExperimentConfig)

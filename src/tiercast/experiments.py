@@ -106,7 +106,17 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}")
-        if self.sweep_param != "none":
+        # Each point replaces the swept field, so a value set for it, or a
+        # list of values with no field to sweep, would have no effect.
+        if self.sweep_param == "none":
+            if self.sweep_values != [None]:
+                raise ValueError("sweep_values given without a sweep_param")
+        else:
+            base = getattr(self, self.sweep_param)
+            if base != getattr(type(self), self.sweep_param):  # its default
+                raise ValueError(
+                    f"{self.sweep_param} is swept, so it cannot be set (got {base!r})"
+                )
             for value in self.sweep_values:
                 self.at_sweep_value(value)  # each point passes these checks
 
@@ -203,6 +213,8 @@ def build_experiment_instance(
 ) -> tuple[Instance, Topology]:
     """Generate the full instance for one replication seed."""
     base = config.master_seed + seed
+    if base < 0:
+        raise ValueError(f"master_seed + seed must be >= 0, got {base}")
     topology = generate_topology(
         config.scenario,
         config.n_cells,

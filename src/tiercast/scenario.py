@@ -25,25 +25,15 @@ MIN_USER_CELL_DISTANCE = 1.0
 MAX_DRAWS = 10_000
 
 
-class PlacementError(ValueError):
-    """Cache placement cannot satisfy the coverage requirement."""
-
-
 @dataclass(frozen=True)
 class Topology:
-    """Cell and user positions inside a disc centered at the origin."""
+    """Cell and user positions inside a disc centered at the origin, each user
+    ``MIN_USER_CELL_DISTANCE`` or more from every cell: ``generate_topology``
+    keeps both rules, and this class checks neither."""
 
     cell_positions: np.ndarray  # (S, 2) meters
     user_positions: np.ndarray  # (M, 2) meters
     map_radius: float
-
-    def __post_init__(self):
-        tol = 1e-9 * max(self.map_radius, 1.0)
-        for pts in (self.cell_positions, self.user_positions):
-            if (np.linalg.norm(pts, axis=1) > self.map_radius + tol).any():
-                raise ValueError("point outside the map disc")
-        if (self.distances() == 0).any():
-            raise ValueError("user collocated with a cell")
 
     @property
     def n_cells(self) -> int:
@@ -142,6 +132,8 @@ def generate_demands(
         raise ValueError(f"views_per_user must be >= 0, got {views_per_user}")
     if views_per_user > n_views:
         raise ValueError("views_per_user exceeds n_views")
+    if not popularity_skew >= 0:
+        raise ValueError(f"popularity_skew must be >= 0, got {popularity_skew}")
     if views_per_user == n_views:
         # Every user wants every view. The draw would only permute them, and
         # its generator is local to this call, so skipping it moves nothing.
@@ -171,9 +163,9 @@ def place_caches(
     n_cells = topology.n_cells
     n_views = wants.shape[1]
     if cache_capacity < 1:
-        raise PlacementError("cache capacity must be >= 1")
+        raise ValueError("cache capacity must be >= 1")
     if n_views > n_cells * cache_capacity:
-        raise PlacementError(
+        raise ValueError(
             f"cannot cover {n_views} views with {n_cells} cells of capacity "
             f"{cache_capacity}"
         )

@@ -21,7 +21,7 @@ converted.
 Topologies (``topology/v1``) are written only, never read back: their
 positions as lists of ``[x, y]`` pairs, and the map radius. Solutions
 (``solution/v1``) store the association as a list and the allocation as
-``[user, view, y]`` triples. Both loaders raise ``SchemaError`` on a wrong
+``[user, view, y]`` triples. Both loaders raise ``ValueError`` on a wrong
 tag, a missing field or a field of the wrong type or size; the solution
 loader also on a non-finite allocation share or a repeated entry.
 """
@@ -54,10 +54,6 @@ _INSTANCE_ARRAYS = tuple(
 _INT64 = range(-(2**63), 2**63)
 
 
-class SchemaError(ValueError):
-    """Payload does not match the expected schema tag or shape."""
-
-
 def _is_int(value) -> bool:
     """A JSON integer that fits int64 (``true`` and ``2.0`` do not count)."""
     return isinstance(value, int) and not isinstance(value, bool) and value in _INT64
@@ -72,7 +68,7 @@ def _field(data: dict, name: str):
     try:
         return data[name]
     except KeyError:
-        raise SchemaError(f"missing field {name!r}") from None
+        raise ValueError(f"missing field {name!r}") from None
 
 
 def _dump(obj: dict, path) -> None:
@@ -85,7 +81,7 @@ def _load(path, expected_schema: str) -> dict:
     data = json.loads(Path(path).read_bytes())
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != expected_schema:
-        raise SchemaError(f"expected schema {expected_schema!r}, got {schema!r}")
+        raise ValueError(f"expected schema {expected_schema!r}, got {schema!r}")
     return data
 
 
@@ -127,7 +123,7 @@ def _decode(data: dict, name: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
             raise ValueError(f"{len(raw)} bytes, expected {size} for shape {shape}")
         stored = np.frombuffer(raw, dtype=dtype).reshape(shape)
     except (TypeError, ValueError, zlib.error) as exc:
-        raise SchemaError(f"array {name!r}: {exc}") from None
+        raise ValueError(f"array {name!r}: {exc}") from None
     return stored.astype(dtype.type)
 
 
@@ -142,7 +138,7 @@ def instance_from_dict(data: dict) -> Instance:
     counts = {name: _field(data, name) for name in _COUNTS}
     for name, value in counts.items():
         if not _is_int(value) or value < 0:
-            raise SchemaError(f"{name} must be an integer >= 0, got {value!r}")
+            raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
     arrays = {
         name: _decode(data, name, dtype, tuple(counts[d] for d in dims))
         for name, dtype, dims in _INSTANCE_ARRAYS
@@ -164,10 +160,10 @@ def solution_to_dict(solution: Solution) -> dict:
 def solution_from_dict(data: dict) -> Solution:
     assoc = _field(data, "assoc")
     if not isinstance(assoc, list) or not all(map(_is_int, assoc)):
-        raise SchemaError("assoc must be a list of integer cell indices")
+        raise ValueError("assoc must be a list of integer cell indices")
     entries = _field(data, "alloc")
     if not isinstance(entries, list):
-        raise SchemaError("alloc must be a list of [user, view, y]")
+        raise ValueError("alloc must be a list of [user, view, y]")
     alloc = {}
     for entry in entries:
         if not (
@@ -176,12 +172,12 @@ def solution_from_dict(data: dict) -> Solution:
             and _is_int(entry[0])
             and _is_int(entry[1])
         ):
-            raise SchemaError(f"alloc entry {entry!r} is not [user, view, y]")
+            raise ValueError(f"alloc entry {entry!r} is not [user, view, y]")
         i, k, y = entry
         if not _is_finite_number(y):
-            raise SchemaError(f"alloc entry {entry!r}: y must be a finite number")
+            raise ValueError(f"alloc entry {entry!r}: y must be a finite number")
         if (i, k) in alloc:
-            raise SchemaError(f"alloc entry ({i}, {k}) given twice")
+            raise ValueError(f"alloc entry ({i}, {k}) given twice")
         alloc[(i, k)] = float(y)
     return Solution(assoc=np.asarray(assoc, dtype=np.int64), alloc=alloc)
 

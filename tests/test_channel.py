@@ -15,8 +15,8 @@ from channel_reference import (
     sinr,
 )
 from tiercast.channel import (
+    UNREACHABLE_RBS,
     ChannelParams,
-    InstanceConstructionError,
     build_rb_tables,
     link_bits_per_rb,
 )
@@ -243,7 +243,7 @@ def test_vectorized_bits_reject_a_collocated_user():
 def test_rb_tables_reject_an_empty_axis(n_cells, n_users, view_sizes):
     cells = np.full((n_cells, 2), 10.0)
     users = np.zeros((n_users, 2))
-    with pytest.raises(InstanceConstructionError, match="must be nonempty"):
+    with pytest.raises(ValueError, match="must be nonempty"):
         build_rb_tables(cells, users, TABLE_PARAMS, 2e6, np.array(view_sizes), seed=0)
 
 
@@ -260,5 +260,22 @@ def test_rb_tables_reject_a_nonpositive_payload(basic_size, view_sizes):
 def test_all_links_dead_raises():
     cells = np.array([[0.0, 0.0]])
     users = np.array([[1e150, 0.0]])
-    with pytest.raises(InstanceConstructionError):
+    with pytest.raises(ValueError, match="user 0 has zero rate to every cell"):
         build_rb_tables(cells, users, TABLE_PARAMS, 2e6, np.array([2e6]), seed=0)
+
+
+def test_a_dead_link_costs_unreachable_rbs():
+    # At 1e9 m the SNR is ~1e-23, so 1 + SINR rounds to 1 and the link
+    # carries 0 bits; the user's link to the cell 10 m away stays live.
+    cells = np.array([[0.0, 0.0], [1e9, 0.0]])
+    users = np.array([[10.0, 0.0]])
+    bits = link_bits_per_rb(cells, users, ChannelParams(), np.zeros((1, 2)))
+    assert bits[0, 0] > 0 and bits[0, 1] == 0.0
+    basic, enhanced = build_rb_tables(
+        cells, users, ChannelParams(), 2e6, np.array([1e6, 2e6]), seed=0
+    )
+    assert basic.dtype == enhanced.dtype == np.int64
+    assert basic[0, 1] == UNREACHABLE_RBS
+    assert (enhanced[0, 1] == UNREACHABLE_RBS).all()
+    assert 1 <= basic[0, 0] < UNREACHABLE_RBS
+    assert (1 <= enhanced[0, 0]).all() and (enhanced[0, 0] < UNREACHABLE_RBS).all()

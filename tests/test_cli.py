@@ -371,6 +371,41 @@ def test_sweep_refuses_an_out_of_range_swept_eva_p(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--preset", "fig9", "--cache-capacity", "0"],
+        ["--preset", "fig8", "--eva-p", "0"],
+        ["--preset", "fig3", "--n-views", "7"],
+    ],
+    ids=["fig9-cache-capacity", "fig8-eva-p", "fig3-n-views"],
+)
+def test_sweep_refuses_a_setting_of_the_swept_field(flags, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["sweep", *flags, "--seeds", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err and "is swept" in err
+    assert not out.exists()
+
+
+def test_sweep_refuses_sweep_values_without_a_sweep_param(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sweep_values": [1, 2, 3]}))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    assert "sweep_values given without a sweep_param" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_refuses_a_negative_seed_by_name(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["generate", "--seed", "-1", "--out", str(out)]) == 1
+    assert "master_seed + seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    # A negative seed with a larger master seed sums to a valid one.
+    assert main(["generate", "--master-seed", "5", "--seed", "-3", "--out", str(out)]) == 0
+
+
 def test_solve_bruteforce_cap_exit_code(tmp_path, capsys):
     out = tmp_path / "big.json"
     rc = main(

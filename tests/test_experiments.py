@@ -20,6 +20,7 @@ from tiercast.problem import MULTICAST, UNICAST
 
 def small_config(**kwargs):
     defaults = dict(n_users=8, n_cells=3, n_views=3, seeds=[0], solvers=["sinr"])
+    defaults.pop(kwargs.get("sweep_param"), None)  # a swept field keeps its default
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
 
@@ -52,6 +53,18 @@ def test_config_validation():
         ExperimentConfig(modes=["broadcast"])
     with pytest.raises(ValueError, match="unknown solver 'elvaa'"):
         ExperimentConfig(solvers=["sinr", "elvaa"])
+
+
+def test_a_negative_seed_sum_is_refused_by_name():
+    with pytest.raises(ValueError, match="master_seed \\+ seed must be >= 0, got -1"):
+        build_experiment_instance(small_config(), -1)
+    # Only the sum is a seed: 5 + -3 draws the instance of 2 + 0.
+    shifted, _ = build_experiment_instance(small_config(master_seed=5), -3)
+    plain, _ = build_experiment_instance(small_config(master_seed=2), 0)
+    assert (shifted.rb_basic == plain.rb_basic).all()
+    assert (shifted.w == plain.w).all()
+    [row] = run_sweep(small_config(seeds=[-1]))
+    assert row["status"] == "generation failed: master_seed + seed must be >= 0, got -1"
 
 
 def test_a_partial_channel_object_keeps_the_channel_defaults():

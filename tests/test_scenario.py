@@ -11,7 +11,6 @@ from tiercast.problem import Solution, objective
 from tiercast.scenario import (
     MAX_DRAWS,
     MIN_USER_CELL_DISTANCE,
-    PlacementError,
     Topology,
     build_instance,
     generate_demands,
@@ -65,21 +64,6 @@ def test_topology_rejects_bad_kind_and_counts():
         generate_topology("grid", 1, 1)
     with pytest.raises(ValueError):
         generate_topology("uniform", 0, 1)
-
-
-def test_topology_invariant_checks():
-    with pytest.raises(ValueError):
-        Topology(
-            cell_positions=np.array([[2000.0, 0.0]]),
-            user_positions=np.array([[0.0, 0.0]]),
-            map_radius=1000.0,
-        )
-    with pytest.raises(ValueError):
-        Topology(
-            cell_positions=np.array([[10.0, 0.0]]),
-            user_positions=np.array([[10.0, 0.0]]),
-            map_radius=1000.0,
-        )
 
 
 @pytest.mark.parametrize(
@@ -187,6 +171,15 @@ def test_demands_deterministic_and_validated():
         generate_demands(3, 2, -1)
 
 
+@pytest.mark.parametrize("skew", [-5, -5.0, float("nan")])
+@pytest.mark.parametrize("per_user", [2, 5], ids=["draw", "every-view"])
+def test_negative_popularity_skew_is_refused_by_name(skew, per_user):
+    # Refused on both paths: the Zipf draw and the every-view shortcut. A
+    # negative skew would make view 0 the least popular rank.
+    with pytest.raises(ValueError, match="popularity_skew must be >= 0"):
+        generate_demands(4, 5, per_user, popularity_skew=skew, seed=0)
+
+
 def test_place_caches_coverage_and_capacity():
     topo = generate_topology("uniform", 10, 40, seed=11)
     demands = generate_demands(40, 5, 5, seed=12)
@@ -211,9 +204,11 @@ def test_place_caches_single_cell_full_replication():
 def test_place_caches_rejects_uncoverable():
     topo = generate_topology("uniform", 3, 5, seed=17)
     demands = generate_demands(5, 10, 2, seed=18)
-    with pytest.raises(PlacementError):
+    with pytest.raises(
+        ValueError, match="cannot cover 10 views with 3 cells of capacity 2"
+    ):
         place_caches(demands, topo, 2)
-    with pytest.raises(PlacementError):
+    with pytest.raises(ValueError, match="cache capacity must be >= 1"):
         place_caches(demands, topo, 0)
 
 
