@@ -5,6 +5,12 @@ flag included), 2 infeasible result or enumeration cap exceeded. ``sweep``
 is the exception: it records a failed generation or solve, an exceeded cap
 included, in the row's status, writes every row, and exits 1 if any row
 failed; an infeasible result is an ``ok`` row with ``feasible`` False.
+
+Every output file (``--out``, ``--topology-out``, ``--solution-out``) is
+written the same way: its parent directory is created, and a write that fails
+exits 1, a failed ``--topology-out`` taking the instance it follows with it.
+An output that resolves to the same file as an input (the config, instance
+or solution) or as another output is refused, exit 1, before any work starts.
 """
 
 from __future__ import annotations
@@ -43,6 +49,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
+# The files a command reads, then the files it writes, by argparse dest.
+_INPUTS = ("config", "instance", "solution")
+_OUTPUTS = ("out", "topology_out", "solution_out")
+
+
+def _check_paths(args):
+    """Raises ``ValueError`` on an output that resolves to the same file as
+    an input or as another output: the later write would replace it."""
+    seen = {}
+    for name in _INPUTS + _OUTPUTS:
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        key = Path(path).resolve()
+        if name in _OUTPUTS and key in seen:
+            raise ValueError(f"{name} and {seen[key]} are the same file: {path}")
+        seen.setdefault(key, name)
+
+
 def _load_config(args) -> ExperimentConfig:
     """Config from preset, file or defaults; then the flags, which take
     precedence.
@@ -64,6 +89,13 @@ def _load_config(args) -> ExperimentConfig:
         for f in dataclasses.fields(ExperimentConfig)
         if getattr(args, f.name, None) is not None
     }
+    # A sweep replaces the swept field at every point, so a flag that sets
+    # it would have no effect, even one that restates the default.
+    if config.sweep_param in overrides:
+        raise ValueError(
+            f"{config.sweep_param} is swept, so it cannot be set "
+            f"(got {overrides[config.sweep_param]!r})"
+        )
     if getattr(args, "seeds", None) is not None:
         overrides["seeds"] = list(range(args.seeds))
     if getattr(args, "solvers", None) is not None:
@@ -88,9 +120,17 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--master-seed", dest="master_seed", type=int)
 
 
-def _cannot_write(path, exc: OSError) -> int:
-    print(f"cannot write {path}: {exc}", file=sys.stderr)
-    return EXIT_VALIDATION
+def _write(path, save) -> bool:
+    """Write one output by ``save(path)`` after creating its parent
+    directory. Reports an ``OSError`` and returns False."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save(path)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_generate(args, config: ExperimentConfig) -> int:
@@ -99,22 +139,17 @@ def cmd_generate(args, config: ExperimentConfig) -> int:
     except ValueError as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        serialize.save_instance(instance, out)
-    except OSError as exc:
-        return _cannot_write(out, exc)
-    if args.topology_out:
-        try:
-            serialize.save_topology(topology, args.topology_out)
-        except OSError as exc:
-            out.unlink()  # no instance without the topology asked for
-            return _cannot_write(args.topology_out, exc)
+    if not _write(args.out, lambda path: serialize.save_instance(instance, path)):
+        return EXIT_VALIDATION
+    if args.topology_out and not _write(
+        args.topology_out, lambda path: serialize.save_topology(topology, path)
+    ):
+        Path(args.out).unlink()  # no instance without the topology asked for
+        return EXIT_VALIDATION
     print(
         json.dumps(
             {
-                "instance": str(out),
+                "instance": str(Path(args.out)),
                 "n_users": instance.n_users,
                 "n_cells": instance.n_cells,
                 "n_views": instance.n_views,
@@ -140,11 +175,10 @@ def cmd_solve(args, config: ExperimentConfig) -> int:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    if args.solution_out:
-        try:
-            serialize.save_solution(solution, args.solution_out)
-        except OSError as exc:
-            return _cannot_write(args.solution_out, exc)
+    if args.solution_out and not _write(
+        args.solution_out, lambda path: serialize.save_solution(solution, path)
+    ):
+        return EXIT_VALIDATION
     feasible = is_feasible(instance, solution, args.mode)
     payload = dataclasses.asdict(report)
     payload["feasible"] = feasible.feasible
@@ -154,23 +188,20 @@ def cmd_solve(args, config: ExperimentConfig) -> int:
 
 
 def cmd_sweep(args, config: ExperimentConfig) -> int:
-    out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        fh = out.open("w", newline="")
-    except OSError as exc:
-        return _cannot_write(out, exc)
-    n_rows = 0
-    failures = 0
-    with fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_COLUMNS)
-        writer.writeheader()
-        for row in run_sweep(config):
-            writer.writerow(row)
-            n_rows += 1
-            if row["status"] != "ok":
-                failures += 1
-    print(json.dumps({"csv": str(out), "rows": n_rows, "failures": failures}))
+    statuses = []
+
+    def save(path):
+        with path.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_COLUMNS)
+            writer.writeheader()
+            for row in run_sweep(config):
+                writer.writerow(row)
+                statuses.append(row["status"])
+
+    if not _write(args.out, save):
+        return EXIT_VALIDATION
+    failures = sum(status != "ok" for status in statuses)
+    print(json.dumps({"csv": str(Path(args.out)), "rows": len(statuses), "failures": failures}))
     return EXIT_OK if failures == 0 else EXIT_VALIDATION
 
 
@@ -258,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_paths(args)
         # Flags not given keep the defaults of ExperimentConfig.
         config = _load_config(args)
     except (OSError, ValueError) as exc:

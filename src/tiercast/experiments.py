@@ -91,11 +91,6 @@ class ExperimentConfig:
         _check_fields(type(self), values, "config")
         if self.sweep_param not in SWEEP_PARAMS:
             raise ValueError(f"unknown sweep_param {self.sweep_param!r}")
-        for name in ("sweep_values", "seeds", "solvers", "modes"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
         for mode in self.modes:
             if mode not in (UNICAST, MULTICAST):
                 raise ValueError(f"unknown mode {mode!r}")
@@ -109,7 +104,7 @@ class ExperimentConfig:
         # Each point replaces the swept field, so a value set for it, or a
         # list of values with no field to sweep, would have no effect.
         if self.sweep_param == "none":
-            if self.sweep_values != [None]:
+            if any(value is not None for value in self.sweep_values):
                 raise ValueError("sweep_values given without a sweep_param")
         else:
             base = getattr(self, self.sweep_param)
@@ -119,6 +114,15 @@ class ExperimentConfig:
                 )
             for value in self.sweep_values:
                 self.at_sweep_value(value)  # each point passes these checks
+        # A repeated entry would run twice and write duplicate rows. Checked
+        # last: by now every sweep value has passed its point check, so has
+        # its field's type and is hashable.
+        for name in ("sweep_values", "seeds", "solvers", "modes"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must be distinct")
 
     def at_sweep_value(self, value) -> "ExperimentConfig":
         """Resolve one sweep point into a concrete configuration."""

@@ -97,7 +97,11 @@ def generate_topology(
                 )
 
     users = _uniform_disc(rng, n_users, map_radius)
-    for idx in range(n_users):
+    topology = Topology(cell_positions=cells, user_positions=users, map_radius=map_radius)
+    # One distance pass finds the users too near a cell; only they are drawn
+    # again, in index order, in place.
+    near = topology.distances().min(axis=1) < MIN_USER_CELL_DISTANCE
+    for idx in np.flatnonzero(near):
         draws = 1
         while (
             np.linalg.norm(cells - users[idx], axis=1).min() < MIN_USER_CELL_DISTANCE
@@ -109,8 +113,7 @@ def generate_topology(
                 )
             users[idx] = _uniform_disc(rng, 1, map_radius)[0]
             draws += 1
-
-    return Topology(cell_positions=cells, user_positions=users, map_radius=map_radius)
+    return topology
 
 
 def generate_demands(

@@ -5,8 +5,9 @@ list, adding its terms one at a time in order. They are the oracles for the
 allocation ledger in ``tiercast.problem``; in ``tiercast.solvers``, for
 the unicast and multicast cell kernels, EVA's and ELVA's per-user fills, the
 single-user gain lookup and ELVA's pair ranking; and, in
-``tiercast.scenario``, for the demand draw and the cache placement, as
-per-user view tuples and per-cell view sets.
+``tiercast.scenario``, for the 1 m user redraw, one user at a time, and
+for the demand draw and the cache placement, as per-user view tuples and
+per-cell view sets.
 
 ``solve_cell_subproblem_multicast`` is the per-view loop with separate
 group and unicast segments that the one-kind group fill replaced. Its
@@ -38,6 +39,7 @@ from tiercast.problem import (
     Violation,
 )
 from tiercast.problem import objective as ledger_objective
+from tiercast.scenario import MIN_USER_CELL_DISTANCE, _uniform_disc
 from tiercast.solvers import (
     CellAllocation,
     SolverReport,
@@ -389,6 +391,19 @@ def elva_fill(instance, i, j, budget, group_charge, mode=UNICAST):
             charge = y * cost
         budget -= charge
     return budget
+
+
+def uniform_topology(n_cells, n_users, map_radius, seed):
+    """``generate_topology("uniform", ...)``'s positions: each user, in index
+    order, drawn again until it lies MIN_USER_CELL_DISTANCE or more from
+    every cell."""
+    rng = np.random.default_rng(seed)
+    cells = _uniform_disc(rng, n_cells, map_radius)
+    users = _uniform_disc(rng, n_users, map_radius)
+    for idx in range(n_users):
+        while np.linalg.norm(cells - users[idx], axis=1).min() < MIN_USER_CELL_DISTANCE:
+            users[idx] = _uniform_disc(rng, 1, map_radius)[0]
+    return cells, users
 
 
 def generate_demands(n_users, n_views, views_per_user, popularity_skew, seed):

@@ -149,6 +149,11 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
              "solvers": ["sinr"]},
             "'n_views'",
         ),
+        (
+            {"sweep_param": "n_views", "sweep_values": [[1]], "seeds": [0],
+             "solvers": ["sinr"]},
+            "'n_views'",
+        ),
         ({"schema": "config/v0"}, "'config/v0'"),
         ({"channel": [0.0]}, "'channel' must be an object"),
         ({"n_users": True}, "'n_users' must be int, got True"),
@@ -163,6 +168,7 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         "nan-eva_p",
         "infinity-map_radius",
         "string-sweep-value",
+        "list-sweep-value",
         "other-schema",
         "channel-not-an-object",
         "bool-n_users",
@@ -218,6 +224,27 @@ def test_sweep_refuses_an_empty_run_list(field, config, flags, tmp_path, capsys)
     rc = main(["sweep", "--config", str(path), *flags, "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.strip() == f"invalid configuration: {field} must be nonempty"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, config, flags",
+    [
+        ("seeds", {"seeds": [0, 0]}, []),
+        ("solvers", {}, ["--seeds", "1", "--solvers", "eva,eva"]),
+        ("modes", {}, ["--seeds", "1", "--mode", "unicast,unicast"]),
+        ("sweep_values", {"sweep_param": "n_views", "sweep_values": [2, 2]}, []),
+    ],
+    ids=["seeds", "solvers", "modes", "sweep_values"],
+)
+def test_sweep_refuses_a_repeated_run_list_entry(field, config, flags, tmp_path, capsys):
+    # A repeated entry used to run twice and write duplicate rows.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    rc = main(["sweep", "--config", str(path), *flags, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == f"invalid configuration: {field} must be distinct"
     assert not out.exists()
 
 
@@ -377,8 +404,14 @@ def test_sweep_refuses_an_out_of_range_swept_eva_p(tmp_path, capsys):
         ["--preset", "fig9", "--cache-capacity", "0"],
         ["--preset", "fig8", "--eva-p", "0"],
         ["--preset", "fig3", "--n-views", "7"],
+        # A flag that restates the default has no effect either.
+        ["--preset", "fig8", "--eva-p", "1"],
+        ["--preset", "fig3", "--n-views", "5"],
     ],
-    ids=["fig9-cache-capacity", "fig8-eva-p", "fig3-n-views"],
+    ids=[
+        "fig9-cache-capacity", "fig8-eva-p", "fig3-n-views",
+        "fig8-eva-p-default", "fig3-n-views-default",
+    ],
 )
 def test_sweep_refuses_a_setting_of_the_swept_field(flags, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -611,17 +644,95 @@ def test_unwritable_output_is_a_validation_error(argv, tmp_path, capsys):
     assert not paths["file"].exists()
 
 
-def test_multicast_round_trip_through_files(tmp_path, capsys):
-    inst_path = tmp_path / "fig4.json"
-    sol_path = tmp_path / "sol.json"
-    assert main(["generate", "--preset", "fig4", "--seed", "0",
-                 "--out", str(inst_path)]) == 0
-    assert serialize.load_instance(inst_path).sharing.any()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", *SMALL, "--out", "x.json", "--topology-out", "link.json"],
+        ["generate", "--config", "x.json", "--out", "link.json"],
+        ["solve", "x.json", "--solver", "sinr", "--solution-out", "link.json"],
+        ["sweep", "--config", "x.json", "--out", "{dir}/x.json"],
+    ],
+    ids=["generate-two-outputs", "generate-config", "solve-instance", "sweep-config"],
+)
+def test_an_output_on_an_input_or_another_output_is_refused(
+    argv, tmp_path, capsys, monkeypatch
+):
+    # Each command names one file twice; the later write used to replace it,
+    # and the command exited 0. Now it stops before any work starts.
+    def work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "build_experiment_instance", work)
+    monkeypatch.setattr(experiments, "build_experiment_instance", work)
+    monkeypatch.setattr(serialize, "load_instance", work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.json").write_text("{}")
+    (tmp_path / "link.json").symlink_to(tmp_path / "x.json")
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
+    assert "are the same file" in capsys.readouterr().err
+    assert (tmp_path / "x.json").read_text() == "{}"
+
+
+def test_every_output_creates_its_parent_directory(tmp_path, capsys):
+    inst, topology, solution, rows = (tmp_path / name / "f" for name in "abcd")
+    assert main(["generate", *SMALL, "--out", str(inst),
+                 "--topology-out", str(topology)]) == 0
+    assert main(["solve", str(inst), "--solver", "sinr",
+                 "--solution-out", str(solution)]) == 0
+    assert main(["sweep", *SMALL, "--solvers", "sinr", "--seeds", "1",
+                 "--out", str(rows)]) == 0
+    assert all(path.is_file() for path in (inst, topology, solution, rows))
+
+
+def _round_trip(tmp_path, capsys, flags, solver, mode="unicast", rel=0.0):
+    """Generate with ``flags`` and seed 0, solve and verify: each exits 0 and
+    verify scores solve's objective, to ``rel``. Returns the loaded instance
+    and solution, and the instance path."""
+    inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+    assert main(["generate", *flags, "--seed", "0", "--out", str(inst_path)]) == 0
     capsys.readouterr()
-    assert main(["solve", str(inst_path), "--solver", "elva", "--mode", "multicast",
+    assert main(["solve", str(inst_path), "--solver", solver, "--mode", mode,
                  "--solution-out", str(sol_path)]) == 0
-    solved = json.loads(capsys.readouterr().out.strip())
-    assert main(["verify", str(inst_path), str(sol_path), "--mode", "multicast"]) == 0
-    verified = json.loads(capsys.readouterr().out.strip())
+    solved = json.loads(capsys.readouterr().out)
+    assert main(["verify", str(inst_path), str(sol_path), "--mode", mode]) == 0
+    verified = json.loads(capsys.readouterr().out)
     assert verified["feasible"] is True
-    assert verified["objective"] == solved["objective"]
+    assert verified["objective"] == pytest.approx(solved["objective"], rel=rel, abs=0)
+    return serialize.load_instance(inst_path), serialize.load_solution(sol_path), inst_path
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--preset", "fig4"], ["--preset", "fig4", "--sharing-fraction", "0.5"]],
+    ids=["fig4", "fig4-half-shared"],
+)
+def test_multicast_round_trip_through_files(flags, tmp_path, capsys):
+    instance, solution, _ = _round_trip(tmp_path, capsys, flags, "elva", "multicast")
+    assert instance.sharing.any()
+    if "--sharing-fraction" in flags:
+        # Half the pairs are in sharing groups, so some cell serves group
+        # members and pairs outside a group together, which no preset does.
+        served = {
+            (int(solution.assoc[i]), int(instance.sharing[i, k]))
+            for (i, k), y in solution.alloc.items()
+            if y > 0
+        }
+        assert {c for c, member in served if member} & {c for c, member in served if not member}
+
+
+def test_fig9_round_trip_through_files(tmp_path, capsys):
+    # fig9 is the only preset whose users want fewer than all views: the Zipf
+    # demand draw and a partial cache fill. Every view is cached at some
+    # cell, so w shows each user's wants. Solve's and verify's sums of the
+    # objective run in different orders, so they can differ in the last bit.
+    instance, _, _ = _round_trip(tmp_path, capsys, ["--preset", "fig9"], "elva", rel=1e-12)
+    assert (instance.w.any(axis=1).sum(axis=1) == 2).all()
+    assert (instance.w.any(axis=0).sum(axis=1) <= 5).all()
+
+
+def test_fig10_round_trip_through_files(tmp_path, capsys):
+    # fig10 is the largest preset: its packed instance file stays under 2 MB
+    # (unpacked it was 12.5 MB). Solve's and verify's objectives can differ
+    # in the last bit, as at fig9.
+    _, _, inst_path = _round_trip(tmp_path, capsys, ["--preset", "fig10"], "eva", rel=1e-12)
+    assert inst_path.stat().st_size < 2_000_000

@@ -116,6 +116,18 @@ def test_user_near_a_cell_is_drawn_again():
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 60), st.sampled_from([5.0, 10.0]),
+       st.integers(0, 2**32 - 1))
+def test_near_users_are_drawn_again_in_index_order(n_cells, n_users, radius, seed):
+    # On a small disc many users land near a cell; every draw must match the
+    # one-user-at-a-time loop bit for bit.
+    topology = generate_topology("uniform", n_cells, n_users, map_radius=radius, seed=seed)
+    cells, users = reference.uniform_topology(n_cells, n_users, radius, seed)
+    assert (topology.cell_positions == cells).all()
+    assert (topology.user_positions == users).all()
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     st.integers(1, 30),
     st.integers(1, 12),

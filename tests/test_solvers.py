@@ -271,9 +271,9 @@ def test_elva_never_beats_bb(rng):
         assert elva.objective <= bb.objective + 1e-9
 
 
-def test_elva_penalizes_unaffordable_pairs_only():
-    # The user's reward sits on a cell whose basic cost tops the best-cell
-    # bound but stays affordable; eligibility must not exclude it.
+def test_elva_reaches_an_affordable_reward_cell_not_an_unaffordable_one():
+    # The user's reward sits on a cell that is not its cheapest but stays
+    # affordable; eligibility must not exclude it.
     inst = Instance(
         n_users=1, n_cells=3, n_views=1,
         w=np.array([[[0], [0], [1]]], dtype=np.int8),
