@@ -80,10 +80,10 @@ class Instance:
                 if stored is None or not (stored == given).all():
                     raise ValueError(f"{name} entries must be {dtype.__name__} integers")
             setattr(self, name, stored)
-        if not np.isin(self.w, (0, 1)).all():
-            raise ValueError("w entries must be 0/1")
-        if not np.isin(self.sharing, (0, 1)).all():
-            raise ValueError("sharing entries must be 0/1")
+        for name in ("w", "sharing"):
+            mask = getattr(self, name)
+            if mask.min(initial=0) < 0 or mask.max(initial=0) > 1:
+                raise ValueError(f"{name} entries must be 0/1")
         if (self.rb_basic < 1).any() or (self.rb_enhanced < 1).any():
             raise ValueError("RB costs must be >= 1")
         if self.n_cells < 1:

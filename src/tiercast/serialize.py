@@ -1,7 +1,8 @@
 """Versioned JSON serialization for topologies, instances, and solutions.
 
 Every payload is one JSON object with a ``schema`` tag. Dumps are
-deterministic: sorted keys, fixed separators.
+deterministic: sorted keys, fixed separators, and a solution's allocation in
+its dict's order.
 
 An ``instance/v4`` object has a plain header: ``n_users`` and ``n_views``
 (integers >= 0) and ``n_cells`` (>= 1, which ``Instance`` checks). Each
@@ -21,9 +22,11 @@ converted.
 Topologies (``topology/v1``) are written only, never read back: their
 positions as lists of ``[x, y]`` pairs, and the map radius. Solutions
 (``solution/v1``) store the association as a list and the allocation as
-``[user, view, y]`` triples. Both loaders raise ``ValueError`` on a wrong
-tag, a missing field or a field of the wrong type or size; the solution
-loader also on a non-finite allocation share or a repeated entry.
+``[user, view, y]`` triples in the allocation dict's order, so that a
+loaded solution sums its objective in the order the solver did. Both
+loaders raise ``ValueError`` on a wrong tag, a missing field or a field of
+the wrong type or size; the solution loader also on a non-finite allocation
+share or a repeated entry.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ def solution_to_dict(solution: Solution) -> dict:
         "assoc": solution.assoc.tolist(),
         "alloc": [
             [int(i), int(k), float(y)]
-            for (i, k), y in sorted(solution.alloc.items())
+            for (i, k), y in solution.alloc.items()
         ],
     }
 

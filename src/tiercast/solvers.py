@@ -4,8 +4,9 @@ All solvers return ``(Solution, SolverReport)`` and are deterministic for a
 fixed instance: each breaks ties by the total order stated in its docstring,
 with the basic RB cost serving as the SINR proxy. EVA, ELVA, bb and brute
 force place each user only at its eligible cells (``_eligible_cells``); SINR,
-the baseline, takes the max-SINR cell. EVA and ELVA pick a user's cell among
-equal scores by one rule, ``_row_best``.
+the baseline, takes the max-SINR cell. Among equal scores, EVA and ELVA both
+prefer the lower basic cost, then the lower index: EVA per user through
+``_row_best``, ELVA over all pairs through its slot order (``solve_elva``).
 
 Every enhanced-view fill, the unicast cell allocator's and EVA's and ELVA's
 per-user ones, goes through ``_fill``: items are taken in the caller's order,
@@ -328,49 +329,6 @@ def _gain_column(costs_j, prefix_j, budget: float) -> np.ndarray:
     return full + (budget - prefix_j[full, users]) / costs_j[full, users]
 
 
-class _PairRanking:
-    """ELVA's greedy pick over an (M, S) score matrix, kept per row.
-
-    Each row keeps its ``_row_best`` summary. ``pick`` compares rows only,
-    and a column rewrite re-summarizes only the rows whose best it can
-    change. Scores must not be NaN.
-    """
-
-    def __init__(self, scores: np.ndarray, nb: np.ndarray):
-        self.scores = scores
-        self.nb = nb
-        self.best, self.ties, self.cell = _row_best(scores, nb)
-
-    def pick(self) -> tuple[int, int, bool]:
-        """The best pair, by lowest basic cost, then user, then cell among
-        equal scores, and whether more than one pair had that score."""
-        i = int(self.best.argmax())
-        at_best = self.best == self.best[i]
-        rows_tied = np.count_nonzero(at_best) > 1
-        if rows_tied:
-            top = at_best.nonzero()[0]
-            i = int(top[self.nb[top, self.cell[top]].argmin()])
-        return i, int(self.cell[i]), bool(rows_tied or self.ties[i] > 1)
-
-    def drop_row(self, i: int):
-        # An all -inf row ties at every cell; keep its summary exact.
-        self.scores[i] = -np.inf
-        self.best[i] = -np.inf
-        self.ties[i] = self.scores.shape[1]
-        self.cell[i] = self.nb[i].argmin()
-
-    def set_column(self, j: int, values: np.ndarray):
-        old = self.scores[:, j]
-        # A row's summary moves only if cell j was at its best or reaches it.
-        stale = (values != old) & (np.maximum(old, values) >= self.best)
-        self.scores[:, j] = values
-        rows = stale.nonzero()[0]
-        if rows.size:
-            self.best[rows], self.ties[rows], self.cell[rows] = _row_best(
-                self.scores[rows], self.nb[rows]
-            )
-
-
 def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, SolverReport]:
     """Submodular-style greedy association with layered budgets.
 
@@ -387,9 +345,11 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     only at cells costlier than their best one. A user with no affordable
     cell ranks all cells.
 
-    Ties among the best-scored pairs go to the lower basic RB cost, then the
-    lower user index, then the lower cell index; ``tie_breaks`` counts the
-    rounds with more than one such pair.
+    Every pair holds one slot of a flat score vector, in ELVA's tie-break
+    order: ascending basic RB cost, then user index, then cell index. Each
+    round takes the first maximum, so among equal scores the lower basic
+    cost wins, then the lower user, then the lower cell; ``tie_breaks``
+    counts the rounds with more than one slot at the maximum.
     """
     start = time.perf_counter()
     m, s = instance.n_users, instance.n_cells
@@ -401,29 +361,37 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     for j in range(s):
         gains[:, j] = _gain_column(costs[j], prefix[j], budgets[j])
 
+    # Slot t holds pair order[t]'s score while the pair is open (eligible,
+    # user unassigned), -inf once closed; gains are finite, so -inf marks a
+    # closed pair. Only the assigned user's and the chosen cell's slots
+    # change per round.
+    order = np.argsort(instance.rb_basic.ravel(), kind="stable")
+    scores = np.where(_eligible_cells(instance), gains, -np.inf).ravel()[order]
+    slot = np.empty(m * s, dtype=np.int64)
+    slot[order] = np.arange(m * s)
+    user_slots = slot.reshape(m, s)
+    cell_slots = user_slots.T.copy()
+
     assoc = np.full(m, -1, dtype=np.int64)
     paid = [{} for _ in range(s)]
     multicast = mode == MULTICAST
     tie_breaks = 0
-
-    # Scores of the open pairs (eligible, user unassigned), -inf elsewhere;
-    # gains are finite, so -inf marks a closed pair. Only the assigned
-    # user's row and the chosen cell's column change per round.
-    ranking = _PairRanking(
-        np.where(_eligible_cells(instance), gains, -np.inf), instance.rb_basic
-    )
     for _ in range(m):
-        i, j, tied = ranking.pick()
-        tie_breaks += tied
+        top = scores.argmax()
+        tie_breaks += int(np.count_nonzero(scores == scores[top]) > 1)
+        i, j = divmod(int(order[top]), s)
         assoc[i] = j
-        ranking.drop_row(i)
+        scores[user_slots[i]] = -np.inf
 
+        before = budgets[j]
         _, budgets[j] = _fill(
             _view_items(instance, i, j, multicast), budgets[j], paid[j]
         )
-        gain = _gain_column(costs[j], prefix[j], budgets[j])
-        column = ranking.scores[:, j]
-        ranking.set_column(j, np.where(column == -np.inf, column, gain))
+        # A cell's gains move only with its budget, and are 0 at or below 0.
+        if budgets[j] != before and (before > 0 or budgets[j] > 0):
+            gain = _gain_column(costs[j], prefix[j], budgets[j])
+            column = scores[cell_slots[j]]
+            scores[cell_slots[j]] = np.where(column == -np.inf, column, gain)
 
     solution, _ = _finalize(instance, assoc, mode)
     return _report("elva", instance, solution, start, tie_breaks=tie_breaks)

@@ -4,7 +4,7 @@ Each is a plain loop over the allocation dict or over a sorted candidate
 list, adding its terms one at a time in order. They are the oracles for the
 allocation ledger in ``tiercast.problem``; in ``tiercast.solvers``, for
 the unicast and multicast cell kernels, EVA's and ELVA's per-user fills, the
-single-user gain lookup and ELVA's pair ranking; and, in
+single-user gain lookup and ELVA's rounds; and, in
 ``tiercast.scenario``, for the 1 m user redraw, one user at a time, and
 for the demand draw and the cache placement, as per-user view tuples and
 per-cell view sets.
@@ -19,6 +19,9 @@ charge / cost.
 unaffordable pair scored ``(N_j - nb_ij) * T`` plus its gain, which is
 negative, below every affordable pair. Wherever every user has an
 affordable cell it is the solver's oracle bit for bit, tie-breaks included.
+``solve_elva_full_scan`` ranks eligible cells only, as the solver does, and
+is its oracle everywhere. Both scan the whole score matrix each round
+(``FullMatrixRanking``) and rewrite the chosen cell's gains after every fill.
 
 ``solve_bb`` is the other way round: the numpy branch-and-bound that the
 list-based search in ``tiercast.solvers`` replaced, kept as the oracle for
@@ -43,8 +46,8 @@ from tiercast.scenario import MIN_USER_CELL_DISTANCE, _uniform_disc
 from tiercast.solvers import (
     CellAllocation,
     SolverReport,
-    _PairRanking,
     _cell_allocator,
+    _eligible_cells,
     _fill,
     _finalize,
     _gain_column,
@@ -324,16 +327,29 @@ def solve_elva(
     lower user index, then the lower cell index; ``tie_breaks`` counts the
     rounds with more than one such pair.
     """
-    start = time.perf_counter()
-    m, s = instance.n_users, instance.n_cells
+    m = instance.n_users
     if T is None:
         T = float(m * instance.n_views + 1)
-    nbar = compute_nbar(instance)
-    nb = instance.rb_basic
-
     penalty = (
-        np.minimum(instance.rb_budget[None, :] - nb.astype(float), 0.0) * T
+        np.minimum(instance.rb_budget[None, :] - instance.rb_basic.astype(float), 0.0) * T
     )
+    return _elva_full_scan(instance, penalty, mode, {"T": T})
+
+
+def solve_elva_full_scan(instance, mode=UNICAST):
+    """ELVA as the solver states it: each round scans every open pair at its
+    eligible cells (``_eligible_cells``), and every fill rewrites the chosen
+    cell's gains."""
+    base = np.where(_eligible_cells(instance), 0.0, -np.inf)
+    return _elva_full_scan(instance, base, mode, {})
+
+
+def _elva_full_scan(instance, base, mode, params):
+    """ELVA's rounds over the (M, S) scores ``base + gain``, ranked by
+    ``FullMatrixRanking``."""
+    start = time.perf_counter()
+    m, s = instance.n_users, instance.n_cells
+    nbar = compute_nbar(instance)
     budgets = (instance.rb_budget.astype(float) - nbar).tolist()
     costs, prefix = _single_user_gain_tables(instance)
 
@@ -347,9 +363,8 @@ def solve_elva(
     multicast = mode == MULTICAST
     tie_breaks = 0
 
-    # Scores of the unassigned pairs; assigned users' rows hold -inf. Only
-    # the assigned user's row and the chosen cell's column change per round.
-    ranking = _PairRanking(penalty + gains, nb)
+    # Scores of the unassigned pairs; assigned users' rows hold -inf.
+    ranking = FullMatrixRanking(base + gains, instance.rb_basic)
     for _ in range(m):
         i, j, tied = ranking.pick()
         tie_breaks += tied
@@ -361,11 +376,11 @@ def solve_elva(
             _view_items(instance, i, j, multicast), budgets[j], paid[j]
         )
         gain = _gain_column(costs[j], prefix[j], budgets[j])
-        ranking.set_column(j, np.where(unassigned, penalty[:, j] + gain, -np.inf))
+        ranking.set_column(j, np.where(unassigned, base[:, j] + gain, -np.inf))
 
     solution, _ = _finalize(instance, assoc, mode)
     return _report(
-        "elva", instance, solution, start, tie_breaks=tie_breaks, params={"T": T}
+        "elva", instance, solution, start, tie_breaks=tie_breaks, params=params
     )
 
 

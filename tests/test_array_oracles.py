@@ -31,7 +31,6 @@ from tiercast.problem import (
 )
 from tiercast.experiments import build_experiment_instance, preset_config
 from tiercast.solvers import (
-    _PairRanking,
     _cell_value,
     solve_bb,
     solve_cell_subproblem,
@@ -422,59 +421,81 @@ def test_gain_column_matches_per_user_loop(inst, data):
     assert _bits(mine) == _bits(ref)
 
 
-SCORES = st.sampled_from([-np.inf, -2.0, 0.0, 0.5, 1.0, 1.0, 2.0, 2.0])
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_pair_ranking_matches_full_matrix_scan(data):
-    m = data.draw(st.integers(1, 6))
-    s = data.draw(st.integers(1, 5))
-    scores = np.array(data.draw(st.lists(SCORES, min_size=m * s, max_size=m * s)))
-    scores = scores.reshape(m, s)
-    nb = np.array(data.draw(st.lists(st.integers(1, 3), min_size=m * s, max_size=m * s)))
-    nb = nb.reshape(m, s)
-    mine = _PairRanking(scores.copy(), nb)
-    ref = reference.FullMatrixRanking(scores.copy(), nb)
-    for _ in range(m):
-        pick = mine.pick()
-        assert pick == ref.pick()
-        mine.drop_row(pick[0])
-        ref.drop_row(pick[0])
-        # Any column, any values: higher, lower, equal or -inf.
-        j = data.draw(st.integers(0, s - 1))
-        values = np.array(data.draw(st.lists(SCORES, min_size=m, max_size=m)))
-        mine.set_column(j, values)
-        ref.set_column(j, values)
-        assert (mine.scores == ref.scores).all()
-
-
-def test_pair_ranking_keeps_dropped_rows_exact():
-    # Once every score is -inf, every pair ties and the cheapest wins, as in
-    # the full scan: a dropped row must not keep its old cell.
-    scores = np.array([[-np.inf, 1.0], [-np.inf, -np.inf]])
-    nb = np.array([[1, 3], [2, 1]])
-    mine = _PairRanking(scores.copy(), nb)
-    ref = reference.FullMatrixRanking(scores.copy(), nb)
-    for _ in range(2):
-        pick = mine.pick()
-        assert pick == ref.pick()
-        mine.drop_row(pick[0])
-        ref.drop_row(pick[0])
-    assert pick == (0, 0, True)
-
-
-@SETTINGS
-@given(instances(), st.sampled_from([UNICAST, MULTICAST]))
-def test_elva_matches_full_matrix_ranking(inst, mode):
+def _assert_same_elva(inst, mode, oracle=reference.solve_elva_full_scan):
     sol, rep = solve_elva(inst, mode=mode)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_PairRanking", reference.FullMatrixRanking)
-        ref_sol, ref_rep = solve_elva(inst, mode=mode)
+    ref_sol, ref_rep = oracle(inst, mode=mode)
     assert list(sol.assoc) == list(ref_sol.assoc)
     assert _items(sol.alloc) == _items(ref_sol.alloc)
     assert _bits([rep.objective]) == _bits([ref_rep.objective])
     assert rep.tie_breaks == ref_rep.tie_breaks
+    return sol, rep
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(), st.sampled_from([UNICAST, MULTICAST]), st.booleans())
+def test_elva_matches_full_scan_elva(inst, mode, starve):
+    # The strategy's budgets fall below some basic costs; ``starve`` also
+    # prices user 0 out of every cell, so that it ranks all of them.
+    if starve:
+        nb = inst.rb_basic.copy()
+        nb[0] = inst.rb_budget + 1
+        inst = dataclasses.replace(inst, rb_basic=nb)
+    _assert_same_elva(inst, mode)
+
+
+def _flat_instance(w, rb_basic, rb_budget, sharing=None):
+    """One view, enhanced cost 1 everywhere."""
+    w = np.asarray(w).reshape(len(rb_basic), len(rb_budget), 1)
+    m, s, _ = w.shape
+    return Instance(
+        n_users=m, n_cells=s, n_views=1, w=w, rb_budget=rb_budget,
+        rb_basic=rb_basic, rb_enhanced=np.ones((m, s, 1)), sharing=sharing,
+    )
+
+
+def test_elva_counts_a_last_round_tie_within_one_users_cells():
+    # User 0 goes first on its one rewarded view. User 1 wants nothing, so
+    # in the last round its two cells tie at 0: the round counts, and the
+    # cheaper cell wins.
+    inst = _flat_instance([[1, 0], [0, 0]], [[1, 1], [2, 1]], [10, 10])
+    sol, rep = _assert_same_elva(inst, UNICAST)
+    assert list(sol.assoc) == [0, 1]
+    assert rep.tie_breaks == 1
+
+
+def test_elva_breaks_ties_across_users_by_basic_cost_then_user():
+    # Every score is 0. Round 1: users 1 and 2 cost 1 at cell 0, and user 1,
+    # the lower, wins. Round 2: user 2 at cost 1 beats user 0 at cost 2.
+    inst = _flat_instance(np.zeros(6), [[2, 3], [1, 2], [1, 3]], [10, 10])
+    sol, rep = _assert_same_elva(inst, UNICAST)
+    assert list(sol.assoc) == [0, 0, 0]
+    assert rep.tie_breaks == 3
+
+
+def test_elva_skips_a_rewrite_the_fill_leaves_unchanged():
+    # Budgets start at 1 (3 - nbar 2). Users 0 and 1 share view 0 at cell 0:
+    # user 0's fill spends the budget, and user 1 rides the group's charge,
+    # leaving it at 0. User 2 wants nothing and takes cell 1, whose budget
+    # stays 1. Only user 0's fill moves a budget, so the solver computes one
+    # gain column after the two initial ones; the full scan rewrites a
+    # column every round, to the same result.
+    inst = _flat_instance(
+        [[1, 0], [1, 0], [0, 0]], [[2, 2], [2, 2], [3, 2]], [3, 3],
+        sharing=[[1], [1], [0]],
+    )
+    budgets = []
+    gain_column = solvers._gain_column
+
+    def counted(costs_j, prefix_j, budget):
+        budgets.append(budget)
+        return gain_column(costs_j, prefix_j, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_gain_column", counted)
+        sol, rep = _assert_same_elva(inst, MULTICAST)
+    assert list(sol.assoc) == [0, 0, 1]
+    assert budgets == [1.0, 1.0, 0.0]
+    assert rep.tie_breaks == 3
 
 
 @settings(max_examples=300, deadline=None)
@@ -484,12 +505,7 @@ def test_elva_matches_penalty_elva_where_every_user_has_an_affordable_cell(inst,
     # <= E - T < 0, below every affordable pair's gain >= 0, so it was never
     # a row's best nor tied with it: ranking eligible cells only is the same.
     assume((inst.rb_basic <= inst.rb_budget).any(axis=1).all())
-    sol, rep = solve_elva(inst, mode=mode)
-    ref_sol, ref_rep = reference.solve_elva(inst, mode=mode)
-    assert list(sol.assoc) == list(ref_sol.assoc)
-    assert _items(sol.alloc) == _items(ref_sol.alloc)
-    assert _bits([rep.objective]) == _bits([ref_rep.objective])
-    assert rep.tie_breaks == ref_rep.tie_breaks
+    _assert_same_elva(inst, mode, reference.solve_elva)
 
 
 @pytest.mark.parametrize("solver", ["sinr", "elva"])

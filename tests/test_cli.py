@@ -684,9 +684,9 @@ def test_every_output_creates_its_parent_directory(tmp_path, capsys):
     assert all(path.is_file() for path in (inst, topology, solution, rows))
 
 
-def _round_trip(tmp_path, capsys, flags, solver, mode="unicast", rel=0.0):
+def _round_trip(tmp_path, capsys, flags, solver, mode="unicast"):
     """Generate with ``flags`` and seed 0, solve and verify: each exits 0 and
-    verify scores solve's objective, to ``rel``. Returns the loaded instance
+    verify scores solve's objective to the bit. Returns the loaded instance
     and solution, and the instance path."""
     inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
     assert main(["generate", *flags, "--seed", "0", "--out", str(inst_path)]) == 0
@@ -697,7 +697,7 @@ def _round_trip(tmp_path, capsys, flags, solver, mode="unicast", rel=0.0):
     assert main(["verify", str(inst_path), str(sol_path), "--mode", mode]) == 0
     verified = json.loads(capsys.readouterr().out)
     assert verified["feasible"] is True
-    assert verified["objective"] == pytest.approx(solved["objective"], rel=rel, abs=0)
+    assert verified["objective"] == solved["objective"]
     return serialize.load_instance(inst_path), serialize.load_solution(sol_path), inst_path
 
 
@@ -723,16 +723,14 @@ def test_multicast_round_trip_through_files(flags, tmp_path, capsys):
 def test_fig9_round_trip_through_files(tmp_path, capsys):
     # fig9 is the only preset whose users want fewer than all views: the Zipf
     # demand draw and a partial cache fill. Every view is cached at some
-    # cell, so w shows each user's wants. Solve's and verify's sums of the
-    # objective run in different orders, so they can differ in the last bit.
-    instance, _, _ = _round_trip(tmp_path, capsys, ["--preset", "fig9"], "elva", rel=1e-12)
+    # cell, so w shows each user's wants.
+    instance, _, _ = _round_trip(tmp_path, capsys, ["--preset", "fig9"], "elva")
     assert (instance.w.any(axis=1).sum(axis=1) == 2).all()
     assert (instance.w.any(axis=0).sum(axis=1) <= 5).all()
 
 
 def test_fig10_round_trip_through_files(tmp_path, capsys):
     # fig10 is the largest preset: its packed instance file stays under 2 MB
-    # (unpacked it was 12.5 MB). Solve's and verify's objectives can differ
-    # in the last bit, as at fig9.
-    _, _, inst_path = _round_trip(tmp_path, capsys, ["--preset", "fig10"], "eva", rel=1e-12)
+    # (unpacked it was 12.5 MB).
+    _, _, inst_path = _round_trip(tmp_path, capsys, ["--preset", "fig10"], "eva")
     assert inst_path.stat().st_size < 2_000_000

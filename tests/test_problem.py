@@ -13,7 +13,7 @@ from tiercast.problem import (
     per_user_rewards,
     rb_usage,
 )
-from tiercast.solvers import solve_sinr
+from tiercast.solvers import solve_elva, solve_sinr
 
 from conftest import fig1_instance, random_tiny_instance
 
@@ -154,6 +154,21 @@ def test_instance_rejects_entries_beyond_int64():
             w=inst.w, rb_budget=[10**20] * inst.n_cells, rb_basic=inst.rb_basic,
             rb_enhanced=inst.rb_enhanced,
         )
+
+
+def test_instance_accepts_no_users():
+    # Empty w and sharing hold no entry outside 0/1; ELVA then places nobody.
+    inst = Instance(
+        n_users=0, n_cells=2, n_views=3, w=np.zeros((0, 2, 3)),
+        rb_budget=[5, 5], rb_basic=np.zeros((0, 2)),
+        rb_enhanced=np.zeros((0, 2, 3)),
+    )
+    assert inst.w.dtype == inst.sharing.dtype == np.int8
+    assert inst.sharing.shape == (0, 3)
+    solution, report = solve_elva(inst)
+    assert solution.assoc.shape == (0,)
+    assert solution.alloc == {}
+    assert report.objective == 0.0 and report.tie_breaks == 0
 
 
 def test_instance_refuses_no_cells():
