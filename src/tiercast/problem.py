@@ -70,16 +70,19 @@ class Instance:
             shape = tuple(getattr(self, d) for d in dims)
             if given.shape != shape:
                 raise ValueError(f"{name} shape {given.shape} != {shape}")
-            # Compared as given, so that no cast turns a bad entry into a
+            # An array of the field's dtype is taken as it is. Any other is
+            # compared as given, so that no cast turns a bad entry into a
             # valid one before the range checks.
-            with np.errstate(invalid="ignore"):
-                try:
-                    stored = given.astype(dtype, copy=False)
-                except OverflowError:  # a Python int beyond int64
-                    stored = None
-                if stored is None or not (stored == given).all():
-                    raise ValueError(f"{name} entries must be {dtype.__name__} integers")
-            setattr(self, name, stored)
+            if given.dtype != dtype:
+                with np.errstate(invalid="ignore"):
+                    try:
+                        stored = given.astype(dtype)
+                    except OverflowError:  # a Python int beyond int64
+                        stored = None
+                    if stored is None or not (stored == given).all():
+                        raise ValueError(f"{name} entries must be {dtype.__name__} integers")
+                given = stored
+            setattr(self, name, given)
         for name in ("w", "sharing"):
             mask = getattr(self, name)
             if mask.min(initial=0) < 0 or mask.max(initial=0) > 1:

@@ -4,20 +4,24 @@ Every payload is one JSON object with a ``schema`` tag. Dumps are
 deterministic: sorted keys, fixed separators, and a solution's allocation in
 its dict's order.
 
-An ``instance/v4`` object has a plain header: ``n_users`` and ``n_views``
+An ``instance/v5`` object has a plain header: ``n_users`` and ``n_views``
 (integers >= 0) and ``n_cells`` (>= 1, which ``Instance`` checks). Each
-array is one base64 string of its little-endian bytes in C order, packed by
-zlib at level 1: ``w`` as ``<i1`` with shape
-``(n_users, n_cells, n_views)``, ``rb_budget`` as ``<i8`` with shape
-``(n_cells,)``, ``rb_basic`` as ``<i8`` with shape ``(n_users, n_cells)``,
-``rb_enhanced`` as ``<i8`` with shape ``(n_users, n_cells, n_views)`` and
-the multicast mask ``sharing`` as ``<i1`` with shape ``(n_users, n_views)``.
-Shapes are not stored; they follow from the header's counts. The loader
-inflates at most one byte more than the counts allow, so a hostile stream
-cannot grow past them, and refuses a stream that is truncated, followed by
-other bytes or of any other length. Loaded arrays are owned, writable and in
-native byte order. Older instance schemas (v1 to v3) are refused, not
-converted.
+array is an object ``{"dtype": "<iN", "data": ...}``: ``data`` is the base64
+of the array's little-endian bytes in C order at that dtype, packed by zlib
+at level 1. The writer stores each array at the narrowest of ``<i1``,
+``<i2``, ``<i4`` and ``<i8`` that holds its minimum and maximum (``<i1``
+when it is empty), so zlib packs fewer bytes; the loader accepts only these
+four, none wider than the array's own dtype, and widens what it reads. The
+arrays are ``w`` (int8) with shape ``(n_users, n_cells, n_views)``,
+``rb_budget`` (int64) with shape ``(n_cells,)``, ``rb_basic`` (int64) with
+shape ``(n_users, n_cells)``, ``rb_enhanced`` (int64) with shape
+``(n_users, n_cells, n_views)`` and the multicast mask ``sharing`` (int8)
+with shape ``(n_users, n_views)``. Shapes are not stored; they follow from
+the header's counts. The loader inflates at most one byte more than the
+stored dtype's size times the counts allow, so a hostile stream cannot grow
+past them, and refuses a stream that is truncated, followed by other bytes
+or of any other length. Loaded arrays are owned, writable and native int8
+or int64. Older instance schemas (v1 to v4) are refused, not converted.
 
 Topologies (``topology/v1``) are written only, never read back: their
 positions as lists of ``[x, y]`` pairs, and the map radius. Solutions
@@ -43,17 +47,13 @@ from .problem import INSTANCE_ARRAYS, Instance, Solution
 from .scenario import Topology
 
 TOPOLOGY_SCHEMA = "topology/v1"
-INSTANCE_SCHEMA = "instance/v4"
+INSTANCE_SCHEMA = "instance/v5"
 SOLUTION_SCHEMA = "solution/v1"
 
 
-# Each instance array: its name, stored little-endian dtype and shape in
-# header counts.
 _COUNTS = ("n_users", "n_cells", "n_views")
-_INSTANCE_ARRAYS = tuple(
-    (name, np.dtype(dtype).newbyteorder("<"), dims)
-    for name, dtype, dims in INSTANCE_ARRAYS
-)
+# The stored widths of an instance array, narrowest first.
+_WIDTHS = ("<i1", "<i2", "<i4", "<i8")
 _INT64 = range(-(2**63), 2**63)
 
 
@@ -101,17 +101,29 @@ def topology_to_dict(topology: Topology) -> dict:
 _ZLIB_LEVEL = 1
 
 
-def _encode(array: np.ndarray, dtype: np.dtype) -> str:
-    raw = np.asarray(array, dtype=dtype).tobytes()
-    return base64.b64encode(zlib.compress(raw, _ZLIB_LEVEL)).decode("ascii")
+def _encode(array: np.ndarray) -> dict:
+    low, high = int(array.min(initial=0)), int(array.max(initial=0))
+    code = next(c for c in _WIDTHS if np.iinfo(c).min <= low and high <= np.iinfo(c).max)
+    raw = np.ascontiguousarray(array, dtype=code)
+    packed = base64.b64encode(zlib.compress(raw, _ZLIB_LEVEL)).decode("ascii")
+    return {"dtype": code, "data": packed}
 
 
-def _decode(data: dict, name: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
-    """The array stored under ``name``: an owned, writable, native-order copy."""
-    payload = _field(data, name)
+def _decode(data: dict, name: str, dtype: type, shape: tuple) -> np.ndarray:
+    """The array stored under ``name``, widened to ``dtype``: an owned,
+    writable, native-order copy."""
+    field = _field(data, name)
     try:
-        packed = base64.b64decode(payload, validate=True)
-        size = dtype.itemsize * math.prod(shape)
+        if not isinstance(field, dict):
+            raise ValueError("must be an object with 'dtype' and 'data'")
+        code = _field(field, "dtype")
+        if code not in _WIDTHS:
+            raise ValueError(f"dtype {code!r} is not one of {', '.join(_WIDTHS)}")
+        stored = np.dtype(code)
+        if stored.itemsize > np.dtype(dtype).itemsize:
+            raise ValueError(f"dtype {code!r} is wider than {dtype.__name__}")
+        packed = base64.b64decode(_field(field, "data"), validate=True)
+        size = stored.itemsize * math.prod(shape)
         # Inflate one byte past the header's size to see an overlong stream;
         # a max_length of 0 would mean no limit at all.
         inflater = zlib.decompressobj()
@@ -124,16 +136,15 @@ def _decode(data: dict, name: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
             raise ValueError("bytes after the end of the zlib stream")
         if len(raw) != size:
             raise ValueError(f"{len(raw)} bytes, expected {size} for shape {shape}")
-        stored = np.frombuffer(raw, dtype=dtype).reshape(shape)
     except (TypeError, ValueError, zlib.error) as exc:
         raise ValueError(f"array {name!r}: {exc}") from None
-    return stored.astype(dtype.type)
+    return np.frombuffer(raw, dtype=stored).reshape(shape).astype(dtype)
 
 
 def instance_to_dict(instance: Instance) -> dict:
     data = {name: getattr(instance, name) for name in _COUNTS}
-    for name, dtype, _ in _INSTANCE_ARRAYS:
-        data[name] = _encode(getattr(instance, name), dtype)
+    for name, _, _ in INSTANCE_ARRAYS:
+        data[name] = _encode(getattr(instance, name))
     return {"schema": INSTANCE_SCHEMA, **data}
 
 
@@ -144,7 +155,7 @@ def instance_from_dict(data: dict) -> Instance:
             raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
     arrays = {
         name: _decode(data, name, dtype, tuple(counts[d] for d in dims))
-        for name, dtype, dims in _INSTANCE_ARRAYS
+        for name, dtype, dims in INSTANCE_ARRAYS
     }
     return Instance(**counts, **arrays)
 
