@@ -31,7 +31,7 @@ PRESETS = [
     ("fig9", [0, 1, 2]),
     ("fig6", [0]),
     ("fig8", [0]),
-    ("fig10", [0]),
+    ("fig10", [0, 1, 2]),
 ]
 
 
@@ -71,7 +71,7 @@ def golden():
 
 
 def test_golden_records_cover_every_preset(golden):
-    assert len(golden) == 314
+    assert len(golden) == 320
     assert {key.split("|")[0] for key in golden} == {name for name, _ in PRESETS}
 
 
