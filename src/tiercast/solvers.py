@@ -81,13 +81,19 @@ def _fill(items, left: float, paid: dict):
         if left <= 0 and not paid:  # spent, and no group to ride on
             break
         charge = paid.get(group, 0.0)
-        y = min(1.0, (max(left, 0.0) + charge) / cost)
+        # The module docstring's min/max rule, bit for bit, in branches.
+        y = ((0.0 if left < 0 else left) + charge) / cost
+        if not y < 1.0:
+            y = 1.0
         if left <= 0 and y <= 0:
             continue
         taken.append((key, y))
-        left -= max(0.0, y * cost - charge)
+        spend = y * cost
+        if spend > charge:
+            left -= spend - charge
+            charge = spend
         if group is not None:
-            paid[group] = max(charge, y * cost)
+            paid[group] = charge
     return taken, left
 
 
@@ -300,26 +306,26 @@ def solve_eva(
 
 def _single_user_gain_tables(instance: Instance):
     """Per cell, the enhanced costs of each user's rewardable views sorted
-    ascending and padded with +inf to E + 1 rows, and their prefix sums,
-    which are +inf past the view count. Both are (S, E + 1, M), so that one
-    cell's tables are contiguous. Back the vectorized gain lookups."""
-    m, s, e = instance.n_users, instance.n_cells, instance.n_views
-    costs = np.full((s, e + 1, m), np.inf)
-    np.copyto(
-        costs[:, :e],
-        instance.rb_enhanced.transpose(1, 2, 0),
-        where=instance.w.transpose(1, 2, 0).astype(bool),
-    )
-    costs[:, :e].sort(axis=1)
-    prefix = np.zeros((s, e + 1, m))
-    np.cumsum(costs[:, :e], axis=1, out=prefix[:, 1:])
+    ascending and padded with +inf to R + 1 rows, R the largest reward count
+    of any pair, and their prefix sums, which are +inf past the view count.
+    Row R is all +inf. Both are (S, R + 1, M), so that one cell's tables are
+    contiguous. Back the vectorized gain lookups."""
+    m, s = instance.n_users, instance.n_cells
+    r = int(instance.reward_counts().max(initial=0))
+    ranked = np.where(instance.w.astype(bool), instance.rb_enhanced, np.inf)
+    ranked.sort(axis=2)
+    costs = np.full((s, r + 1, m), np.inf)
+    costs[:, :r] = ranked[:, :, :r].transpose(1, 2, 0)
+    prefix = np.zeros((s, r + 1, m))
+    for row in range(r):
+        np.add(prefix[:, row], costs[:, row], out=prefix[:, row + 1])
     return costs, prefix
 
 
 def _gain_column(costs_j, prefix_j, budget: float) -> np.ndarray:
     """Single-user fractional-knapsack values for every user against one cell:
     the views that fit whole plus the share of the next one that fits.
-    ``costs_j`` and ``prefix_j`` are the cell's (E + 1, M) gain tables."""
+    ``costs_j`` and ``prefix_j`` are the cell's (R + 1, M) gain tables."""
     if budget <= 0:
         return np.zeros(costs_j.shape[1])
     full = (prefix_j[1:] <= budget).sum(axis=0)
@@ -327,6 +333,18 @@ def _gain_column(costs_j, prefix_j, budget: float) -> np.ndarray:
     # base <= budget < base + next, so the share lies in [0, 1]; past the
     # last view the next cost is +inf and the share 0.
     return full + (budget - prefix_j[full, users]) / costs_j[full, users]
+
+
+def _slot_order(rb_basic: np.ndarray) -> np.ndarray:
+    """The flat (user, cell) pair indices by ascending basic RB cost, then
+    index: ``np.argsort(rb_basic.ravel(), kind="stable")``. The keys
+    nb * n + index are unique, so any sort gives that order; a cost too large
+    for them (numpy wraps silently) falls back to the stable sort."""
+    nb = rb_basic.ravel()
+    n = nb.size
+    if int(nb.max(initial=0)) * n <= np.iinfo(np.int64).max - n:
+        return np.argsort(nb * n + np.arange(n))
+    return np.argsort(nb, kind="stable")
 
 
 def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, SolverReport]:
@@ -365,7 +383,7 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     # user unassigned), -inf once closed; gains are finite, so -inf marks a
     # closed pair. Only the assigned user's and the chosen cell's slots
     # change per round.
-    order = np.argsort(instance.rb_basic.ravel(), kind="stable")
+    order = _slot_order(instance.rb_basic)
     scores = np.where(_eligible_cells(instance), gains, -np.inf).ravel()[order]
     slot = np.empty(m * s, dtype=np.int64)
     slot[order] = np.arange(m * s)
@@ -378,7 +396,8 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     tie_breaks = 0
     for _ in range(m):
         top = scores.argmax()
-        tie_breaks += int(np.count_nonzero(scores == scores[top]) > 1)
+        # argmax takes the first maximum, so a tie can only lie after it.
+        tie_breaks += int(scores[top + 1:].max(initial=-np.inf) == scores[top])
         i, j = divmod(int(order[top]), s)
         assoc[i] = j
         scores[user_slots[i]] = -np.inf

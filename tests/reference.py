@@ -9,6 +9,10 @@ single-user gain lookup and ELVA's rounds; and, in
 for the demand draw and the cache placement, as per-user view tuples and
 per-cell view sets.
 
+``fill`` is the enhanced-view fill with builtin ``min`` / ``max``, as it
+was before ``_fill`` spelt the same rule in branches; the oracle for
+``_fill``'s taken shares, budget left and group charges.
+
 ``solve_cell_subproblem_multicast`` is the per-view loop with separate
 group and unicast segments that the one-kind group fill replaced. Its
 values and group members' shares are the solver's bit for bit; a pair
@@ -134,6 +138,22 @@ def is_feasible(instance, solution, mode=UNICAST):
                     )
                 )
     return FeasibilityReport(not violations, tuple(violations))
+
+
+def fill(items, left, paid):
+    taken = []
+    for cost, key, group in items:
+        if left <= 0 and not paid:  # spent, and no group to ride on
+            break
+        charge = paid.get(group, 0.0)
+        y = min(1.0, (max(left, 0.0) + charge) / cost)
+        if left <= 0 and y <= 0:
+            continue
+        taken.append((key, y))
+        left -= max(0.0, y * cost - charge)
+        if group is not None:
+            paid[group] = max(charge, y * cost)
+    return taken, left
 
 
 def solve_cell_subproblem(instance, cell, users, budget):

@@ -361,6 +361,47 @@ def test_elva_fill_keeps_the_budget_trajectory_of_its_loop(inst, mode, data):
         )
 
 
+@st.composite
+def fill_cases(draw):
+    """Fill items with integer costs, as RB tables hold (49 * (1 / 49)
+    rounds below 1), in and out of sharing groups that may recur within one
+    call; a budget that is spent (-0.0 included), fractional or tiny; and
+    charges already paid, some at or above an item's cost, so that a member
+    rides its group."""
+    n = draw(st.integers(0, 6))
+    items = [
+        (draw(st.sampled_from([1, 2, 3, 5, 49])), k, draw(st.one_of(st.none(), st.integers(0, 2))))
+        for k in range(n)
+    ]
+    charges = st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 8.0))
+    paid = draw(st.dictionaries(st.integers(0, 2), charges, max_size=3))
+    left = draw(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, -1.0, -1e-16, 1e-16, 5e-324, 1 / 3, 2.5]),
+            st.floats(-3.0, 20.0),
+            st.integers(-2, 20).map(float),
+        )
+    )
+    return items, left, paid
+
+
+@settings(max_examples=500, deadline=None)
+@given(fill_cases())
+# A rider at a spent budget of -0.0, then a single at that budget.
+@example(([(3, 0, 1), (2, 1, None)], -0.0, {1: 3.0}))
+# 5e-324 / 2 rounds to a share of 0 with the budget still positive: the
+# group enters ``paid`` at 0.0, as ``max(0.0, 0.0)`` put it there.
+@example(([(2, 0, 0), (1, 1, None)], 5e-324, {}))
+def test_fill_matches_min_max_loop(case):
+    items, left, paid = case
+    ref_paid = dict(paid)
+    taken, mine = solvers._fill(items, left, paid)
+    ref_taken, ref = reference.fill(items, left, ref_paid)
+    assert _items(dict(taken)) == _items(dict(ref_taken))
+    assert _bits([mine]) == _bits([ref])
+    assert _items(paid) == _items(ref_paid)
+
+
 def test_member_rides_its_group_after_the_budget_is_spent():
     # User 0 spends the cell's 4 enhanced RBs on view 0. Users 1 and 2, in
     # the same sharing group, then take the view whole at no charge; user 1's
@@ -419,6 +460,73 @@ def test_gain_column_matches_per_user_loop(inst, data):
         for i in range(inst.n_users)
     ]
     assert _bits(mine) == _bits(ref)
+
+
+def _assert_gains_match_loop(inst, budgets):
+    """``_gain_column`` at every cell and budget against the per-user loop;
+    returns the tables."""
+    costs, prefix = solvers._single_user_gain_tables(inst)
+    for j in range(inst.n_cells):
+        for budget in budgets:
+            mine = solvers._gain_column(costs[j], prefix[j], budget)
+            ref = [
+                reference.single_user_gain(
+                    inst.rb_enhanced[i, j][inst.w[i, j].astype(bool)], budget
+                )
+                for i in range(inst.n_users)
+            ]
+            assert _bits(mine) == _bits(ref)
+    return costs, prefix
+
+
+def _gain_instance(w, rb_enhanced):
+    w = np.asarray(w)
+    m, s, e = w.shape
+    return Instance(
+        n_users=m, n_cells=s, n_views=e, w=w, rb_budget=np.full(s, 50),
+        rb_basic=np.ones((m, s)), rb_enhanced=rb_enhanced,
+    )
+
+
+def test_gain_tables_read_their_pad_row_when_a_pair_rewards_every_view():
+    # User 0 rewards all 3 views at cell 0 (costs 1 + 2 + 4 = 7): R = E = 3.
+    # At a budget of 7 or more all three fit, and the share of the next view
+    # is read from the pad row.
+    inst = _gain_instance(
+        [[[1, 1, 1], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]]],
+        [[[2, 1, 4], [3, 3, 3]], [[5, 1, 1], [2, 2, 2]]],
+    )
+    costs, prefix = _assert_gains_match_loop(inst, [6.5, 7.0, 8.5, 100.0])
+    assert costs.shape == prefix.shape == (2, 4, 2)
+    assert np.isinf(costs[:, 3]).all()
+    assert solvers._gain_column(costs[0], prefix[0], 7.0).tolist() == [3.0, 1.0]
+
+
+def test_gain_tables_of_an_instance_without_rewardable_views():
+    # R = 0: one row, +inf costs over zero prefix sums, and every gain 0.
+    inst = _gain_instance(np.zeros((2, 3, 2)), np.full((2, 3, 2), 4))
+    costs, prefix = _assert_gains_match_loop(inst, [-1.0, 0.0, 3.0, 1e9])
+    assert costs.shape == prefix.shape == (3, 1, 2)
+    assert np.isinf(costs).all() and not prefix.any()
+
+
+def test_gain_at_a_budget_equal_to_a_prefix_sum():
+    # R = 2 < E = 4. At budgets 1, 3 and 4 the views that fit end exactly
+    # at the budget, and the next share is 0: over the next view's cost, or
+    # over the pad row for a user out of views.
+    inst = _gain_instance(
+        [[[1, 0, 1, 0]], [[0, 0, 0, 1]], [[0, 1, 1, 0]]],
+        [[[1, 9, 2, 9]], [[9, 9, 9, 3]], [[9, 4, 5, 9]]],
+    )
+    costs, prefix = _assert_gains_match_loop(inst, [1.0, 3.0, 4.0, 9.0])
+    assert costs.shape == (1, 3, 3)
+    assert solvers._gain_column(costs[0], prefix[0], 3.0).tolist() == [2.0, 1.0, 0.75]
+
+
+def test_gain_at_a_spent_budget_is_zero():
+    inst = _gain_instance([[[1, 1]], [[0, 1]]], [[[1, 2]], [[3, 1]]])
+    costs, prefix = _assert_gains_match_loop(inst, [0.0, -0.0, -1e-16, -5.0])
+    assert _bits(solvers._gain_column(costs[0], prefix[0], -0.0)) == _bits([0.0, 0.0])
 
 
 def _assert_same_elva(inst, mode, oracle=reference.solve_elva_full_scan):
@@ -496,6 +604,46 @@ def test_elva_skips_a_rewrite_the_fill_leaves_unchanged():
     assert list(sol.assoc) == [0, 0, 1]
     assert budgets == [1.0, 1.0, 0.0]
     assert rep.tie_breaks == 3
+
+
+def _stable_order(rb_basic):
+    return np.argsort(np.asarray(rb_basic).ravel(), kind="stable").tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_slot_order_is_the_stable_basic_cost_order(inst):
+    # Few distinct basic costs, so most keys share their cost.
+    assert solvers._slot_order(inst.rb_basic).tolist() == _stable_order(inst.rb_basic)
+
+
+def test_slot_order_falls_back_where_the_composite_key_would_wrap():
+    # With 4 pairs, a cost above (2**63 - 1 - 4) // 4 = 2**61 - 2 takes the
+    # stable sort: (2**62 + 1) * 4 wraps to 4, which would put pair (0, 0)
+    # before the cost-3 pair (1, 0).
+    big = 2**62
+    top = (np.iinfo(np.int64).max - 4) // 4
+    for nb in ([[big + 1, big], [3, big + 1]], [[top, 1], [top, top]], [[top + 1, 1], [2, top + 1]]):
+        assert solvers._slot_order(np.array(nb)).tolist() == _stable_order(nb)
+    # End to end: as floats, the budgets 2**62 + 2 equal nbar = 2**62, so
+    # every gain is 0 and the slot order alone places the users.
+    inst = Instance(
+        n_users=2, n_cells=2, n_views=1, w=np.ones((2, 2, 1)),
+        rb_budget=[big + 2, big + 2], rb_basic=[[big + 1, big], [3, big + 1]],
+        rb_enhanced=np.ones((2, 2, 1)),
+    )
+    sol, _ = _assert_same_elva(inst, UNICAST)
+    assert list(sol.assoc) == [1, 0]
+
+
+def test_slot_order_without_users():
+    assert solvers._slot_order(np.ones((0, 3), dtype=np.int64)).tolist() == []
+    inst = Instance(
+        n_users=0, n_cells=3, n_views=2, w=np.ones((0, 3, 2)), rb_budget=[5, 5, 5],
+        rb_basic=np.ones((0, 3)), rb_enhanced=np.ones((0, 3, 2)),
+    )
+    sol, rep = solve_elva(inst)
+    assert sol.assoc.size == 0 and sol.alloc == {} and rep.tie_breaks == 0
 
 
 @settings(max_examples=300, deadline=None)
