@@ -123,10 +123,12 @@ def build_rb_tables(
         raise ValueError(f"user {i} has zero rate to every cell")
 
     # A dead link divides its payload by 0 bits: the cost is +inf, which
-    # the clip sends to UNREACHABLE_RBS.
+    # the clip sends to UNREACHABLE_RBS. Views of one size cost the same,
+    # so each distinct size is divided once and gathered to its views.
+    sizes, size_of_view = np.unique(view_sizes, return_inverse=True)
     with np.errstate(divide="ignore"):
         basic = np.clip(np.ceil(basic_size / bits), 1, UNREACHABLE_RBS)
-        enhanced = np.clip(
-            np.ceil(view_sizes[None, None, :] / bits[:, :, None]), 1, UNREACHABLE_RBS
-        )
-    return basic.astype(np.int64), enhanced.astype(np.int64)
+        per_size = np.clip(np.ceil(sizes / bits[:, :, None]), 1, UNREACHABLE_RBS)
+    # The gather lays the view axis outermost in memory; copy it to C order.
+    enhanced = np.ascontiguousarray(per_size.astype(np.int64)[:, :, size_of_view])
+    return basic.astype(np.int64), enhanced

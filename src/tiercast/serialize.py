@@ -4,24 +4,30 @@ Every payload is one JSON object with a ``schema`` tag. Dumps are
 deterministic: sorted keys, fixed separators, and a solution's allocation in
 its dict's order.
 
-An ``instance/v5`` object has a plain header: ``n_users`` and ``n_views``
+An ``instance/v6`` object has a plain header: ``n_users`` and ``n_views``
 (integers >= 0) and ``n_cells`` (>= 1, which ``Instance`` checks). Each
-array is an object ``{"dtype": "<iN", "data": ...}``: ``data`` is the base64
-of the array's little-endian bytes in C order at that dtype, packed by zlib
-at level 1. The writer stores each array at the narrowest of ``<i1``,
-``<i2``, ``<i4`` and ``<i8`` that holds its minimum and maximum (``<i1``
-when it is empty), so zlib packs fewer bytes; the loader accepts only these
-four, none wider than the array's own dtype, and widens what it reads. The
-arrays are ``w`` (int8) with shape ``(n_users, n_cells, n_views)``,
-``rb_budget`` (int64) with shape ``(n_cells,)``, ``rb_basic`` (int64) with
-shape ``(n_users, n_cells)``, ``rb_enhanced`` (int64) with shape
+array is an object ``{"dtype": ..., "data": ...}``: ``data`` is the base64
+of its bytes in C order, packed by zlib at level 1. The arrays are ``w``
+(int8) with shape ``(n_users, n_cells, n_views)``, ``rb_budget`` (int64)
+with shape ``(n_cells,)``, ``rb_basic`` (int64) with shape
+``(n_users, n_cells)``, ``rb_enhanced`` (int64) with shape
 ``(n_users, n_cells, n_views)`` and the multicast mask ``sharing`` (int8)
-with shape ``(n_users, n_views)``. Shapes are not stored; they follow from
-the header's counts. The loader inflates at most one byte more than the
-stored dtype's size times the counts allow, so a hostile stream cannot grow
-past them, and refuses a stream that is truncated, followed by other bytes
-or of any other length. Loaded arrays are owned, writable and native int8
-or int64. Older instance schemas (v1 to v4) are refused, not converted.
+with shape ``(n_users, n_views)``; shapes follow from the header's counts.
+The int8 0/1 masks are ``"bits"``: ``np.packbits`` in C order, most
+significant bit first, zero pad bits. The int64 tables are little-endian
+at the narrowest of ``<i1``, ``<i2``, ``<i4`` and ``<i8`` that holds their
+minimum and maximum (``<i1`` when empty), ``rb_enhanced`` as its residual
+``rb_enhanced - rb_basic[:, :, None]``. Every preset sizes a view like the
+basic chunk, so each enhanced cost is its link's basic cost and the residual
+is zeros that pack to almost nothing; views of other sizes leave a residual
+about as wide as the costs, and a file about as large as storing them.
+The loader takes ``"bits"`` only for a mask and the four integer codes only
+for a table. It inflates at most one byte more than the code's size for the
+header's counts, so a hostile stream cannot grow past them, and refuses a
+stream that is truncated, followed by other bytes or of any other length,
+nonzero pad bits (each instance has one encoding) and a residual whose sum
+with ``rb_basic`` leaves int64. Loaded arrays are owned, writable and
+native int8 or int64. Older schemas (v1 to v5) are refused, not converted.
 
 Topologies (``topology/v1``) are written only, never read back: their
 positions as lists of ``[x, y]`` pairs, and the map radius. Solutions
@@ -47,7 +53,7 @@ from .problem import INSTANCE_ARRAYS, Instance, Solution
 from .scenario import Topology
 
 TOPOLOGY_SCHEMA = "topology/v1"
-INSTANCE_SCHEMA = "instance/v5"
+INSTANCE_SCHEMA = "instance/v6"
 SOLUTION_SCHEMA = "solution/v1"
 
 
@@ -102,9 +108,12 @@ _ZLIB_LEVEL = 1
 
 
 def _encode(array: np.ndarray) -> dict:
-    low, high = int(array.min(initial=0)), int(array.max(initial=0))
-    code = next(c for c in _WIDTHS if np.iinfo(c).min <= low and high <= np.iinfo(c).max)
-    raw = np.ascontiguousarray(array, dtype=code)
+    if array.dtype == np.int8:  # a 0/1 mask
+        code, raw = "bits", np.packbits(array)
+    else:
+        low, high = int(array.min(initial=0)), int(array.max(initial=0))
+        code = next(c for c in _WIDTHS if np.iinfo(c).min <= low and high <= np.iinfo(c).max)
+        raw = np.ascontiguousarray(array, dtype=code)
     packed = base64.b64encode(zlib.compress(raw, _ZLIB_LEVEL)).decode("ascii")
     return {"dtype": code, "data": packed}
 
@@ -113,17 +122,16 @@ def _decode(data: dict, name: str, dtype: type, shape: tuple) -> np.ndarray:
     """The array stored under ``name``, widened to ``dtype``: an owned,
     writable, native-order copy."""
     field = _field(data, name)
+    count = math.prod(shape)
     try:
         if not isinstance(field, dict):
             raise ValueError("must be an object with 'dtype' and 'data'")
         code = _field(field, "dtype")
-        if code not in _WIDTHS:
-            raise ValueError(f"dtype {code!r} is not one of {', '.join(_WIDTHS)}")
-        stored = np.dtype(code)
-        if stored.itemsize > np.dtype(dtype).itemsize:
-            raise ValueError(f"dtype {code!r} is wider than {dtype.__name__}")
+        codes = ("bits",) if dtype == np.int8 else _WIDTHS
+        if code not in codes:
+            raise ValueError(f"dtype {code!r} is not one of {', '.join(codes)}")
         packed = base64.b64decode(_field(field, "data"), validate=True)
-        size = stored.itemsize * math.prod(shape)
+        size = -(-count // 8) if code == "bits" else np.dtype(code).itemsize * count
         # Inflate one byte past the header's size to see an overlong stream;
         # a max_length of 0 would mean no limit at all.
         inflater = zlib.decompressobj()
@@ -136,16 +144,27 @@ def _decode(data: dict, name: str, dtype: type, shape: tuple) -> np.ndarray:
             raise ValueError("bytes after the end of the zlib stream")
         if len(raw) != size:
             raise ValueError(f"{len(raw)} bytes, expected {size} for shape {shape}")
+        if code == "bits":
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+            if bits[count:].any():
+                raise ValueError("nonzero pad bits")
+            array = bits[:count]
+        else:
+            array = np.frombuffer(raw, dtype=code)
     except (TypeError, ValueError, zlib.error) as exc:
         raise ValueError(f"array {name!r}: {exc}") from None
-    return np.frombuffer(raw, dtype=stored).reshape(shape).astype(dtype)
+    return array.reshape(shape).astype(dtype)
 
 
 def instance_to_dict(instance: Instance) -> dict:
-    data = {name: getattr(instance, name) for name in _COUNTS}
-    for name, _, _ in INSTANCE_ARRAYS:
-        data[name] = _encode(getattr(instance, name))
-    return {"schema": INSTANCE_SCHEMA, **data}
+    arrays = {name: getattr(instance, name) for name, _, _ in INSTANCE_ARRAYS}
+    # An instance's costs are >= 1, so the residual stays inside int64.
+    arrays["rb_enhanced"] = arrays["rb_enhanced"] - arrays["rb_basic"][:, :, None]
+    return {
+        "schema": INSTANCE_SCHEMA,
+        **{name: getattr(instance, name) for name in _COUNTS},
+        **{name: _encode(array) for name, array in arrays.items()},
+    }
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -157,6 +176,13 @@ def instance_from_dict(data: dict) -> Instance:
         name: _decode(data, name, dtype, tuple(counts[d] for d in dims))
         for name, dtype, dims in INSTANCE_ARRAYS
     }
+    enhanced, basic = arrays["rb_enhanced"], arrays["rb_basic"][:, :, None]
+    negative = enhanced < 0
+    enhanced += basic
+    # numpy wraps silently: a sum wrapped past int64 lies on the wrong side
+    # of rb_basic for its residual's sign.
+    if ((enhanced < basic) != negative).any():
+        raise ValueError("array 'rb_enhanced': residual plus rb_basic leaves int64")
     return Instance(**counts, **arrays)
 
 

@@ -172,6 +172,28 @@ def test_rb_tables_equal_sizes_match_basic():
         assert (enhanced[:, :, k] == basic).all()
 
 
+def test_rb_tables_with_repeated_sizes_match_the_per_view_formula():
+    # Views 0 and 2 share a size, so the table divides three sizes for four
+    # views; every entry still equals ceil(size / bits) for its own view, and
+    # the links to the cell 1e9 m away carry 0 bits.
+    cells = np.array([[0.0, 0.0], [1e9, 0.0], [250.0, -80.0]])
+    users = np.array([[10.0, 0.0], [300.0, 50.0], [-120.0, 400.0]])
+    sizes = np.array([1e6, 2e6, 1e6, 3e6])
+    bits = link_bits_per_rb(cells, users, TABLE_PARAMS, np.zeros((3, 3)))
+    basic, enhanced = build_rb_tables(cells, users, TABLE_PARAMS, 2e6, sizes, seed=0)
+    assert enhanced.shape == (3, 3, 4) and enhanced.flags.c_contiguous
+    assert (bits[:, 1] == 0.0).all() and (bits[:, [0, 2]] > 0).all()
+    for i in range(3):
+        for j in range(3):
+            if j == 1:
+                assert basic[i, j] == UNREACHABLE_RBS
+                assert (enhanced[i, j] == UNREACHABLE_RBS).all()
+                continue
+            assert basic[i, j] == rbs_for_payload(2e6, bits[i, j])
+            for k, size in enumerate(sizes):
+                assert enhanced[i, j, k] == rbs_for_payload(size, bits[i, j])
+
+
 def test_rb_tables_monotone_in_view_size():
     cells = np.array([[0.0, 0.0]])
     users = np.array([[300.0, 0.0]])

@@ -11,6 +11,7 @@ import pytest
 from tiercast import cli, experiments, serialize
 from tiercast.cli import main
 from tiercast.experiments import SWEEP_CSV_COLUMNS, ExperimentConfig
+from tiercast.problem import INSTANCE_ARRAYS
 
 SMALL = [
     "--n-users", "6", "--n-cells", "2", "--n-views", "3",
@@ -111,14 +112,14 @@ def test_generate_topology_out_writes_topology_v1(tmp_path, capsys):
 
 def test_solve_refuses_an_instance_with_no_cells(tmp_path, capsys):
     # Every solver used to fail on it, brute force with a traceback.
-    def packed(n_bytes):
-        return {"dtype": "<i1", "data": base64.b64encode(zlib.compress(bytes(n_bytes))).decode()}
+    def packed(dtype, n_bytes):
+        return {"dtype": dtype, "data": base64.b64encode(zlib.compress(bytes(n_bytes))).decode()}
 
     path = tmp_path / "no_cells.json"
     path.write_text(json.dumps({
         "schema": serialize.INSTANCE_SCHEMA, "n_users": 2, "n_cells": 0, "n_views": 2,
-        "w": packed(0), "rb_budget": packed(0), "rb_basic": packed(0),
-        "rb_enhanced": packed(0), "sharing": packed(4),
+        "w": packed("bits", 0), "rb_budget": packed("<i1", 0), "rb_basic": packed("<i1", 0),
+        "rb_enhanced": packed("<i1", 0), "sharing": packed("bits", 1),
     }))
     assert main(["solve", str(path), "--solver", "bruteforce"]) == 1
     err = capsys.readouterr().err
@@ -730,10 +731,16 @@ def test_fig9_round_trip_through_files(tmp_path, capsys):
 
 
 def test_fig10_round_trip_through_files(tmp_path, capsys):
-    # fig10 is the largest preset. Its seed-0 file is 490,391 B with each
-    # table packed at 4 bytes an entry; at 8 bytes an entry it was 530,056 B
+    # fig10 is the largest preset. Its seed-0 file is 182,397 B with
+    # rb_enhanced stored as its all-zero residual over rb_basic and the masks
+    # as bits; with every cost stored at 4 bytes an entry it was 490,391 B
     # (and 12.5 MB unpacked). Saving what was loaded writes the same bytes.
     instance, _, inst_path = _round_trip(tmp_path, capsys, ["--preset", "fig10"], "eva")
-    assert inst_path.stat().st_size < 510_000
+    assert inst_path.stat().st_size < 200_000
+    built, _ = experiments.build_experiment_instance(experiments.preset_config("fig10"), 0)
+    for name, _, _ in INSTANCE_ARRAYS:
+        loaded = getattr(instance, name)
+        assert loaded.dtype == getattr(built, name).dtype
+        assert (loaded == getattr(built, name)).all()
     serialize.save_instance(instance, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == inst_path.read_bytes()
