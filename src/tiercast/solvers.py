@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,26 @@ def _view_items(instance: Instance, i: int, j: int, multicast: bool) -> list:
     shared = instance.sharing[i].tolist() if multicast else None
     views = sorted((costs[k], k) for k in np.flatnonzero(instance.w[i, j]).tolist())
     return [(cost, (i, k), k if shared and shared[k] else None) for cost, k in views]
+
+
+def _gathered_view_items(
+    instance: Instance, users: np.ndarray, cells: np.ndarray, multicast: bool
+) -> Iterator[list]:
+    """Yields ``_view_items`` of each pair ``(users[t], cells[t])`` in turn,
+    from one gather. Each row's views are stably sorted by enhanced cost with
+    an unrewardable view keyed 0, below every cost, so that a row's
+    rewardable views are its last ones, by cost, then view. A list is built
+    only when it is asked for, so that only one is alive at a time."""
+    w = instance.w.view(bool)[users, cells]
+    keys = np.where(w, instance.rb_enhanced[users, cells], 0)
+    views = keys.argsort(axis=1, kind="stable")
+    costs = np.take_along_axis(keys, views, axis=1)
+    shared = instance.sharing[users].view(bool) if multicast else np.zeros_like(w)
+    shared = np.take_along_axis(shared, views, axis=1)
+    starts = instance.n_views - w.sum(axis=1)
+    rows = zip(users.tolist(), starts.tolist(), costs.tolist(), views.tolist(), shared.tolist())
+    for i, t, c, v, sh in rows:
+        yield [(cost, (i, k), k if g else None) for cost, k, g in zip(c[t:], v[t:], sh[t:])]
 
 
 def _cell_pairs(instance: Instance, cell: int, users):
@@ -272,7 +293,9 @@ def solve_eva(
     A user with no affordable cell ranks all cells. Ties among a user's
     best-ranked cells go to the lower basic RB cost, then the lower cell
     index; ``tie_breaks`` counts the users with more than one such cell.
-    Users fill views in descending rank, then ascending user index.
+    Users fill views in descending rank, then ascending user index, each
+    from its row of one gather of the reward and cost tables over every
+    user's chosen cell (``_gathered_view_items``).
     """
     if mode not in (UNICAST, MULTICAST):
         raise ValueError(f"unknown mode {mode!r}")
@@ -290,13 +313,12 @@ def solve_eva(
 
     solution = Solution(assoc=assoc)
     paid = [{} for _ in range(instance.n_cells)]
-    multicast = mode == MULTICAST
-    order = sorted(range(instance.n_users), key=lambda i: (-scores[i, assoc[i]], i))
-    for i in order:
-        j = int(assoc[i])
-        taken, residual[j] = _fill(
-            _view_items(instance, i, j, multicast), residual[j], paid[j]
-        )
+    users = np.arange(instance.n_users)
+    order = np.lexsort((users, -scores[users, assoc]))
+    cells = assoc[order]
+    items = _gathered_view_items(instance, order, cells, mode == MULTICAST)
+    for j, user_items in zip(cells.tolist(), items):
+        taken, residual[j] = _fill(user_items, residual[j], paid[j])
         solution.alloc.update(taken)
 
     return _report(
@@ -312,8 +334,8 @@ def _single_user_gain_tables(instance: Instance):
     contiguous. Back the vectorized gain lookups."""
     m, s = instance.n_users, instance.n_cells
     r = int(instance.reward_counts().max(initial=0))
-    ranked = np.where(instance.w.astype(bool), instance.rb_enhanced, np.inf)
-    ranked.sort(axis=2)
+    ranked = np.where(instance.w.view(bool), instance.rb_enhanced, np.inf)
+    ranked.sort(axis=2, kind="stable")
     costs = np.full((s, r + 1, m), np.inf)
     costs[:, :r] = ranked[:, :, :r].transpose(1, 2, 0)
     prefix = np.zeros((s, r + 1, m))
@@ -347,6 +369,23 @@ def _slot_order(rb_basic: np.ndarray) -> np.ndarray:
     return np.argsort(nb, kind="stable")
 
 
+def _settle_zero_rounds(scores, order, user_slots, assoc) -> int:
+    """ELVA's remaining rounds once every open score is 0, in one step.
+
+    Each round would pick the first open slot, so each unassigned user takes
+    its own first open slot's cell, and the users are placed in the order of
+    those slots. Sets ``assoc`` and returns the rounds' tie-breaks: every
+    round but the last has other users' open slots at 0, and the last ties
+    when its user has more than one open slot."""
+    users = np.flatnonzero(assoc < 0)
+    slots = user_slots[users]
+    is_open = scores[slots] > -np.inf
+    first = np.where(is_open, slots, scores.size).min(axis=1)
+    assoc[users] = order[first] % user_slots.shape[1]
+    last = first.argmax()
+    return users.size - 1 + int(is_open[last].sum() > 1)
+
+
 def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, SolverReport]:
     """Submodular-style greedy association with layered budgets.
 
@@ -368,6 +407,13 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     round takes the first maximum, so among equal scores the lower basic
     cost wins, then the lower user, then the lower cell; ``tie_breaks``
     counts the rounds with more than one slot at the maximum.
+
+    The rounds stop at the first whose best score is 0, and
+    ``_settle_zero_rounds`` places the users left at once. This is exact.
+    Every open score is then 0 and stays 0: a fill only ever lowers a
+    budget, and a gain of 0 stays 0 as its budget falls. So each later round
+    would take the first open slot, and the provisional fills skipped change
+    nothing returned, as every cell is re-solved at the end.
     """
     start = time.perf_counter()
     m, s = instance.n_users, instance.n_cells
@@ -396,6 +442,9 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     tie_breaks = 0
     for _ in range(m):
         top = scores.argmax()
+        if scores[top] == 0:
+            tie_breaks += _settle_zero_rounds(scores, order, user_slots, assoc)
+            break
         # argmax takes the first maximum, so a tie can only lie after it.
         tie_breaks += int(scores[top + 1:].max(initial=-np.inf) == scores[top])
         i, j = divmod(int(order[top]), s)

@@ -26,6 +26,8 @@ affordable cell it is the solver's oracle bit for bit, tie-breaks included.
 ``solve_elva_full_scan`` ranks eligible cells only, as the solver does, and
 is its oracle everywhere. Both scan the whole score matrix each round
 (``FullMatrixRanking``) and rewrite the chosen cell's gains after every fill.
+They run every round, with its fill, to the last: the rounds after the best
+score first reaches 0, which the solver settles in one step, included.
 
 ``solve_bb`` is the other way round: the numpy branch-and-bound that the
 list-based search in ``tiercast.solvers`` replaced, kept as the oracle for

@@ -337,6 +337,39 @@ def test_eva_matches_per_view_loop(inst, mode, p):
 
 
 @SETTINGS
+@given(instances(), st.booleans(), st.data())
+def test_gathered_view_items_are_each_users_view_items(inst, multicast, data):
+    # Users repeat and come in any order, at any cell; repr tells an int
+    # cost from a float or a numpy scalar.
+    pairs = st.tuples(st.integers(0, inst.n_users - 1), st.integers(0, inst.n_cells - 1))
+    users, cells = zip(*data.draw(st.lists(pairs, min_size=1, max_size=8)))
+    lists = list(solvers._gathered_view_items(inst, np.array(users), np.array(cells), multicast))
+    assert len(lists) == len(users)
+    for i, j, items in zip(users, cells, lists):
+        assert repr(items) == repr(solvers._view_items(inst, i, j, multicast))
+
+
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+def test_eva_orders_a_view_at_the_largest_cost_after_an_unrewardable_one(mode):
+    # User 0's view 1 costs 2**63 - 1, next to view 0, which it does not
+    # want. Keyed at that cost, view 0 would sort between views 2 and 1.
+    top = np.iinfo(np.int64).max
+    inst = Instance(
+        n_users=2, n_cells=1, n_views=3, w=[[[0, 1, 1]], [[1, 1, 0]]], rb_budget=[6],
+        rb_basic=[[1], [1]], rb_enhanced=[[[top, top, 3]], [[2, top, top]]],
+        sharing=[[0, 1, 1], [1, 1, 0]],
+    )
+    users, cells = np.array([0, 1]), np.array([0, 0])
+    lists = solvers._gathered_view_items(inst, users, cells, mode == MULTICAST)
+    assert [[key for _, key, _ in items] for items in lists] == [[(0, 2), (0, 1)], [(1, 0), (1, 1)]]
+    sol, rep = solve_eva(inst, mode=mode)
+    ref_sol, ref_objective, ref_tie_breaks = reference.solve_eva(inst, mode=mode)
+    assert _items(sol.alloc) == _items(ref_sol.alloc)
+    assert _bits([rep.objective]) == _bits([ref_objective])
+    assert rep.tie_breaks == ref_tie_breaks
+
+
+@SETTINGS
 @given(instances(), st.sampled_from([UNICAST, MULTICAST]), st.data())
 def test_elva_fill_keeps_the_budget_trajectory_of_its_loop(inst, mode, data):
     # ELVA's own loop stopped at a spent budget; the shared fill lets members
@@ -604,6 +637,155 @@ def test_elva_skips_a_rewrite_the_fill_leaves_unchanged():
     assert list(sol.assoc) == [0, 0, 1]
     assert budgets == [1.0, 1.0, 0.0]
     assert rep.tie_breaks == 3
+
+
+def _elva_counting(inst, mode):
+    """``_assert_same_elva``, and how many rounds filled a user's views and
+    how often the zero-score endgame ran."""
+    calls = {"fills": 0, "endgames": 0}
+    view_items, settle = solvers._view_items, solvers._settle_zero_rounds
+
+    def counted_items(*args):
+        calls["fills"] += 1
+        return view_items(*args)
+
+    def counted_settle(*args):
+        calls["endgames"] += 1
+        return settle(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_view_items", counted_items)
+        mp.setattr(solvers, "_settle_zero_rounds", counted_settle)
+        sol, rep = _assert_same_elva(inst, mode)
+    return sol, rep, calls
+
+
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+def test_elva_settles_every_round_at_once_when_no_budget_exceeds_nbar(mode):
+    # nbar = 2 and the budgets 2, 1 and 2 reduce to 0, -1 and 0: every gain
+    # is 0 from round 0, so no user's views are filled. The open slots run
+    # (1, 0), (1, 1), (3, 2), (0, 0), (2, 2), so users 1, 3, 0 and 2 take
+    # cells 0, 2, 0 and 2; user 2, placed last, has one open slot.
+    inst = Instance(
+        n_users=4, n_cells=3, n_views=2, w=np.ones((4, 3, 2)),
+        rb_budget=[2, 1, 2], rb_basic=[[2, 3, 3], [1, 1, 3], [3, 3, 2], [3, 3, 1]],
+        rb_enhanced=np.ones((4, 3, 2)), sharing=[[1, 0], [1, 1], [0, 1], [1, 1]],
+    )
+    sol, rep, calls = _elva_counting(inst, mode)
+    assert list(sol.assoc) == [0, 0, 2, 2]
+    assert rep.tie_breaks == 3
+    assert calls == {"fills": 0, "endgames": 1}
+
+
+@pytest.mark.parametrize(
+    "rb_basic_user0, rb_basic_user2, assoc, tie_breaks",
+    [
+        # User 0's cell 1 is unaffordable: placed last, it has one open slot,
+        # while user 2, the highest index, has two.
+        ([3, 9], [2, 1], [0, 0, 1], 2),
+        # User 0, placed last, has two open slots; user 2 has one.
+        ([3, 4], [9, 1], [0, 0, 1], 3),
+    ],
+    ids=["last-has-one-open-slot", "last-has-two-open-slots"],
+)
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+def test_elva_counts_the_last_zero_round_by_the_user_placed_last(
+    mode, rb_basic_user0, rb_basic_user2, assoc, tie_breaks
+):
+    # No rewards, so every round scores 0. Users are placed in the order of
+    # their first open slots: user 1 at basic cost 1, user 2 at 1 after it,
+    # and user 0 at 3. Each round but the last ties with the users left.
+    inst = _flat_instance(
+        np.zeros(6), [rb_basic_user0, [1, 2], rb_basic_user2], [5, 5]
+    )
+    sol, rep, calls = _elva_counting(inst, mode)
+    assert list(sol.assoc) == assoc
+    assert rep.tie_breaks == tie_breaks
+    assert calls == {"fills": 0, "endgames": 1}
+
+
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+def test_elva_settles_multicast_riders_on_a_spent_cell(mode):
+    # Budgets 5 - nbar 1 = 4 at cell 0, 0 at cell 1. Users 0 and 2 tie at
+    # gain 1 at cell 0, and user 0 takes it: its view 0 costs 4 and spends
+    # the cell. Users 1 and 2 share view 0 and, in multicast, would ride its
+    # charge; their scores are 0, so the endgame places them at their first
+    # open slots, cells 1 and 0, and the final re-solve lets user 2 ride.
+    inst = Instance(
+        n_users=3, n_cells=2, n_views=2, w=[[[1, 0], [0, 0]], [[1, 1], [1, 0]], [[1, 0], [1, 1]]],
+        rb_budget=[5, 1], rb_basic=[[1, 1], [2, 1], [1, 1]],
+        rb_enhanced=[[[4, 9], [9, 9]], [[5, 9], [3, 9]], [[4, 9], [2, 2]]],
+        sharing=[[1, 0], [1, 0], [1, 1]],
+    )
+    sol, rep, calls = _elva_counting(inst, mode)
+    assert list(sol.assoc) == [0, 1, 0]
+    assert rep.tie_breaks == 1 + 1 + 1
+    assert calls == {"fills": 1, "endgames": 1}
+    if mode == MULTICAST:
+        assert sol.alloc[(2, 0)] == 1.0
+
+
+# Ascending costs over which one fill from a budget of 1 leaves 8.095e-320.
+SUBNORMAL_CHAIN = [49, 98, 103, 107, 161, 187, 196, 197, 206, 214, 237, 239,
+                   249, 253, 322, 347, 374, 389, 392, 394]
+
+
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+def test_elva_settles_a_positive_subnormal_budget_whose_shares_underflow(mode):
+    # Budgets 2 - nbar 1 = 1 and 0. User 0 takes its 20 views at cell 0,
+    # leaving a positive subnormal budget; user 1's one view there costs
+    # 10**6, so its share, budget / 10**6, underflows to 0 and every score
+    # is 0. User 1 takes cell 0 and user 2 its cheaper cell 1.
+    e = len(SUBNORMAL_CHAIN) + 1
+    w = np.zeros((3, 2, e), dtype=np.int8)
+    w[0, 0, :-1] = 1
+    w[1, 0, -1] = 1
+    costs = np.full((3, 2, e), 10**6)
+    costs[0, 0, :-1] = SUBNORMAL_CHAIN
+    inst = Instance(
+        n_users=3, n_cells=2, n_views=e, w=w, rb_budget=[2, 1],
+        rb_basic=[[1, 1], [1, 1], [2, 1]], rb_enhanced=costs,
+        sharing=np.ones((3, e), dtype=np.int8),
+    )
+    left = solvers._fill(solvers._view_items(inst, 0, 0, False), 1.0, {})[1]
+    assert 0 < left < np.finfo(float).tiny and left / 10**6 == 0
+    sol, rep, calls = _elva_counting(inst, mode)
+    assert list(sol.assoc) == [0, 0, 1]
+    assert rep.tie_breaks == 1 + 1
+    assert calls == {"fills": 1, "endgames": 1}
+
+
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+def test_elva_keeps_a_tiny_positive_score_out_of_the_endgame(mode):
+    # Budgets 2 - nbar 1 = 1 and 0. User 0 goes first (1 / 49 beats user
+    # 1's 1 / 100), and 49 * (1 / 49) rounds below 1, so cell 0 keeps
+    # 1.1e-16. User 1's score there, 1.1e-18, is still positive: it takes
+    # cell 0 in a scored round, not its first open slot at cell 1.
+    inst = Instance(
+        n_users=3, n_cells=2, n_views=2, w=[[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 0]]],
+        rb_budget=[2, 1], rb_basic=[[1, 1], [2, 1], [1, 1]],
+        rb_enhanced=[[[49, 9], [9, 9]], [[9, 100], [9, 9]], [[9, 9], [9, 9]]],
+        sharing=[[1, 1], [1, 1], [0, 0]],
+    )
+    sol, rep, calls = _elva_counting(inst, mode)
+    assert list(sol.assoc) == [0, 0, 0]
+    assert rep.tie_breaks == 1
+    assert calls == {"fills": 2, "endgames": 1}
+
+
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+def test_elva_without_a_zero_round_never_enters_the_endgame(mode):
+    # Budgets of 100 - nbar 1 cover every user's two views at either cell:
+    # every score is 2, and every round ties.
+    inst = Instance(
+        n_users=3, n_cells=2, n_views=2, w=np.ones((3, 2, 2)), rb_budget=[100, 100],
+        rb_basic=[[1, 2], [2, 1], [1, 1]], rb_enhanced=np.ones((3, 2, 2)),
+        sharing=[[1, 0], [0, 0], [1, 1]],
+    )
+    sol, rep, calls = _elva_counting(inst, mode)
+    assert list(sol.assoc) == [0, 1, 0]
+    assert rep.tie_breaks == 3
+    assert calls == {"fills": 3, "endgames": 0}
 
 
 def _stable_order(rb_basic):
