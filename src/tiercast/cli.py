@@ -77,7 +77,7 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "preset", None):
         config = preset_config(args.preset)
     elif getattr(args, "config", None):
-        config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
+        config = ExperimentConfig.from_dict(serialize.parse_json(Path(args.config).read_text()))
     else:
         config = ExperimentConfig()
     if args.command == "generate":

@@ -86,8 +86,16 @@ def _dump(obj: dict, path) -> None:
     )
 
 
+def parse_json(text):
+    """``json.loads``, with nesting too deep to parse as a ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def _load(path, expected_schema: str) -> dict:
-    data = json.loads(Path(path).read_bytes())
+    data = parse_json(Path(path).read_bytes())
     schema = data.get("schema") if isinstance(data, dict) else None
     if schema != expected_schema:
         raise ValueError(f"expected schema {expected_schema!r}, got {schema!r}")

@@ -8,12 +8,17 @@ the baseline, takes the max-SINR cell. Among equal scores, EVA and ELVA both
 prefer the lower basic cost, then the lower index: EVA per user through
 ``_row_best``, ELVA over all pairs through its slot order (``solve_elva``).
 
-Every enhanced-view fill, the unicast cell allocator's and EVA's and ELVA's
-per-user ones, goes through ``_fill``: items are taken in the caller's order,
-each with y = min(1, (max(left, 0) + g) / cost), paying max(0, y * cost - g)
-from the budget left, where g is what its sharing group already pays (0 for
-an item outside a group). Once the budget is spent, only a member whose
-group already pays takes a share: it rides the group's transmission.
+Every solver returns ``_finalize``'s allocation at its own association, each
+cell solved exactly at its residual budget: this repository's one allocation
+rule, so that solvers differ only in their associations.
+
+Every enhanced-view fill, the unicast cell allocator's and ELVA's
+provisional per-user ones, goes through ``_fill``: items are taken in the
+caller's order, each with y = min(1, (max(left, 0) + g) / cost), paying
+max(0, y * cost - g) from the budget left, where g is what its sharing group
+already pays (0 for an item outside a group). Once the budget is spent, only
+a member whose group already pays takes a share: it rides the group's
+transmission.
 
 Both cell allocators take a cell's pairs from ``_cell_pairs``. The multicast
 one puts every pair in a group, a pair outside a sharing group being a group
@@ -25,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,26 +109,6 @@ def _view_items(instance: Instance, i: int, j: int, multicast: bool) -> list:
     shared = instance.sharing[i].tolist() if multicast else None
     views = sorted((costs[k], k) for k in np.flatnonzero(instance.w[i, j]).tolist())
     return [(cost, (i, k), k if shared and shared[k] else None) for cost, k in views]
-
-
-def _gathered_view_items(
-    instance: Instance, users: np.ndarray, cells: np.ndarray, multicast: bool
-) -> Iterator[list]:
-    """Yields ``_view_items`` of each pair ``(users[t], cells[t])`` in turn,
-    from one gather. Each row's views are stably sorted by enhanced cost with
-    an unrewardable view keyed 0, below every cost, so that a row's
-    rewardable views are its last ones, by cost, then view. A list is built
-    only when it is asked for, so that only one is alive at a time."""
-    w = instance.w.view(bool)[users, cells]
-    keys = np.where(w, instance.rb_enhanced[users, cells], 0)
-    views = keys.argsort(axis=1, kind="stable")
-    costs = np.take_along_axis(keys, views, axis=1)
-    shared = instance.sharing[users].view(bool) if multicast else np.zeros_like(w)
-    shared = np.take_along_axis(shared, views, axis=1)
-    starts = instance.n_views - w.sum(axis=1)
-    rows = zip(users.tolist(), starts.tolist(), costs.tolist(), views.tolist(), shared.tolist())
-    for i, t, c, v, sh in rows:
-        yield [(cost, (i, k), k if g else None) for cost, k, g in zip(c[t:], v[t:], sh[t:])]
 
 
 def _cell_pairs(instance: Instance, cell: int, users):
@@ -286,41 +270,23 @@ def solve_eva(
 ) -> tuple[Solution, SolverReport]:
     """Knapsack-flavored greedy: rank cells by (reward count)^p / basic cost.
 
-    Users associate with their best-ranked affordable cell, the broadcast
-    cost is charged per cell, and users then fill views by reward per RB in
-    descending rank order. p=0 reduces the association to the SINR baseline.
+    Each user associates with its best-ranked eligible cell
+    (``_eligible_cells``), then each cell allocates via the exact
+    subproblem, as in every other solver. p=0 ranks by basic cost alone,
+    which is the SINR baseline's association wherever each user's max-SINR
+    cell is affordable, as on every preset.
 
     A user with no affordable cell ranks all cells. Ties among a user's
     best-ranked cells go to the lower basic RB cost, then the lower cell
     index; ``tie_breaks`` counts the users with more than one such cell.
-    Users fill views in descending rank, then ascending user index, each
-    from its row of one gather of the reward and cost tables over every
-    user's chosen cell (``_gathered_view_items``).
     """
-    if mode not in (UNICAST, MULTICAST):
-        raise ValueError(f"unknown mode {mode!r}")
     start = time.perf_counter()
     counts = instance.reward_counts().astype(float)
     nb = instance.rb_basic
-    scores = counts**p / nb
-
-    masked = np.where(_eligible_cells(instance), scores, -np.inf)
+    masked = np.where(_eligible_cells(instance), counts**p / nb, -np.inf)
     _, ties, assoc = _row_best(masked, nb)
     tie_breaks = int((ties > 1).sum())
-
-    residual = instance.rb_budget - broadcast_cost(instance, assoc)
-    residual = residual.astype(float).tolist()
-
-    solution = Solution(assoc=assoc)
-    paid = [{} for _ in range(instance.n_cells)]
-    users = np.arange(instance.n_users)
-    order = np.lexsort((users, -scores[users, assoc]))
-    cells = assoc[order]
-    items = _gathered_view_items(instance, order, cells, mode == MULTICAST)
-    for j, user_items in zip(cells.tolist(), items):
-        taken, residual[j] = _fill(user_items, residual[j], paid[j])
-        solution.alloc.update(taken)
-
+    solution, _ = _finalize(instance, assoc, mode)
     return _report(
         "eva", instance, solution, start, tie_breaks=tie_breaks, params={"p": p}
     )

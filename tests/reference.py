@@ -3,8 +3,8 @@
 Each is a plain loop over the allocation dict or over a sorted candidate
 list, adding its terms one at a time in order. They are the oracles for the
 allocation ledger in ``tiercast.problem``; in ``tiercast.solvers``, for
-the unicast and multicast cell kernels, EVA's and ELVA's per-user fills, the
-single-user gain lookup and ELVA's rounds; and, in
+the unicast and multicast cell kernels, EVA's association and tie-breaks,
+ELVA's per-user fills, the single-user gain lookup and ELVA's rounds; and, in
 ``tiercast.scenario``, for the 1 m user redraw, one user at a time, and
 for the demand draw and the cache placement, as per-user view tuples and
 per-cell view sets.
@@ -280,49 +280,24 @@ class FullMatrixRanking:
         self.scores[:, j] = values
 
 
-def solve_eva(instance, p=1.0, mode=UNICAST):
-    """EVA with its own per-user, per-view fill and group-charge dict."""
+def solve_eva(instance, p=1.0):
+    """EVA's association and tie-break count, from its scalar score and the
+    eligible cells, each user's ties counted and broken one by one."""
     counts = instance.reward_counts().astype(float)
     nb = instance.rb_basic
-    with np.errstate(invalid="ignore"):
-        scores = counts**p / nb
     affordable = nb <= instance.rb_budget[None, :]
-    eligible = affordable | ~affordable.any(axis=1, keepdims=True)
-    masked = np.where(eligible, scores, -np.inf)
-    tied = masked == masked.max(axis=1, keepdims=True)
-    tie_breaks = int((np.count_nonzero(tied, axis=1) > 1).sum())
-    assoc = np.where(tied, nb, _NO_TIE).argmin(axis=1)
-
-    residual = instance.rb_budget.astype(float).copy()
-    for j in range(instance.n_cells):
-        users = np.flatnonzero(assoc == j)
-        if users.size:
-            residual[j] -= nb[users, j].max()
-
-    solution = Solution(assoc=assoc)
-    group_charge = {}
-    order = sorted(range(instance.n_users), key=lambda i: (-scores[i, assoc[i]], i))
-    for i in order:
-        j = int(assoc[i])
-        views = sorted(
-            np.flatnonzero(instance.w[i, j]),
-            key=lambda k: (instance.rb_enhanced[i, j, k], k),
-        )
-        for k in views:
-            cost = float(instance.rb_enhanced[i, j, k])
-            if mode == MULTICAST and instance.sharing[i, k]:
-                gmax = group_charge.get((j, int(k)), 0.0)
-                y = min(1.0, (max(residual[j], 0.0) + gmax) / cost)
-                charge = max(0.0, y * cost - gmax)
-                if y > 0:
-                    group_charge[(j, int(k))] = max(gmax, y * cost)
-            else:
-                y = min(1.0, max(residual[j], 0.0) / cost)
-                charge = y * cost
-            if y > 0:
-                solution.alloc[(i, int(k))] = y
-                residual[j] -= charge
-    return solution, objective(instance, solution), tie_breaks
+    assoc = np.zeros(instance.n_users, dtype=np.int64)
+    tie_breaks = 0
+    for i in range(instance.n_users):
+        cells = range(instance.n_cells)
+        if affordable[i].any():
+            cells = [j for j in cells if affordable[i, j]]
+        scores = {j: counts[i, j] ** p / nb[i, j] for j in cells}
+        best = max(scores.values())
+        tied = [j for j in cells if scores[j] == best]
+        tie_breaks += len(tied) > 1
+        assoc[i] = min(tied, key=lambda j: (nb[i, j], j))
+    return assoc, tie_breaks
 
 
 def solve_elva(

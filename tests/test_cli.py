@@ -19,6 +19,10 @@ SMALL = [
 ]
 
 
+# Deeper than any JSON parser recursion can follow.
+NESTED = "[" * 200_000 + "]" * 200_000
+
+
 def _generate(tmp_path, seed=0, extra=()):
     out = tmp_path / f"inst{seed}.json"
     rc = main(
@@ -158,6 +162,7 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         ({"schema": "config/v0"}, "'config/v0'"),
         ({"channel": [0.0]}, "'channel' must be an object"),
         ({"n_users": True}, "'n_users' must be int, got True"),
+        (NESTED, "nested too deeply"),
     ],
     ids=[
         "unknown-key",
@@ -173,18 +178,20 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         "other-schema",
         "channel-not-an-object",
         "bool-n_users",
+        "nested-too-deeply",
     ],
 )
 def test_bad_config_payload_is_a_validation_error(payload, named, tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     out = tmp_path / "out"
-    rc = main(["generate", "--config", str(path), "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("invalid configuration") and named in err[0]
-    assert not out.exists()
+    for command in ("generate", "sweep"):
+        rc = main([command, "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("invalid configuration") and named in err[0]
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "sweep"])
@@ -475,9 +482,12 @@ def test_unset_cap_takes_the_config_default(command, tmp_path, capsys, monkeypat
 
 def test_solve_rejects_malformed_instance(tmp_path, capsys):
     bad = tmp_path / "nope.json"
-    bad.write_text("{}")
-    rc = main(["solve", str(bad), "--solver", "sinr"])
-    assert rc == 1
+    for text, named in [("{}", "expected schema"), (NESTED, "JSON nested too deeply")]:
+        bad.write_text(text)
+        assert main(["solve", str(bad), "--solver", "sinr"]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot load instance: {named}")
+        assert main(["verify", str(bad), str(bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"cannot load inputs: {named}")
 
 
 def test_sweep_single_row_and_columns(tmp_path, capsys):

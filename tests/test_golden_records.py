@@ -10,7 +10,8 @@ unchanged; one that moves results regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_records.py
 
-and says why the records moved.
+and says why the records moved. The script prints each key whose digest
+moved, and their count, before it rewrites the file.
 """
 
 import dataclasses
@@ -83,4 +84,11 @@ def test_every_solver_result_matches_its_golden_record(golden):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(compute_records(), indent=1) + "\n")
+    records = compute_records()
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    keys = list(records) + [key for key in old if key not in records]
+    moved = [key for key in keys if records.get(key) != old.get(key)]
+    for key in moved:
+        print(key)
+    print(f"{len(moved)} of {len(keys)} digests moved")
+    GOLDEN.write_text(json.dumps(records, indent=1) + "\n")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiercast.experiments import build_experiment_instance, preset_config
@@ -15,6 +15,7 @@ from tiercast.problem import (
 )
 from tiercast.solvers import (
     BruteForceCapError,
+    _finalize,
     compute_nbar,
     solve_bb,
     solve_bruteforce,
@@ -34,6 +35,38 @@ from conftest import fig1_instance, random_tiny_instance
 def test_solvers_refuse_an_unknown_mode(solve):
     with pytest.raises(ValueError, match="unknown mode 'multicats'"):
         solve(fig1_instance(), mode="multicats")
+
+
+# User 0's view 1 costs 2**63 - 1, next to view 0, which it does not want:
+# a cost at the int64 limit must neither wrap nor mix with that view.
+_TOP = np.iinfo(np.int64).max
+_TOP_COST_INSTANCE = Instance(
+    n_users=2, n_cells=1, n_views=3, w=[[[0, 1, 1]], [[1, 1, 0]]], rb_budget=[6],
+    rb_basic=[[1], [1]], rb_enhanced=[[[_TOP, _TOP, 3]], [[2, _TOP, _TOP]]],
+    sharing=[[0, 1, 1], [1, 1, 0]],
+)
+
+
+@pytest.mark.parametrize(
+    "solve", [solve_sinr, solve_eva, solve_elva, solve_bb, solve_bruteforce]
+)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: random_tiny_instance(np.random.default_rng(seed), with_sharing=True)
+    ),
+    st.sampled_from([UNICAST, MULTICAST]),
+)
+@example(inst=_TOP_COST_INSTANCE, mode=UNICAST)
+@example(inst=_TOP_COST_INSTANCE, mode=MULTICAST)
+def test_every_solver_allocates_as_finalize_at_its_association(solve, inst, mode):
+    # The one allocation rule: every cell solved exactly at its residual
+    # budget, so that solvers differ only in their associations.
+    sol, _ = solve(inst, mode=mode)
+    ref, _ = _finalize(inst, sol.assoc, mode)
+    assert [(key, float(y).hex()) for key, y in sol.alloc.items()] == [
+        (key, float(y).hex()) for key, y in ref.alloc.items()
+    ]
 
 
 def test_compute_nbar_single_link():
@@ -146,8 +179,8 @@ def test_eva_p_zero_matches_sinr_association(rng):
 
 
 def test_eva_single_cell_within_subproblem_optimum(rng):
-    # With one cell the association is forced; the sequential allocation can
-    # not beat the exact per-cell optimum and matches it when budget is ample.
+    # With one cell the association is forced, and EVA's value is the exact
+    # per-cell optimum.
     for _ in range(40):
         inst = random_tiny_instance(rng)
         if inst.n_cells != 1:
@@ -155,7 +188,7 @@ def test_eva_single_cell_within_subproblem_optimum(rng):
         sol, report = solve_eva(inst)
         residual = float(inst.rb_budget[0] - inst.rb_basic[:, 0].max())
         best = solve_cell_subproblem(inst, 0, list(range(inst.n_users)), residual)
-        assert report.objective <= best.value + 1e-9
+        assert report.objective == best.value
     inst = fig1_instance(ample_budget=True)
     inst_one = Instance(
         n_users=3, n_cells=1, n_views=4,
@@ -164,7 +197,7 @@ def test_eva_single_cell_within_subproblem_optimum(rng):
     )
     _, report = solve_eva(inst_one)
     best = solve_cell_subproblem(inst_one, 0, [0, 1, 2], float(1000 - 4))
-    assert report.objective == pytest.approx(best.value)
+    assert report.objective == best.value
 
 
 def test_eva_never_beats_bb(rng):
@@ -189,6 +222,21 @@ def test_eva_avoids_unaffordable_cells_when_possible():
     sol, _ = solve_eva(inst, p=1.0)
     assert sol.assoc[0] == 0
     assert is_feasible(inst, sol).feasible
+
+    # At p=0 EVA ranks by basic cost alone, but among affordable cells only:
+    # SINR takes the cheaper cell 0, which its budget cannot carry, and EVA
+    # takes cell 1.
+    inst = Instance(
+        n_users=1, n_cells=2, n_views=1, w=np.ones((1, 2, 1), dtype=np.int8),
+        rb_budget=np.array([4, 10]), rb_basic=np.array([[5, 6]]),
+        rb_enhanced=np.full((1, 2, 1), 3),
+    )
+    sol, _ = solve_eva(inst, p=0.0)
+    assert sol.assoc[0] == 1
+    assert is_feasible(inst, sol).feasible
+    baseline, _ = solve_sinr(inst)
+    assert baseline.assoc[0] == 0
+    assert not is_feasible(inst, baseline).feasible
 
 
 def _all_tie_instance():
