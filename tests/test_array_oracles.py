@@ -336,6 +336,31 @@ def test_eva_matches_per_view_loop(inst, mode, p):
     assert rep.tie_breaks == ref_tie_breaks
 
 
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+def test_eva_orders_a_view_at_the_largest_cost_after_an_unrewardable_one(mode):
+    # User 0's view 1 costs 2**63 - 1, next to view 0, which it does not
+    # want. Both users sit at the one cell, whose basic layer broadcasts in
+    # 1 RB; the exact subproblem fills the 5 RBs left, the top cost neither
+    # wrapping nor taking view 0's place.
+    top = np.iinfo(np.int64).max
+    inst = Instance(
+        n_users=2, n_cells=1, n_views=3, w=[[[0, 1, 1]], [[1, 1, 0]]], rb_budget=[6],
+        rb_basic=[[1], [1]], rb_enhanced=[[[top, top, 3]], [[2, top, top]]],
+        sharing=[[0, 1, 1], [1, 1, 0]],
+    )
+    sol, rep = solve_eva(inst, mode=mode)
+    ref_assoc, ref_tie_breaks = reference.solve_eva(inst)
+    assert sol.assoc.tolist() == ref_assoc.tolist() == [0, 0]
+    assert rep.tie_breaks == ref_tie_breaks
+    cell = (reference.solve_cell_subproblem_multicast if mode == MULTICAST
+            else reference.solve_cell_subproblem)
+    ref = cell(inst, 0, [0, 1], 5.0)
+    assert _items(sol.alloc) == _items(ref.alloc)
+    assert _bits([rep.objective]) == _bits([ref.value])
+    assert all(0.0 <= y <= 1.0 for y in sol.alloc.values())
+    assert is_feasible(inst, sol, mode).feasible
+
+
 @SETTINGS
 @given(instances(), st.sampled_from([UNICAST, MULTICAST]), st.data())
 def test_elva_fill_keeps_the_budget_trajectory_of_its_loop(inst, mode, data):
