@@ -1,10 +1,10 @@
 """Command-line entry point: generate | solve | sweep | verify.
 
 Exit codes: 0 success, 1 validation/input error (a malformed or unknown
-flag included), 2 infeasible result or enumeration cap exceeded. ``sweep``
-is the exception: it records a failed generation or solve, an exceeded cap
-included, in the row's status, writes every row, and exits 1 if any row
-failed; an infeasible result is an ``ok`` row with ``feasible`` False.
+flag included), 2 infeasible result. ``sweep`` is the exception: it records
+a failed generation or solve in the row's status, writes every row, and
+exits 1 if any row failed; an infeasible result is an ``ok`` row with
+``feasible`` False.
 
 Every output file (``--out``, ``--topology-out``, ``--solution-out``) is
 written the same way: its parent directory is created, and a write that fails
@@ -33,7 +33,6 @@ from .experiments import (
     run_sweep,
 )
 from .problem import MULTICAST, UNICAST, is_feasible, objective
-from .solvers import BruteForceCapError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -168,9 +167,6 @@ def cmd_solve(args, config: ExperimentConfig) -> int:
         return EXIT_VALIDATION
     try:
         solution, report = run_solver(args.solver, instance, config, args.mode)
-    except BruteForceCapError as exc:
-        print(f"enumeration cap exceeded: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except ValueError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -223,17 +219,20 @@ def cmd_verify(args, config: ExperimentConfig) -> int:
         "objective": objective(instance, solution) if scorable else None,
     }
     # As in summarize, only a feasible result has a gap; then every user has
-    # an affordable cell, so the brute-force oracle is feasible too.
+    # an affordable cell, so bb's result is feasible too. bb is exact only
+    # when it finishes under its node budget.
     if args.oracle and report.feasible:
-        try:
-            _, oracle = run_solver("bruteforce", instance, config, args.mode)
+        _, oracle = run_solver("bb", instance, config, args.mode)
+        if oracle.node_budget_hit:
+            result["oracle_objective"] = None
+            result["oracle_skipped"] = (
+                f"bb stopped at its node budget of {config.node_budget}"
+            )
+        else:
             result["oracle_objective"] = oracle.objective
             result["optimality_gap"] = (
                 result["objective"] / oracle.objective if oracle.objective > 0 else 1.0
             )
-        except BruteForceCapError as exc:
-            result["oracle_objective"] = None
-            result["oracle_skipped"] = str(exc)
     print(json.dumps(result, sort_keys=True))
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
 
@@ -258,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", default=UNICAST, choices=[UNICAST, MULTICAST])
     solve.add_argument("--eva-p", dest="eva_p", type=float)
     solve.add_argument("--node-budget", dest="node_budget", type=int)
-    solve.add_argument(
-        "--cap", dest="bruteforce_cap", type=int, help="brute-force enumeration cap"
-    )
     solve.add_argument("--solution-out", dest="solution_out")
     solve.set_defaults(func=cmd_solve)
 
@@ -278,10 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("instance")
     verify.add_argument("solution")
     verify.add_argument("--mode", default=UNICAST, choices=[UNICAST, MULTICAST])
-    verify.add_argument("--oracle", action="store_true", help="brute-force cross-check")
     verify.add_argument(
-        "--cap", dest="bruteforce_cap", type=int, help="brute-force enumeration cap"
+        "--oracle", action="store_true", help="gap to bb's optimum, if bb finishes"
     )
+    verify.add_argument("--node-budget", dest="node_budget", type=int)
     verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -51,9 +51,6 @@ SOLVERS = {
     "elva": lambda inst, cfg, mode: solvers.solve_elva(inst, mode=mode),
     "eva": lambda inst, cfg, mode: solvers.solve_eva(inst, p=cfg.eva_p, mode=mode),
     "sinr": lambda inst, cfg, mode: solvers.solve_sinr(inst, mode=mode),
-    "bruteforce": lambda inst, cfg, mode: solvers.solve_bruteforce(
-        inst, cap=cfg.bruteforce_cap, mode=mode
-    ),
 }
 
 
@@ -77,7 +74,6 @@ class ExperimentConfig:
     solvers: list[str] = field(default_factory=lambda: ["bb", "elva", "eva", "sinr"])
     eva_p: float = 1.0
     node_budget: int | None = 1_000_000
-    bruteforce_cap: int = 10**6
     modes: list[str] = field(default_factory=lambda: [UNICAST])
     sharing_fraction: float = 0.0
     sweep_param: str = "none"
@@ -97,7 +93,7 @@ class ExperimentConfig:
         for name in self.solvers:
             if name not in SOLVERS:
                 raise ValueError(f"unknown solver {name!r}")
-        for name, least in (("node_budget", 0), ("bruteforce_cap", 1), ("eva_p", 0)):
+        for name, least in (("node_budget", 0), ("eva_p", 0)):
             value = getattr(self, name)
             if value is not None and value < least:
                 raise ValueError(f"{name} must be at least {least}")
@@ -331,9 +327,9 @@ def run_sweep(config: ExperimentConfig):
     """Yield one result row per (sweep value, seed, mode, solver).
 
     Rows are plain dicts keyed by SWEEP_CSV_COLUMNS, emitted in deterministic
-    order. A ``ValueError`` from generation, or a ``ValueError``,
-    ``BruteForceCapError`` or ``AssertionError`` from a solver, is recorded in
-    the row's status and the sweep continues; any other exception propagates.
+    order. A ``ValueError`` from generation, or a ``ValueError`` or
+    ``AssertionError`` from a solver, is recorded in the row's status and the
+    sweep continues; any other exception propagates.
     """
     # Function-local, so that the benchmark's wrapper of metrics.summarize is called.
     from .metrics import summarize
@@ -360,7 +356,7 @@ def run_sweep(config: ExperimentConfig):
                     # AssertionError stays a row until the benchmark's
                     # over-budget test double, which asserts inside the
                     # solver call, is reworked (ROADMAP item 1b).
-                    except (ValueError, solvers.BruteForceCapError, AssertionError) as exc:
+                    except (ValueError, AssertionError) as exc:
                         errors[solver] = str(exc)
                 summary = summarize(instance, results, mode) if results else None
                 for solver in point.solvers:

@@ -1,10 +1,10 @@
-"""Solution procedures: exact branch-and-bound, greedy approximations, oracles.
+"""Solution procedures: exact branch-and-bound and greedy approximations.
 
 All solvers return ``(Solution, SolverReport)`` and are deterministic for a
 fixed instance: each breaks ties by the total order stated in its docstring,
-with the basic RB cost serving as the SINR proxy. EVA, ELVA, bb and brute
-force place each user only at its eligible cells (``_eligible_cells``); SINR,
-the baseline, takes the max-SINR cell. Among equal scores, EVA and ELVA both
+with the basic RB cost serving as the SINR proxy. EVA, ELVA and bb place
+each user only at its eligible cells (``_eligible_cells``); SINR, the
+baseline, takes the max-SINR cell. Among equal scores, EVA and ELVA both
 prefer the lower basic cost, then the lower index: EVA per user through
 ``_row_best``, ELVA over all pairs through its slot order (``solve_elva``).
 
@@ -28,7 +28,6 @@ of one.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -46,10 +45,6 @@ from .problem import (
 
 # Masks non-tied pairs out of the tie-break argmin over basic RB costs.
 _NO_TIE = np.iinfo(np.int64).max
-
-
-class BruteForceCapError(RuntimeError):
-    """The association space exceeds the brute-force enumeration cap."""
 
 
 @dataclass
@@ -215,7 +210,7 @@ def compute_nbar(instance: Instance) -> int:
 def _eligible_cells(instance: Instance) -> np.ndarray:
     """(M, S) bool: each user's affordable cells, those whose budget covers
     the user's basic cost, or every cell for a user with none: the cells EVA,
-    ELVA, bb and brute force may choose (SINR takes the max-SINR cell)."""
+    ELVA and bb may choose (SINR takes the max-SINR cell)."""
     affordable = instance.rb_basic <= instance.rb_budget[None, :]
     return affordable | ~affordable.any(axis=1, keepdims=True)
 
@@ -279,11 +274,17 @@ def solve_eva(
     A user with no affordable cell ranks all cells. Ties among a user's
     best-ranked cells go to the lower basic RB cost, then the lower cell
     index; ``tie_breaks`` counts the users with more than one such cell.
+
+    Raises ``ValueError`` when an eligible cell's rank overflows float64:
+    every overflowed rank would be +inf and tie with the others.
     """
     start = time.perf_counter()
     counts = instance.reward_counts().astype(float)
     nb = instance.rb_basic
-    masked = np.where(_eligible_cells(instance), counts**p / nb, -np.inf)
+    with np.errstate(over="ignore"):  # an overflowed rank is refused below
+        masked = np.where(_eligible_cells(instance), counts**p / nb, -np.inf)
+    if np.isposinf(masked).any():
+        raise ValueError(f"eva_p = {p:g} overflows a rank, (reward count)^p / basic cost")
     _, ties, assoc = _row_best(masked, nb)
     tie_breaks = int((ties > 1).sum())
     solution, _ = _finalize(instance, assoc, mode)
@@ -572,30 +573,3 @@ def solve_bb(
         "bb", instance, solution, start, nodes_explored=nodes, nodes_pruned=pruned,
         node_budget_hit=budget_hit, params={"node_budget": node_budget},
     )
-
-
-def solve_bruteforce(
-    instance: Instance, cap: int = 10**6, mode: str = UNICAST
-) -> tuple[Solution, SolverReport]:
-    """Exhaustive association scan; the verification oracle for tiny instances.
-
-    Each user ranges over its eligible cells (``_eligible_cells``), so
-    whenever every user has an affordable cell, the result is the best
-    feasible association. Of equal-valued associations, the first in
-    lexicographic order wins. ``cap`` bounds the number of associations
-    scanned."""
-    start = time.perf_counter()
-    choices = [np.flatnonzero(row).tolist() for row in _eligible_cells(instance)]
-    total = math.prod(len(cells) for cells in choices)
-    if total > cap:
-        raise BruteForceCapError(
-            f"{total} eligible associations exceed the cap of {cap}"
-        )
-    best_value = -np.inf
-    for combo in itertools.product(*choices):
-        candidate, value = _finalize(instance, np.array(combo, dtype=np.int64), mode)
-        if value > best_value:
-            best_value = value
-            solution = candidate
-
-    return _report("bruteforce", instance, solution, start)

@@ -32,8 +32,13 @@ score first reaches 0, which the solver settles in one step, included.
 ``solve_bb`` is the other way round: the numpy branch-and-bound that the
 list-based search in ``tiercast.solvers`` replaced, kept as the oracle for
 its nodes, prune counts and results.
+
+``solve_bruteforce`` scans every eligible association: the exact oracle,
+with no scipy, that ``tiercast.solvers.solve_bb`` is checked against on
+tiny instances.
 """
 
+import itertools
 import time
 
 import numpy as np
@@ -574,3 +579,19 @@ def solve_bb(instance, node_budget=None, mode=UNICAST):
         node_budget_hit=budget_hit if node_budget is not None else False,
         params={"node_budget": node_budget},
     )
+
+
+def solve_bruteforce(instance, mode=UNICAST):
+    """Exhaustive scan of the eligible associations (``_eligible_cells``),
+    each scored by ``_finalize``: whenever every user has an affordable cell,
+    the best feasible association. Of equal-valued associations, the first in
+    lexicographic order wins."""
+    start = time.perf_counter()
+    choices = [np.flatnonzero(row).tolist() for row in _eligible_cells(instance)]
+    best_value = -np.inf
+    for combo in itertools.product(*choices):
+        candidate, value = _finalize(instance, np.array(combo, dtype=np.int64), mode)
+        if value > best_value:
+            best_value = value
+            solution = candidate
+    return _report("bruteforce", instance, solution, start)

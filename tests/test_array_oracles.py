@@ -895,7 +895,7 @@ def test_exact_solvers_agree_with_budgets_below_basic_costs(inst, mode):
     # the same eligible cells; when every user has an affordable cell, both
     # results are feasible.
     bb_sol, bb = solve_bb(inst, mode=mode)
-    bf_sol, bf = solvers.solve_bruteforce(inst, mode=mode)
+    bf_sol, bf = reference.solve_bruteforce(inst, mode=mode)
     assert bb.objective == pytest.approx(bf.objective, abs=1e-9)
     affordable = inst.rb_basic <= inst.rb_budget[None, :]
     if affordable.any(axis=1).all():

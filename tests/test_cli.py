@@ -115,7 +115,7 @@ def test_generate_topology_out_writes_topology_v1(tmp_path, capsys):
 
 
 def test_solve_refuses_an_instance_with_no_cells(tmp_path, capsys):
-    # Every solver used to fail on it, brute force with a traceback.
+    # Every solver used to fail on it, one with a traceback.
     def packed(dtype, n_bytes):
         return {"dtype": dtype, "data": base64.b64encode(zlib.compress(bytes(n_bytes))).decode()}
 
@@ -125,7 +125,7 @@ def test_solve_refuses_an_instance_with_no_cells(tmp_path, capsys):
         "w": packed("bits", 0), "rb_budget": packed("<i1", 0), "rb_basic": packed("<i1", 0),
         "rb_enhanced": packed("<i1", 0), "sharing": packed("bits", 1),
     }))
-    assert main(["solve", str(path), "--solver", "bruteforce"]) == 1
+    assert main(["solve", str(path), "--solver", "bb"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("cannot load instance: n_cells must be >= 1, got 0")
 
@@ -142,6 +142,7 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
     "payload, named",
     [
         ({"n_userz": 5}, "'n_userz'"),
+        ({"bruteforce_cap": 10}, "'bruteforce_cap'"),
         ([1, 2], "list"),
         ({"channel": {"fq": 5}}, "'fq'"),
         ({"n_users": "5"}, "'n_users'"),
@@ -166,6 +167,7 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
     ],
     ids=[
         "unknown-key",
+        "removed-bruteforce_cap-key",
         "not-an-object",
         "unknown-channel-key",
         "string-n_users",
@@ -321,16 +323,14 @@ def test_generate_refuses_a_budget_beyond_int64(tmp_path, capsys):
 
 
 def test_solve_bruteforce_small(tmp_path, capsys):
+    # bb is the one exact solver: brute force is no solver choice.
     inst = _generate(tmp_path)
     sol_path = tmp_path / "sol.json"
-    rc = main(
-        ["solve", str(inst), "--solver", "bruteforce",
-         "--solution-out", str(sol_path)]
-    )
-    assert rc == 0
-    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert report["solver"] == "bruteforce" and report["feasible"]
-    assert sol_path.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(inst), "--solver", "bruteforce", "--solution-out", str(sol_path)])
+    assert exc.value.code == 1
+    assert "invalid choice: 'bruteforce'" in capsys.readouterr().err
+    assert not sol_path.exists()
 
 
 def test_solve_bb_node_budget_flag(tmp_path, capsys):
@@ -365,14 +365,21 @@ def test_solve_refuses_a_nonfinite_eva_p(tmp_path, capsys):
     assert "'eva_p'" in capsys.readouterr().err
 
 
+def test_solve_refuses_an_eva_p_whose_rank_overflows(tmp_path, capsys):
+    inst = _generate(tmp_path)
+    capsys.readouterr()
+    rc = main(["solve", str(inst), "--solver", "eva", "--eva-p", "2000"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("solve failed: eva_p = 2000 overflows")
+
+
 @pytest.mark.parametrize(
     "flags, named",
     [
         (["--solver", "bb", "--node-budget", "-5"], "node_budget"),
         (["--solver", "eva", "--eva-p", "-1"], "eva_p"),
-        (["--solver", "bruteforce", "--cap", "-3"], "bruteforce_cap"),
     ],
-    ids=["node-budget", "eva-p", "cap"],
+    ids=["node-budget", "eva-p"],
 )
 def test_solve_refuses_an_out_of_range_setting(flags, named, tmp_path, capsys):
     inst = _generate(tmp_path)
@@ -383,15 +390,16 @@ def test_solve_refuses_an_out_of_range_setting(flags, named, tmp_path, capsys):
 
 
 def test_verify_refuses_an_out_of_range_cap(tmp_path, capsys):
+    # The cap is bb's node budget, the oracle's one setting.
     inst = _generate(tmp_path)
     sol = tmp_path / "sol.json"
     assert main(["solve", str(inst), "--solver", "sinr", "--solution-out", str(sol)]) == 0
     capsys.readouterr()
-    assert main(["verify", str(inst), str(sol), "--oracle", "--cap", "0"]) == 1
-    assert "bruteforce_cap must be at least 1" in capsys.readouterr().err
+    assert main(["verify", str(inst), str(sol), "--oracle", "--node-budget", "-1"]) == 1
+    assert "node_budget must be at least 0" in capsys.readouterr().err
     # The flags are checked as given, whether or not the oracle runs.
-    assert main(["verify", str(inst), str(sol), "--cap", "0"]) == 1
-    assert "bruteforce_cap must be at least 1" in capsys.readouterr().err
+    assert main(["verify", str(inst), str(sol), "--node-budget", "-1"]) == 1
+    assert "node_budget must be at least 0" in capsys.readouterr().err
 
 
 def test_sweep_refuses_an_out_of_range_swept_eva_p(tmp_path, capsys):
@@ -448,36 +456,39 @@ def test_generate_refuses_a_negative_seed_by_name(tmp_path, capsys):
 
 
 def test_solve_bruteforce_cap_exit_code(tmp_path, capsys):
-    out = tmp_path / "big.json"
-    rc = main(
-        ["generate", "--n-users", "30", "--n-cells", "3", "--n-views", "2",
-         "--seed", "0", "--out", str(out)]
-    )
-    assert rc == 0
-    rc = main(["solve", str(out), "--solver", "bruteforce", "--cap", "1000"])
-    assert rc == 2
+    # Neither command takes an enumeration cap: --cap is an unknown flag.
+    inst = _generate(tmp_path)
+    for command in (["solve", str(inst), "--solver", "bb"], ["verify", str(inst), str(inst)]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--cap", "5"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
 
 @dataclasses.dataclass
 class _SmallCapConfig(ExperimentConfig):
-    bruteforce_cap: int = 3
+    node_budget: int | None = 5
 
 
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_unset_cap_takes_the_config_default(command, tmp_path, capsys, monkeypatch):
-    # 2^6 associations exceed a config default of 3, so that default must
-    # reach both commands when --cap is not given.
+    # The cap is bb's node budget. bb needs 90 nodes on this instance, so a
+    # config default of 5 must reach both commands when --node-budget is not
+    # given.
     inst = _generate(tmp_path)
     sol = tmp_path / "sol.json"
     assert main(["solve", str(inst), "--solver", "sinr", "--solution-out", str(sol)]) == 0
     capsys.readouterr()
     monkeypatch.setattr(cli, "ExperimentConfig", _SmallCapConfig)
     if command == "solve":
-        assert main(["solve", str(inst), "--solver", "bruteforce"]) == 2
-        assert "cap of 3" in capsys.readouterr().err
+        assert main(["solve", str(inst), "--solver", "bb"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["node_budget_hit"] is True
+        assert report["params"]["node_budget"] == 5
     else:
         assert main(["verify", str(inst), str(sol), "--oracle"]) == 0
-        assert "cap of 3" in json.loads(capsys.readouterr().out)["oracle_skipped"]
+        result = json.loads(capsys.readouterr().out)
+        assert result["oracle_skipped"] == "bb stopped at its node budget of 5"
 
 
 def test_solve_rejects_malformed_instance(tmp_path, capsys):
@@ -505,22 +516,22 @@ def test_sweep_single_row_and_columns(tmp_path, capsys):
 
 
 def test_sweep_with_a_failed_row_writes_every_row_and_exits_1(tmp_path, capsys):
-    # 3^4 associations exceed a cap of 1: the brute-force row fails, the
-    # ELVA row does not, and both are written.
-    config = tmp_path / "capped.json"
+    # At p = 2000 EVA's ranks overflow: the EVA row fails, the ELVA row at
+    # the same point does not, and both are written.
+    config = tmp_path / "overflow.json"
     config.write_text(json.dumps({
-        "n_users": 4, "n_cells": 3, "solvers": ["bruteforce", "elva"],
-        "bruteforce_cap": 1, "seeds": [0],
+        "n_users": 4, "n_cells": 3, "solvers": ["eva", "elva"],
+        "eva_p": 2000, "seeds": [0],
     }))
     out = tmp_path / "rows.csv"
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().out) == {"csv": str(out), "rows": 2, "failures": 1}
     with out.open() as fh:
-        capped, elva = csv.DictReader(fh)
-    assert capped["solver"] == "bruteforce" and "exceed the cap of 1" in capped["status"]
+        failed, elva = csv.DictReader(fh)
+    assert failed["solver"] == "eva" and failed["status"].startswith("eva_p = 2000 overflows")
     assert elva["solver"] == "elva" and elva["status"] == "ok"
     results = ("sweep_value", "objective", "gap", "jain", "mean_utilization", "feasible", "wall_time")
-    assert [capped[name] for name in results] == [""] * len(results)
+    assert [failed[name] for name in results] == [""] * len(results)
 
 
 def test_sweep_reruns_identically(tmp_path, capsys):
@@ -550,6 +561,31 @@ def test_verify_feasible_solution(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out.strip())
     assert result["feasible"] is True
     assert 0 < result["optimality_gap"] <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("mode", ["unicast", "multicast"])
+def test_verify_oracle_gives_a_gap_exactly_when_bb_finishes(mode, tmp_path, capsys):
+    # bb certifies this instance in 90 nodes in unicast and 95 in multicast:
+    # under its default budget the gap is taken against bb's optimum; at 5
+    # nodes bb stops short, so there is no gap.
+    inst = _generate(tmp_path, extra=["--sharing-fraction", "1"])
+    sol = tmp_path / "sol.json"
+    args = [str(inst), "--mode", mode]
+    assert main(["solve", *args, "--solver", "sinr", "--solution-out", str(sol)]) == 0
+    assert main(["solve", *args, "--solver", "bb"]) == 0
+    bb = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert bb["node_budget_hit"] is False and bb["feasible"]
+    verify = ["verify", str(inst), str(sol), "--mode", mode, "--oracle"]
+    assert main(verify) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["oracle_objective"] == bb["objective"]
+    assert result["optimality_gap"] == result["objective"] / bb["objective"]
+    assert "oracle_skipped" not in result
+    assert main([*verify, "--node-budget", "5"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result["oracle_objective"] is None
+    assert result["oracle_skipped"] == "bb stopped at its node budget of 5"
+    assert "optimality_gap" not in result
 
 
 def test_verify_flags_corrupted_solution(tmp_path, capsys):

@@ -76,7 +76,7 @@ def test_a_partial_channel_object_keeps_the_channel_defaults():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("node_budget", -5), ("bruteforce_cap", 0), ("eva_p", -1.0)]
+    "field, value", [("node_budget", -5), ("eva_p", -1.0)]
 )
 def test_out_of_range_run_setting_is_refused(field, value):
     with pytest.raises(ValueError, match=f"{field} must be at least"):

@@ -1,4 +1,5 @@
-"""Branch-and-bound, greedy solvers, and the brute-force oracle."""
+"""Branch-and-bound and greedy solvers, checked against the brute-force
+oracle ``reference.solve_bruteforce`` on tiny instances."""
 
 import numpy as np
 import pytest
@@ -14,11 +15,9 @@ from tiercast.problem import (
     objective,
 )
 from tiercast.solvers import (
-    BruteForceCapError,
     _finalize,
     compute_nbar,
     solve_bb,
-    solve_bruteforce,
     solve_cell_subproblem,
     solve_elva,
     solve_eva,
@@ -29,9 +28,7 @@ import reference
 from conftest import fig1_instance, random_tiny_instance
 
 
-@pytest.mark.parametrize(
-    "solve", [solve_bb, solve_bruteforce, solve_elva, solve_eva, solve_sinr]
-)
+@pytest.mark.parametrize("solve", [solve_bb, solve_elva, solve_eva, solve_sinr])
 def test_solvers_refuse_an_unknown_mode(solve):
     with pytest.raises(ValueError, match="unknown mode 'multicats'"):
         solve(fig1_instance(), mode="multicats")
@@ -47,9 +44,7 @@ _TOP_COST_INSTANCE = Instance(
 )
 
 
-@pytest.mark.parametrize(
-    "solve", [solve_sinr, solve_eva, solve_elva, solve_bb, solve_bruteforce]
-)
+@pytest.mark.parametrize("solve", [solve_sinr, solve_eva, solve_elva, solve_bb])
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(0, 2**32 - 1).map(
@@ -111,7 +106,7 @@ def test_bb_matches_bruteforce_on_random_tiny(rng):
     for _ in range(100):
         inst = random_tiny_instance(rng)
         _, bb = solve_bb(inst)
-        _, bf = solve_bruteforce(inst)
+        _, bf = reference.solve_bruteforce(inst)
         assert bb.objective == pytest.approx(bf.objective, abs=1e-9)
 
 
@@ -119,7 +114,7 @@ def test_bb_multicast_matches_bruteforce_multicast(rng):
     for _ in range(40):
         inst = random_tiny_instance(rng, with_sharing=True)
         sol, bb = solve_bb(inst, mode=MULTICAST)
-        _, bf = solve_bruteforce(inst, mode=MULTICAST)
+        _, bf = reference.solve_bruteforce(inst, mode=MULTICAST)
         assert bb.objective == pytest.approx(bf.objective, abs=1e-9)
         assert is_feasible(inst, sol, MULTICAST).feasible
 
@@ -239,6 +234,31 @@ def test_eva_avoids_unaffordable_cells_when_possible():
     assert not is_feasible(inst, baseline).feasible
 
 
+def _three_views_at_10_or_two_at_1(budget=(50, 50)):
+    """One user: cell 0 rewards 3 views at basic cost 10, cell 1 rewards 2
+    at basic cost 1."""
+    return Instance(
+        n_users=1, n_cells=2, n_views=3, w=[[[1, 1, 1], [1, 1, 0]]],
+        rb_budget=budget, rb_basic=[[10, 1]], rb_enhanced=np.full((1, 2, 3), 5),
+    )
+
+
+def test_eva_refuses_a_p_whose_rank_overflows():
+    # 3^100 / 10 > 2^100 / 1, both within float64.
+    sol, report = solve_eva(_three_views_at_10_or_two_at_1(), p=100)
+    assert sol.assoc.tolist() == [0]
+    assert report.tie_breaks == 0
+    # 3^2000 and 2^2000 both overflow to +inf, which would tie the two
+    # cells and send the user to the cheaper one.
+    with pytest.raises(ValueError, match=r"eva_p = 2000 overflows a rank"):
+        solve_eva(_three_views_at_10_or_two_at_1(), p=2000)
+    # Only eligible cells are ranked: at a budget of 5 cell 0 is not, and
+    # cell 1's rank 2^1000 is finite.
+    sol, report = solve_eva(_three_views_at_10_or_two_at_1(budget=(5, 50)), p=1000)
+    assert sol.assoc.tolist() == [1]
+    assert report.tie_breaks == 0
+
+
 def _all_tie_instance():
     """Every cell's budget (2) sits below every enhanced cost (10) and equals
     the best-cell bound nbar, so ELVA's gains are all 0: every round ties at
@@ -307,7 +327,7 @@ def test_elva_single_user_matches_bruteforce(rng):
         if inst.n_users != 1:
             continue
         _, elva = solve_elva(inst)
-        _, bf = solve_bruteforce(inst)
+        _, bf = reference.solve_bruteforce(inst)
         assert elva.objective == pytest.approx(bf.objective, abs=1e-9)
 
 
@@ -373,7 +393,7 @@ def test_elva_approximation_bound_on_tiny_instances(rng):
     violations = 0
     for _ in range(200):
         inst = random_tiny_instance(rng)
-        _, bf = solve_bruteforce(inst)
+        _, bf = reference.solve_bruteforce(inst)
         _, elva = solve_elva(inst)
         nbar = compute_nbar(inst)
         rho = max(float(min((inst.rb_budget - nbar) / inst.rb_budget)), 0.0)
@@ -386,7 +406,7 @@ def test_elva_approximation_bound_on_tiny_instances(rng):
 def test_all_solvers_feasible_and_deterministic(rng):
     for _ in range(40):
         inst = random_tiny_instance(rng)
-        for solve in (solve_bb, solve_elva, solve_eva, solve_sinr, solve_bruteforce):
+        for solve in (solve_bb, solve_elva, solve_eva, solve_sinr):
             s1, r1 = solve(inst)
             s2, r2 = solve(inst)
             assert is_feasible(inst, s1).feasible
@@ -397,7 +417,7 @@ def test_all_solvers_feasible_and_deterministic(rng):
 
 @pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
 @pytest.mark.parametrize(
-    "solve", [solve_bb, solve_bruteforce, solve_elva, solve_eva, solve_sinr]
+    "solve", [solve_bb, reference.solve_bruteforce, solve_elva, solve_eva, solve_sinr]
 )
 def test_solvers_return_an_empty_feasible_result_with_no_users(solve, mode):
     # ELVA used to stop in compute_nbar on the max of an empty array.
@@ -419,7 +439,7 @@ def test_bruteforce_single_user_scans_cells():
         w=inst.w[:1], rb_budget=inst.rb_budget,
         rb_basic=inst.rb_basic[:1], rb_enhanced=inst.rb_enhanced[:1],
     )
-    _, report = solve_bruteforce(inst_one)
+    _, report = reference.solve_bruteforce(inst_one)
     best = max(
         solve_cell_subproblem(
             inst_one, j, [0], float(inst_one.rb_budget[j] - inst_one.rb_basic[0, j])
@@ -442,7 +462,7 @@ def _two_by_two_unaffordable():
     )
 
 
-@pytest.mark.parametrize("solve", [solve_bruteforce, solve_bb])
+@pytest.mark.parametrize("solve", [reference.solve_bruteforce, solve_bb])
 def test_exact_solvers_keep_users_at_affordable_cells(solve):
     inst = _two_by_two_unaffordable()
     sol, report = solve(inst)
@@ -451,32 +471,17 @@ def test_exact_solvers_keep_users_at_affordable_cells(solve):
     assert is_feasible(inst, sol).feasible
 
 
-def test_bruteforce_cap_counts_eligible_associations():
-    # One of the 2^2 associations is eligible, so a cap of 1 admits the scan;
-    # fig1's 2^3 are all eligible at its ample budgets.
-    _, report = solve_bruteforce(_two_by_two_unaffordable(), cap=1)
-    assert report.objective == pytest.approx(0.2)
-    with pytest.raises(BruteForceCapError, match="8 eligible associations"):
-        solve_bruteforce(fig1_instance(), cap=7)
-
-
-def test_bruteforce_cap_refuses():
-    inst = fig1_instance()
-    with pytest.raises(BruteForceCapError):
-        solve_bruteforce(inst, cap=3)
-
-
 def test_bruteforce_monotone_in_budget(rng):
     for _ in range(30):
         inst = random_tiny_instance(rng)
-        _, base = solve_bruteforce(inst)
+        _, base = reference.solve_bruteforce(inst)
         bumped = Instance(
             n_users=inst.n_users, n_cells=inst.n_cells, n_views=inst.n_views,
             w=inst.w, rb_budget=inst.rb_budget + 1,
             rb_basic=inst.rb_basic, rb_enhanced=inst.rb_enhanced,
             sharing=inst.sharing,
         )
-        _, more = solve_bruteforce(bumped)
+        _, more = reference.solve_bruteforce(bumped)
         assert more.objective >= base.objective - 1e-9
 
 
@@ -541,6 +546,6 @@ def test_greedy_solvers_can_score_zero_where_the_optimum_is_positive():
         solution, report = solve(inst)
         assert list(solution.assoc) == [1, 1, 1, 0]
         assert report.objective == 0.0
-    solution, report = solve_bruteforce(inst)
+    solution, report = reference.solve_bruteforce(inst)
     assert list(solution.assoc)[:3] == [0, 1, 0]
     assert report.objective == 11 / 18
