@@ -101,7 +101,11 @@ def _load_config(args) -> ExperimentConfig:
         overrides["solvers"] = args.solvers.split(",")
     if getattr(args, "mode", None) is not None:
         overrides["modes"] = args.mode.split(",")
-    return dataclasses.replace(config, **overrides) if overrides else config
+    config = dataclasses.replace(config, **overrides) if overrides else config
+    # verify runs bb only as the oracle: a node budget without it does nothing.
+    if args.command == "verify" and args.node_budget is not None and not args.oracle:
+        raise ValueError("--node-budget sets the node budget of --oracle, which is not given")
+    return config
 
 
 def _add_config_flags(parser: argparse.ArgumentParser):

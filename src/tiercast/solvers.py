@@ -12,22 +12,26 @@ Every solver returns ``_finalize``'s allocation at its own association, each
 cell solved exactly at its residual budget: this repository's one allocation
 rule, so that solvers differ only in their associations.
 
-Every enhanced-view fill, the unicast cell allocator's and ELVA's
-provisional per-user ones, goes through ``_fill``: items are taken in the
-caller's order, each with y = min(1, (max(left, 0) + g) / cost), paying
+``_allocate`` solves every cell at once. Each served (user, view) pair with
+w=1 is in a group, view k's sharing-group members at a cell in multicast or
+else a group of one: unicast is multicast without members. A group's level
+t (costs ascending, c_(-1) = 0) opens a segment of length c_t - c_(t-1) and
+density sum(1 / c_s for s >= t), added left to right. Segments sort by cell
+and falling density, ties to the views' groups by view and level, then to
+the groups of one by cost, user and view. Each takes clip(budget - before,
+0, length), ``before`` being the exact length ahead in its cell, so no float
+remainder is handed on; a group's members get min(1, its takes' sum / cost).
+
+ELVA's provisional per-user fills go through ``_fill``: items are taken in
+the caller's order, each with y = min(1, (max(left, 0) + g) / cost), paying
 max(0, y * cost - g) from the budget left, where g is what its sharing group
 already pays (0 for an item outside a group). Once the budget is spent, only
 a member whose group already pays takes a share: it rides the group's
 transmission.
-
-Both cell allocators take a cell's pairs from ``_cell_pairs``. The multicast
-one puts every pair in a group, a pair outside a sharing group being a group
-of one.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -106,99 +110,102 @@ def _view_items(instance: Instance, i: int, j: int, multicast: bool) -> list:
     return [(cost, (i, k), k if shared and shared[k] else None) for cost, k in views]
 
 
-def _cell_pairs(instance: Instance, cell: int, users):
-    """The rewardable (user, view) pairs of ``users`` at ``cell`` as
-    ``(users, views, costs)`` arrays, by ascending enhanced cost, then user,
-    then view."""
-    users = np.asarray(users, dtype=np.int64)
-    rows, views = np.nonzero(instance.w[users, cell])
-    owners = users[rows]
-    costs = instance.rb_enhanced[owners, cell, views]
-    order = np.lexsort((views, owners, costs))
-    return owners[order], views[order], costs[order]
+def _allocate(instance: Instance, assoc, budgets, mode: str) -> tuple[dict, float]:
+    """The module docstring's allocation for ``assoc`` (each user's cell, -1
+    for none) at ``budgets``: an entry per member of a group with a positive
+    take, even at a share of 0, by cell, the group's first segment, cost and
+    user; and the entries' running sum, the objective."""
+    # Built after the kernel's arrays are freed, lest its table pin the heap.
+    users, views, shares = _ledger_arrays(instance, assoc, budgets, mode)
+    alloc = dict(zip(zip(users.tolist(), views.tolist()), shares.tolist()))
+    return alloc, float(np.cumsum(shares)[-1]) if shares.size else 0.0
+
+
+def _ledger_arrays(instance: Instance, assoc, budgets, mode: str):
+    """``_allocate``'s entries as ``(users, views, shares)`` arrays."""
+    if mode not in (UNICAST, MULTICAST):
+        raise ValueError(f"unknown mode {mode!r}")
+    served = instance.w[np.arange(instance.n_users), assoc] * (assoc >= 0)[:, None]
+    owners, views = np.nonzero(served)
+    cells = assoc[owners]
+    costs = instance.rb_enhanced[owners, cells, views]
+    member = (instance.sharing[owners, views] == 1) & (mode == MULTICAST)
+
+    # Pairs by cell, each view's group, then the groups of one, by cost, user
+    # and view (they come by user and view to a stable sort): one run a group.
+    runs = cells * (instance.n_views + 1) + np.where(member, views, instance.n_views)
+    order = np.lexsort((costs, runs))
+    cells, costs, runs, member = (a[order] for a in (cells, costs, runs, member))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = (runs[1:] != runs[:-1]) | ~member[1:]
+    starts = np.flatnonzero(first)
+    ends = np.concatenate((starts[1:], [order.size]))
+    group = np.cumsum(first) - 1
+    prev = np.where(first, 0, costs[np.arange(order.size) - 1])  # the level below
+    seg = np.flatnonzero(costs > prev)
+
+    # A member segment's density sums its group's 1 / cost from its level on
+    # along a zero-padded row. Without members the pairs come by density.
+    density = 1.0 / costs
+    rows = seg[member[seg]]
+    if rows.size:
+        stop = ends[group[rows]]
+        at = rows[:, None] + np.arange((stop - rows).max())
+        terms = np.where(at < stop[:, None], density[np.minimum(at, order.size - 1)], 0.0)
+        density[rows] = np.cumsum(terms, axis=1)[:, -1]
+        # The stable sort keeps equal densities in their order above.
+        seg = seg[np.lexsort((-density[seg], cells[seg]))]
+    length = (costs[seg] - prev[seg]).astype(float)
+    seg_cell = cells[seg]
+    budget = budgets[seg_cell].astype(float)
+    # ``before`` sums lengths capped at the budget: a capped length ends its
+    # cell's takes either way, and no huge cost spoils another cell's sums.
+    before = np.zeros(seg.size)
+    np.cumsum(np.minimum(length, np.maximum(budget, 0.0))[:-1], out=before[1:])
+    before -= before[np.searchsorted(seg_cell, seg_cell)]
+    take = np.minimum(np.maximum(budget - before, 0.0), length)
+    charge = np.bincount(group[seg], weights=take, minlength=starts.size)
+
+    # Positive takes are a prefix of each cell's segments, and a group's
+    # segments sort by level (a suffix sum over more members is no smaller),
+    # so the charged groups' level-0 segments come in first-segment order.
+    charged = group[seg[(take > 0) & first[seg]]]
+    idx = starts[charged]
+    if rows.size:  # each charged view group's run of pairs
+        sizes = (ends - starts)[charged]
+        idx = np.repeat(idx - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    shares = np.minimum(1.0, charge[group[idx]] / costs[idx])
+    return owners[order[idx]], views[order[idx]], shares
+
+
+def _one_cell(instance: Instance, cell: int, users, budget: float, mode: str):
+    """``_allocate`` of the distinct ``users`` at ``cell`` alone."""
+    assoc = np.full(instance.n_users, -1, dtype=np.int64)
+    assoc[np.asarray(users, dtype=np.int64)] = cell
+    budgets = np.full(instance.n_cells, float(budget))  # only ``cell`` has pairs
+    return CellAllocation(*_allocate(instance, assoc, budgets, mode))
 
 
 def solve_cell_subproblem(
     instance: Instance, cell: int, users, budget: float
 ) -> CellAllocation:
-    """Exact fractional-knapsack optimum of the per-cell allocation problem.
-
-    Candidates are the (user, view) pairs with w=1, ranked by reward per RB
-    (equivalently ascending enhanced cost, then user, then view), and filled
-    in that order. The pairs that fit receive y=1 and the next a fraction;
-    the float remainder that fraction leaves can give later pairs shares
-    below 1e-9. A negative budget, the basic broadcast alone exceeding the
-    cell budget, gets no enhanced view.
-    """
-    owners, views, costs = _cell_pairs(instance, cell, users)
-    items = zip(
-        costs.tolist(),
-        zip(owners.tolist(), views.tolist()),
-        itertools.repeat(None),
-    )
-    taken, _ = _fill(items, float(budget), {})
-    value = 0.0
-    for _, y in taken:
-        value += y
-    return CellAllocation(alloc=dict(taken), value=value)
+    """Exact fractional-knapsack optimum of the per-cell allocation problem:
+    the (user, view) pairs with w=1 by ascending cost, then user, then view.
+    Those that fit get y=1, the next the share the budget leaves, the rest no
+    entry, however the float budget rounds. The value is the shares' sum."""
+    return _one_cell(instance, cell, users, budget, UNICAST)
 
 
 def solve_cell_subproblem_multicast(
     instance: Instance, cell: int, users, budget: float
 ) -> CellAllocation:
-    """Exact per-cell optimum under multicast RB accounting.
-
-    Every pair is in a group: view k's sharing-group members, keyed
-    ``(0, k)``, or a group of one, keyed ``(1, user, k)``. A group rides one
-    transmission charged at its max member cost, so its reward is a concave
-    piecewise-linear function of the charge. Filling all groups' segments by
-    reward per RB (ties: key, then level) is exact, because segment densities
-    decrease within each group; each share is then min(1, charge / cost).
-    A negative budget gets no enhanced view.
-    """
-    # Members by ascending cost, then user: the order of the cell's pairs.
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    owners, views, costs = _cell_pairs(instance, cell, users)
-    shared = instance.sharing[owners, views].tolist()
-    pairs = zip(owners.tolist(), views.tolist(), costs.tolist(), shared)
-    for i, k, cost, member in pairs:
-        groups.setdefault((0, k) if member else (1, i, k), []).append((cost, i))
-
-    # (density, key, level, length) segments; key and level order ties.
-    segments = []
-    for key, members in groups.items():
-        inv = [1.0 / c for c, _ in members]
-        prev = 0.0
-        for lvl, (c, _) in enumerate(members):
-            if c > prev:
-                segments.append((sum(inv[lvl:]), key, lvl, c - prev))
-            prev = c
-    segments.sort(key=lambda s: (-s[0], s[1], s[2]))
-
-    remaining = float(budget)
-    value = 0.0
-    charge: dict[tuple, float] = {}
-    for density, key, _, length in segments:
-        if remaining <= 0:
-            break
-        take = min(length, remaining)
-        remaining -= take
-        value += density * take
-        charge[key] = charge.get(key, 0.0) + take
-
-    alloc = {}
-    for key, paid in charge.items():
-        for cost, i in groups[key]:
-            alloc[(i, key[-1])] = min(1.0, paid / cost)
-    return CellAllocation(alloc=alloc, value=value)
-
-
-def _cell_allocator(mode: str):
-    if mode == UNICAST:
-        return solve_cell_subproblem
-    if mode == MULTICAST:
-        return solve_cell_subproblem_multicast
-    raise ValueError(f"unknown mode {mode!r}")
+    """Exact per-cell optimum under multicast RB accounting: view k's
+    sharing-group members ride one transmission charged at their max cost, a
+    concave piecewise-linear reward, whose segments fill by reward per RB
+    with the pairs outside a group. Ties go to the views' groups by view and
+    level, then to the other pairs by cost, user and view; no float remainder
+    is handed on. The value is the shares' sum in entry order."""
+    return _one_cell(instance, cell, users, budget, MULTICAST)
 
 
 def compute_nbar(instance: Instance) -> int:
@@ -232,22 +239,12 @@ def _report(solver: str, instance: Instance, solution: Solution, start, **fields
     return solution, SolverReport(solver, value, wall_time, **fields)
 
 
-def _finalize(
-    instance: Instance, assoc: np.ndarray, mode: str
-) -> tuple[Solution, float]:
-    """Re-solve every cell at its true residual budget for a fixed association."""
-    allocator = _cell_allocator(mode)
-    solution = Solution(assoc=assoc.copy())
-    residual = (instance.rb_budget - broadcast_cost(instance, assoc)).tolist()
-    total = 0.0
-    for j in range(instance.n_cells):
-        users = np.flatnonzero(assoc == j)
-        if users.size == 0:
-            continue
-        cell = allocator(instance, j, users.tolist(), float(residual[j]))
-        solution.alloc.update(cell.alloc)
-        total += cell.value
-    return solution, total
+def _finalize(instance: Instance, assoc: np.ndarray, mode: str) -> tuple[Solution, float]:
+    """Every cell allocated at its true residual budget for a fixed
+    association: the solution and its objective, bit for bit."""
+    residual = instance.rb_budget - broadcast_cost(instance, assoc)
+    alloc, total = _allocate(instance, assoc, residual, mode)
+    return Solution(assoc=assoc.copy(), alloc=alloc), total
 
 
 def solve_sinr(instance: Instance, mode: str = UNICAST) -> tuple[Solution, SolverReport]:
@@ -477,7 +474,6 @@ def solve_bb(
     nb = instance.rb_basic
     budgets = instance.rb_budget.astype(float).tolist()
     multicast = mode == MULTICAST
-    allocator = _cell_allocator(mode)
     limit = float("inf") if node_budget is None else node_budget
 
     def pair_key(i, j):
@@ -534,7 +530,7 @@ def solve_bb(
             budget = budgets[j] - cell_basic
             if multicast:
                 cell = contents[j] + [i]
-                value = allocator(instance, j, cell, budget).value
+                value = solve_cell_subproblem_multicast(instance, j, cell, budget).value
             else:
                 cell = sorted(contents[j] + user_costs)
                 value = _cell_value(cell, budget)

@@ -3,21 +3,31 @@
 Each is a plain loop over the allocation dict or over a sorted candidate
 list, adding its terms one at a time in order. They are the oracles for the
 allocation ledger in ``tiercast.problem``; in ``tiercast.solvers``, for
-the unicast and multicast cell kernels, EVA's association and tie-breaks,
-ELVA's per-user fills, the single-user gain lookup and ELVA's rounds; and, in
-``tiercast.scenario``, for the 1 m user redraw, one user at a time, and
-for the demand draw and the cache placement, as per-user view tuples and
-per-cell view sets.
+the allocation kernel ``_allocate`` cell by cell, EVA's association and
+tie-breaks, ELVA's per-user fills, the single-user gain lookup and ELVA's
+rounds; and, in ``tiercast.scenario``, for the 1 m user redraw, one user
+at a time, and for the demand draw and the cache placement, as per-user
+view tuples and per-cell view sets.
 
 ``fill`` is the enhanced-view fill with builtin ``min`` / ``max``, as it
 was before ``_fill`` spelt the same rule in branches; the oracle for
 ``_fill``'s taken shares, budget left and group charges.
 
+``solve_cell_subproblem`` is the unicast fill with ``remaining -= y * cost``.
+After a partial share that subtraction can leave a float remainder, which
+the loop hands on to later pairs in shares below 1e-9; the kernel's exact
+takes leave those entries out, and match every other entry bit for bit. Its
+value adds every share, so it lies within 1e-12 relative of the kernel's.
+
 ``solve_cell_subproblem_multicast`` is the per-view loop with separate
 group and unicast segments that the one-kind group fill replaced. Its
-values and group members' shares are the solver's bit for bit; a pair
-outside a group gets take * (1 / cost) here, within 2 ulp of the solver's
-charge / cost.
+group members' shares are the kernel's bit for bit; a pair outside a group
+gets take * (1 / cost) here, within 2 ulp of the kernel's charge / cost. Its
+value adds density * take per segment, within 1e-12 relative of the
+kernel's, which adds the shares.
+
+``group_fill`` is that one-kind group fill, the per-cell Python loop the
+kernel replaced: the kernel's entries bit for bit and in order.
 
 ``solve_elva`` is ELVA as it was before it ranked only eligible cells: an
 unaffordable pair scored ``(N_j - nb_ij) * T`` plus its gain, which is
@@ -57,7 +67,6 @@ from tiercast.scenario import MIN_USER_CELL_DISTANCE, _uniform_disc
 from tiercast.solvers import (
     CellAllocation,
     SolverReport,
-    _cell_allocator,
     _eligible_cells,
     _fill,
     _finalize,
@@ -67,6 +76,7 @@ from tiercast.solvers import (
     _view_items,
     compute_nbar,
 )
+from tiercast import solvers
 
 _NO_TIE = np.iinfo(np.int64).max
 
@@ -247,6 +257,46 @@ def solve_cell_subproblem_multicast(instance, cell, users, budget):
         for cost, i in group_members[k]:
             alloc[(i, k)] = min(1.0, charge / cost)
     return CellAllocation(alloc=alloc, value=value)
+
+
+def group_fill(instance, cell, users, budget):
+    """The per-cell multicast fill that ``solvers._allocate`` replaced, as
+    an allocation dict: every pair in a group, view k's members keyed
+    ``(0, k)`` and any other pair a group of one keyed ``(1, user, k)``;
+    segments by density, then key, then level, each density summed left to
+    right; the groups in the order of their first charged segment, members
+    by cost, then user."""
+    pairs = sorted(
+        (int(instance.rb_enhanced[i, cell, k]), i, int(k))
+        for i in users
+        for k in np.flatnonzero(instance.w[i, cell])
+    )
+    groups = {}
+    for cost, i, k in pairs:
+        key = (0, k) if instance.sharing[i, k] else (1, i, k)
+        groups.setdefault(key, []).append((cost, i))
+    segments = []
+    for key, members in groups.items():
+        inv = [1.0 / c for c, _ in members]
+        prev = 0
+        for lvl, (c, _) in enumerate(members):
+            if c > prev:
+                segments.append((sum(inv[lvl:]), key, lvl, c - prev))
+            prev = c
+    segments.sort(key=lambda seg: (-seg[0], seg[1], seg[2]))
+    remaining = float(budget)
+    charge = {}
+    for _, key, _, length in segments:
+        if remaining <= 0:
+            break
+        take = min(length, remaining)
+        remaining -= take
+        charge[key] = charge.get(key, 0.0) + take
+    return {
+        (i, key[-1]): min(1.0, paid / cost)
+        for key, paid in charge.items()
+        for cost, i in groups[key]
+    }
 
 
 def single_user_gain(costs, budget):
@@ -489,7 +539,6 @@ def solve_bb(instance, node_budget=None, mode=UNICAST):
     nb = instance.rb_basic
     budgets = instance.rb_budget.astype(float)
     multicast = mode == MULTICAST
-    allocator = _cell_allocator(mode)
 
     user_costs = [
         [
@@ -531,7 +580,9 @@ def solve_bb(instance, node_budget=None, mode=UNICAST):
         if multicast:
             if budget < 0:
                 return 0.0
-            return allocator(instance, j, state.members, budget).value
+            return solvers.solve_cell_subproblem_multicast(
+                instance, j, state.members, budget
+            ).value
         return cell_value_from_costs(state.costs, budget)
 
     def descend(t, partial):

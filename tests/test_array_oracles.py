@@ -1,10 +1,13 @@
 """The array code against the scalar loops in ``reference``: exact equality.
 
 Every property compares values by their bits (``float.hex``), dicts by their
-item order, and solver reports by their tie-break counts; the one exception,
-the multicast cell kernel's shares of pairs outside a group, is held to 2 ulp.
-All run on small instances with sharing groups, many equal costs and scores,
-and allocation dicts built in arbitrary order.
+item order, and solver reports by their tie-break counts. The exceptions are
+the allocation kernel's, against the per-cell loops: it gives no entry where
+the unicast loop hands a float remainder on, the multicast loop's shares of
+pairs outside a group are held to 2 ulp, and a cell's value, the shares'
+sum, to 1e-12 relative of the loops' own sums. All run on small instances
+with sharing groups, many equal costs and scores, and allocation dicts built
+in arbitrary order.
 """
 
 import dataclasses
@@ -24,6 +27,7 @@ from tiercast.problem import (
     UNICAST,
     Instance,
     Solution,
+    broadcast_cost,
     is_feasible,
     objective,
     per_user_rewards,
@@ -58,14 +62,14 @@ def _items(alloc):
 
 
 @st.composite
-def instances(draw, sharing=None):
+def instances(draw, sharing=None, costs=st.integers(1, 5)):
     """Tiny instances; few distinct costs so that ties are common."""
     m = draw(st.integers(1, 6))
     s = draw(st.integers(1, 4))
     e = draw(st.integers(1, 4))
     w = np.array(draw(st.lists(st.integers(0, 1), min_size=m * s * e, max_size=m * s * e)))
     nb = np.array(draw(st.lists(st.integers(1, 3), min_size=m * s, max_size=m * s)))
-    ne = np.array(draw(st.lists(st.integers(1, 5), min_size=m * s * e, max_size=m * s * e)))
+    ne = np.array(draw(st.lists(costs, min_size=m * s * e, max_size=m * s * e)))
     slack = np.array(draw(st.lists(st.integers(0, 12), min_size=s, max_size=s)))
     nb = nb.reshape(m, s)
     mask = None
@@ -183,11 +187,46 @@ def test_is_feasible_reports_out_of_range_cell_without_indexing_it():
     assert [v.constraint for v in report.violations] == ["association"]
 
 
+def _assert_cell_matches_loop(inst, cell, users, budget, mode, mine):
+    """One cell's kernel entries ``mine``, in order, against the per-cell
+    loop of ``reference`` at ``budget``. Unicast: the loop's entries bit for
+    bit, up to its remainder entries, which the kernel leaves out; a share
+    below 1 only last. Multicast: the two-kind loop's pairs, members' shares
+    bit for bit and the others' to 2 ulp; and ``group_fill``'s entries, bit
+    for bit and in order. Returns the loop's value."""
+    if mode == UNICAST:
+        ref = reference.solve_cell_subproblem(inst, cell, users, budget)
+        ref_items = _items(ref.alloc)
+        assert _items(mine) == ref_items[: len(mine)]
+        # After a partial share, (y * cost) can leave the loop a float
+        # remainder of the budget, which it hands on in shares below 1e-9.
+        assert all(y < 1e-9 for y in list(ref.alloc.values())[len(mine):])
+        assert all(y == 1.0 for y in list(mine.values())[:-1])
+        return ref.value
+    ref = reference.solve_cell_subproblem_multicast(inst, cell, users, budget)
+    assert mine.keys() == ref.alloc.keys()
+    for key, y in ref.alloc.items():
+        if inst.sharing[key]:
+            assert _bits([mine[key]]) == _bits([y])
+        else:
+            assert abs(mine[key] - y) <= 2 * math.ulp(y)
+    assert _items(mine) == _items(reference.group_fill(inst, cell, users, budget))
+    return ref.value
+
+
+def _assert_value_is_the_share_sum(cell, ref_value):
+    """A one-cell value is its shares' sum in entry order, and within 1e-12
+    relative of the loop's."""
+    shares = list(cell.alloc.values())
+    assert _bits([cell.value]) == _bits([sum(shares, 0.0)])
+    assert abs(cell.value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+
+
 @st.composite
 def cell_cases(draw):
-    inst = draw(instances(sharing=False))
+    inst = draw(instances(sharing=False, costs=st.sampled_from([1, 2, 3, 5, 49])))
     cell = draw(st.integers(0, inst.n_cells - 1))
-    users = draw(st.lists(st.integers(0, inst.n_users - 1), max_size=8))
+    users = draw(st.lists(st.integers(0, inst.n_users - 1), unique=True, max_size=8))
     costs = sorted(
         int(inst.rb_enhanced[i, cell, k])
         for i in users
@@ -199,8 +238,8 @@ def cell_cases(draw):
     budget = draw(
         st.one_of(
             st.sampled_from([edge, edge + 1e-12, edge - 1e-12, edge + 0.1, edge + 1 / 3]),
-            st.floats(-1.0, 40.0),
-            st.integers(-1, 40).map(float),
+            st.floats(-1.0, 60.0),
+            st.integers(-1, 60).map(float),
         )
     )
     return inst, cell, users, budget
@@ -211,35 +250,37 @@ def cell_cases(draw):
 def test_unicast_cell_kernel_matches_fill_loop(case):
     inst, cell, users, budget = case
     mine = solve_cell_subproblem(inst, cell, users, budget)
-    ref = reference.solve_cell_subproblem(inst, cell, users, budget)
-    assert _items(mine.alloc) == _items(ref.alloc)
-    assert _bits([mine.value]) == _bits([ref.value])
+    ref_value = _assert_cell_matches_loop(inst, cell, users, budget, UNICAST, mine.alloc)
+    _assert_value_is_the_share_sum(mine, ref_value)
 
 
-def test_unicast_cell_kernel_keeps_tiny_remainder_share():
-    # (1 / 49) * 49 rounds below 1, so the fill hands ~2e-18 to the next item.
-    inst = Instance(
+def _two_users_at_49_and_50():
+    return Instance(
         n_users=2, n_cells=1, n_views=1, w=np.ones((2, 1, 1)),
         rb_budget=[100], rb_basic=[[1], [1]], rb_enhanced=[[[49]], [[50]]],
     )
+
+
+def test_unicast_cell_kernel_leaves_no_remainder_share():
+    # (1 / 49) * 49 rounds below 1, so the loop hands ~2e-18 to the next
+    # item; the kernel's take is exact, and the next item gets no entry.
+    inst = _two_users_at_49_and_50()
     mine = solve_cell_subproblem(inst, 0, [0, 1], 1.0)
     ref = reference.solve_cell_subproblem(inst, 0, [0, 1], 1.0)
-    assert _items(mine.alloc) == _items(ref.alloc)
-    assert 0 < mine.alloc[(1, 0)] < 1e-9
+    assert 0 < ref.alloc[(1, 0)] < 1e-9
+    assert _items(mine.alloc) == _items(ref.alloc)[:1] == [((0, 0), (1 / 49).hex())]
+    assert mine.value == 1 / 49
 
 
 def test_unicast_cell_kernel_takes_items_while_budget_is_left():
-    # 5e-324 / 49 underflows to 0, but the budget stays positive, so the
-    # fill goes on and records the zero shares, as its loop did.
-    inst = Instance(
-        n_users=2, n_cells=1, n_views=1, w=np.ones((2, 1, 1)),
-        rb_budget=[100], rb_basic=[[1], [1]], rb_enhanced=[[[49]], [[50]]],
-    )
+    # 5e-324 / 49 underflows to 0. The first item's take, 5e-324, is
+    # positive, so it is recorded at its share of 0; that take spends the
+    # budget, where the loop, whose spend rounded to 0, went on.
+    inst = _two_users_at_49_and_50()
     mine = solve_cell_subproblem(inst, 0, [0, 1], 5e-324)
     ref = reference.solve_cell_subproblem(inst, 0, [0, 1], 5e-324)
-    assert _items(mine.alloc) == _items(ref.alloc) == [
-        ((0, 0), (0.0).hex()), ((1, 0), (0.0).hex())
-    ]
+    assert _items(mine.alloc) == _items(ref.alloc)[:1] == [((0, 0), (0.0).hex())]
+    assert _items(ref.alloc)[1:] == [((1, 0), (0.0).hex())]
 
 
 @st.composite
@@ -298,18 +339,26 @@ def test_multicast_cell_kernel_matches_two_kind_loop(case):
     inst, cell, users, budget = case
     mine = solvers.solve_cell_subproblem_multicast(inst, cell, users, budget)
     ref = reference.solve_cell_subproblem_multicast(inst, cell, users, budget)
-    assert _bits([mine.value]) == _bits([ref.value])
-    assert mine.alloc.keys() == ref.alloc.keys()
+    _assert_cell_matches_loop(inst, cell, users, budget, MULTICAST, mine.alloc)
+    _assert_value_is_the_share_sum(mine, ref.value)
     alone = [key for key in ref.alloc if not inst.sharing[key]]
-    for key, y in ref.alloc.items():
-        if inst.sharing[key]:
-            assert _bits([mine.alloc[key]]) == _bits([y])
-        else:
-            assert abs(mine.alloc[key] - y) <= 2 * math.ulp(y)
     # The loop records a pair outside a group as it fills it, and a partial
     # take spends the budget, so every such pair before the last was whole.
     for key in alone[:-1]:
         assert mine.alloc[key] == 1.0
+
+
+def test_multicast_cell_kernel_sums_densities_left_to_right():
+    # View 1's group of costs 4, 20 and 30 has density 1/4 + 1/20 + 1/30,
+    # which is 1/3 added left to right and above it added right to left.
+    # It ties view 0's one member at cost 3, and the lower view fills first.
+    inst = _one_cell(
+        [[9, 4], [9, 20], [9, 30], [3, 9]], [[1, 1]] * 4,
+        [[0, 1], [0, 1], [0, 1], [1, 0]],
+    )
+    assert 1 / 4 + 1 / 20 + 1 / 30 == 1 / 3 < 1 / 30 + 1 / 20 + 1 / 4
+    mine = solvers.solve_cell_subproblem_multicast(inst, 0, [0, 1, 2, 3], 3.0)
+    assert mine.alloc == reference.group_fill(inst, 0, [0, 1, 2, 3], 3.0) == {(3, 0): 1.0}
 
 
 def test_multicast_cell_kernel_gives_a_whole_pair_outside_a_group_one():
@@ -322,7 +371,7 @@ def test_multicast_cell_kernel_gives_a_whole_pair_outside_a_group_one():
         ((0, 1), 1.0), ((1, 1), 1.0), ((0, 0), 1.0), ((1, 0), 21 / 60)
     ]
     assert ref.alloc[(0, 0)] == 0.9999999999999999
-    assert _bits([mine.value]) == _bits([ref.value])
+    _assert_value_is_the_share_sum(mine, ref.value)
 
 
 @SETTINGS
@@ -840,10 +889,55 @@ def test_elva_matches_penalty_elva_where_every_user_has_an_affordable_cell(inst,
     _assert_same_elva(inst, mode, reference.solve_elva)
 
 
+def _assert_cells_match_loops(inst, solution, total, mode):
+    """``_finalize``'s result against the per-cell loops, each at its cell's
+    integer residual, which is negative at a cell whose broadcast exceeds
+    its budget: the entries in cell order, and the total is the objective."""
+    assoc = solution.assoc
+    residual = inst.rb_budget - broadcast_cost(inst, assoc)
+    cells = [assoc[i] for i, _ in solution.alloc]
+    assert cells == sorted(cells)
+    for j in range(inst.n_cells):
+        users = np.flatnonzero(assoc == j).tolist()
+        mine = {key: y for key, y in solution.alloc.items() if assoc[key[0]] == j}
+        _assert_cell_matches_loop(inst, j, users, float(residual[j]), mode, mine)
+    assert _bits([total]) == _bits([objective(inst, solution)])
+
+
+@SETTINGS
+@given(st.data(), st.sampled_from([UNICAST, MULTICAST]))
+def test_finalize_matches_the_cell_loops_at_every_cell(data, mode):
+    # Any association, users at cells they cannot afford included. A cost
+    # of 49, whose (1 / 49) * 49 rounds below 1, gives the unicast loop
+    # float remainders.
+    inst = data.draw(instances(costs=st.sampled_from([1, 2, 3, 4, 5, 49])))
+    cell = st.integers(0, inst.n_cells - 1)
+    assoc = data.draw(st.lists(cell, min_size=inst.n_users, max_size=inst.n_users))
+    solution, total = solvers._finalize(inst, np.array(assoc, dtype=np.int64), mode)
+    _assert_cells_match_loops(inst, solution, total, mode)
+
+
+@SETTINGS
+@given(
+    instances(costs=st.sampled_from([1, 2, 49])),
+    st.sampled_from(["sinr", "eva", "elva", "bb"]),
+    st.sampled_from([UNICAST, MULTICAST]),
+)
+# 1 RB is left for two 49-RB views; 1 - (1 / 49) * 49 is 1.1e-16.
+@example(
+    dataclasses.replace(_two_users_at_49_and_50(), rb_budget=np.array([2])),
+    "sinr", UNICAST,
+)
+def test_no_solver_leaves_a_remainder_share(inst, solver, mode):
+    # Every take is exact, so no share is a float remainder below 1e-9.
+    solution, _ = getattr(solvers, f"solve_{solver}")(inst, mode=mode)
+    assert not [y for y in solution.alloc.values() if 0 < y < 1e-9]
+
+
 @pytest.mark.parametrize("solver", ["sinr", "elva"])
 def test_solvers_match_with_reference_cell_fill(solver, rng):
-    # The cell kernel inside the solvers' final allocation, on instances
-    # with many equal costs.
+    # The allocation kernel inside the solvers' final allocation, on
+    # instances with many equal costs, against the per-cell loops.
     solve = getattr(solvers, f"solve_{solver}")
     for _ in range(40):
         m, s, e = 8, 3, 4
@@ -852,16 +946,12 @@ def test_solvers_match_with_reference_cell_fill(solver, rng):
             w=rng.integers(0, 2, (m, s, e)),
             rb_budget=rng.integers(5, 40, s),
             rb_basic=rng.integers(1, 4, (m, s)),
-            rb_enhanced=rng.integers(1, 6, (m, s, e)),
+            rb_enhanced=rng.choice([1, 2, 3, 5, 49], (m, s, e)),
+            sharing=rng.integers(0, 2, (m, e)),
         )
-        sol, rep = solve(inst)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solvers, "solve_cell_subproblem", reference.solve_cell_subproblem)
-            ref_sol, ref_rep = solve(inst)
-        assert list(sol.assoc) == list(ref_sol.assoc)
-        assert _items(sol.alloc) == _items(ref_sol.alloc)
-        assert _bits([rep.objective]) == _bits([ref_rep.objective])
-        assert rep.tie_breaks == ref_rep.tie_breaks
+        for mode in (UNICAST, MULTICAST):
+            solution, report = solve(inst, mode=mode)
+            _assert_cells_match_loops(inst, solution, report.objective, mode)
 
 
 def _bb_record(solution, report):
@@ -875,12 +965,30 @@ def _bb_record(solution, report):
     )
 
 
+def _three_riders():
+    """Users 1, 3 and 4 want view 0 at cell 0 alone, at costs 3, 3 and 2;
+    3 and 4 share it. Their value at 4 RBs, 2 + 1/3, is 2.3333333333333335
+    as the kernel adds its shares, 2.333333333333333 as the two-kind loop
+    adds density * take."""
+    w = np.zeros((6, 4, 1))
+    w[[1, 3, 4], 0] = 1
+    ne = np.ones((6, 4, 1))
+    ne[[1, 3, 4], 0] = [[3], [3], [2]]
+    return Instance(
+        n_users=6, n_cells=4, n_views=1, w=w, rb_budget=[5, 1, 1, 1],
+        rb_basic=np.ones((6, 4)), rb_enhanced=ne, sharing=[[0], [0], [0], [1], [1], [0]],
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     instances(),
     st.sampled_from([UNICAST, MULTICAST]),
     st.one_of(st.none(), st.sampled_from([0, 1]), st.integers(2, 40)),
 )
+# The numpy search must value a multicast cell by the kernel's share sum:
+# with the two-kind loop's sum it explores 25 nodes here, not 33.
+@example(inst=_three_riders(), mode=MULTICAST, node_budget=None)
 def test_bb_explores_the_nodes_of_the_numpy_search(inst, mode, node_budget):
     # Same nodes, prunes and limit flag, and the same result bit for bit.
     mine = solve_bb(inst, node_budget=node_budget, mode=mode)

@@ -402,6 +402,21 @@ def test_verify_refuses_an_out_of_range_cap(tmp_path, capsys):
     assert "node_budget must be at least 0" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_node_budget_without_the_oracle(tmp_path, capsys):
+    # Without --oracle, verify runs no bb, so the cap would do nothing.
+    inst = _generate(tmp_path)
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(inst), "--solver", "sinr", "--solution-out", str(sol)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(sol), "--node-budget", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "invalid configuration: --node-budget sets the node budget of --oracle,"
+        " which is not given\n"
+    )
+
+
 def test_sweep_refuses_an_out_of_range_swept_eva_p(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(
