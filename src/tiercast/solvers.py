@@ -22,17 +22,23 @@ the groups of one by cost, user and view. Each takes clip(budget - before,
 0, length), ``before`` being the exact length ahead in its cell, so no float
 remainder is handed on; a group's members get min(1, its takes' sum / cost).
 
-ELVA's provisional per-user fills go through ``_fill``: items are taken in
-the caller's order, each with y = min(1, (max(left, 0) + g) / cost), paying
+ELVA's provisional per-user fills go through ``_fill``, in both modes, with
+each pair's views read from the gain tables by ascending cost, then view:
+each item takes y = min(1, (max(left, 0) + g) / cost), paying
 max(0, y * cost - g) from the budget left, where g is what its sharing group
 already pays (0 for an item outside a group). Once the budget is spent, only
 a member whose group already pays takes a share: it rides the group's
 transmission.
+
+ELVA takes each run of rounds at one maximum score in one batch
+(``solve_elva``), exactly: a fill only lowers its cell's budget, and a gain
+never rises as its budget falls.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +49,7 @@ from .problem import (
     MULTICAST,
     UNICAST,
     broadcast_cost,
-    objective,
+    objective,  # noqa: F401 (bench/spans.py wraps it here by name)
 )
 
 
@@ -73,15 +79,12 @@ class CellAllocation:
     value: float
 
 
-def _fill(items, left: float, paid: dict):
-    """Fill ``(cost, key, group)`` items in order from the budget ``left``.
-
-    ``group`` is None outside a sharing group, else the key under which
-    ``paid`` holds what the group already pays; ``paid`` is updated in place.
-    Returns the ``(key, y)`` pairs taken, in order, and the budget left.
-    """
-    taken = []
-    for cost, key, group in items:
+def _fill(items, left: float, paid: dict) -> float:
+    """Fill ``(cost, group)`` items in order from the budget ``left``; return
+    the budget left. ``group`` is None outside a sharing group, else the key
+    under which ``paid`` holds what the group already pays; ``paid`` is
+    updated in place."""
+    for cost, group in items:
         if left <= 0 and not paid:  # spent, and no group to ride on
             break
         charge = paid.get(group, 0.0)
@@ -91,23 +94,13 @@ def _fill(items, left: float, paid: dict):
             y = 1.0
         if left <= 0 and y <= 0:
             continue
-        taken.append((key, y))
         spend = y * cost
         if spend > charge:
             left -= spend - charge
             charge = spend
         if group is not None:
             paid[group] = charge
-    return taken, left
-
-
-def _view_items(instance: Instance, i: int, j: int, multicast: bool) -> list:
-    """User i's rewardable views at cell j as fill items, by ascending
-    enhanced cost, then view; a sharing-group member's group is its view."""
-    costs = instance.rb_enhanced[i, j].tolist()
-    shared = instance.sharing[i].tolist() if multicast else None
-    views = sorted((costs[k], k) for k in np.flatnonzero(instance.w[i, j]).tolist())
-    return [(cost, (i, k), k if shared and shared[k] else None) for cost, k in views]
+    return left
 
 
 def _allocate(instance: Instance, assoc, budgets, mode: str) -> tuple[dict, float]:
@@ -232,9 +225,10 @@ def _row_best(scores: np.ndarray, nb: np.ndarray):
     return best, tied.sum(axis=1), cell
 
 
-def _report(solver: str, instance: Instance, solution: Solution, start, **fields):
-    """The solution and its report, timed from ``start``."""
-    value = objective(instance, solution)
+def _report(solver: str, finalized: tuple[Solution, float], start, **fields):
+    """``_finalize``'s solution and its report, whose objective is
+    ``_finalize``'s total, timed from ``start``."""
+    solution, value = finalized
     wall_time = time.perf_counter() - start
     return solution, SolverReport(solver, value, wall_time, **fields)
 
@@ -253,8 +247,7 @@ def solve_sinr(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     subproblem."""
     start = time.perf_counter()
     assoc = instance.rb_basic.argmin(axis=1).astype(np.int64)
-    solution, _ = _finalize(instance, assoc, mode)
-    return _report("sinr", instance, solution, start)
+    return _report("sinr", _finalize(instance, assoc, mode), start)
 
 
 def solve_eva(
@@ -284,28 +277,35 @@ def solve_eva(
         raise ValueError(f"eva_p = {p:g} overflows a rank, (reward count)^p / basic cost")
     _, ties, assoc = _row_best(masked, nb)
     tie_breaks = int((ties > 1).sum())
-    solution, _ = _finalize(instance, assoc, mode)
     return _report(
-        "eva", instance, solution, start, tie_breaks=tie_breaks, params={"p": p}
+        "eva", _finalize(instance, assoc, mode), start, tie_breaks=tie_breaks,
+        params={"p": p},
     )
 
 
-def _single_user_gain_tables(instance: Instance):
+def _single_user_gain_tables(instance: Instance, multicast: bool = False):
     """Per cell, the enhanced costs of each user's rewardable views sorted
-    ascending and padded with +inf to R + 1 rows, R the largest reward count
-    of any pair, and their prefix sums, which are +inf past the view count.
-    Row R is all +inf. Both are (S, R + 1, M), so that one cell's tables are
-    contiguous. Back the vectorized gain lookups."""
+    ascending (equal floats by view) and padded with +inf to R + 1 rows, R
+    the largest reward count of any pair, and their prefix sums, which are
+    +inf past the view count. Row R is all +inf. Both are (S, R + 1, M), so
+    that one cell's tables are contiguous. In multicast, also the view at
+    each of the first R ranks, (S, R, M); else None. Back the gain lookups
+    and ELVA's fills."""
     m, s = instance.n_users, instance.n_cells
-    r = int(instance.reward_counts().max(initial=0))
-    ranked = np.where(instance.w.view(bool), instance.rb_enhanced, np.inf)
+    keyed = np.where(instance.w.view(bool), instance.rb_enhanced, np.inf)
+    # A second sort is faster than gathering along the ranks.
+    rank = np.argsort(keyed, axis=2, kind="stable") if multicast else None
+    ranked = keyed
     ranked.sort(axis=2, kind="stable")
+    # A pair's +inf pads sort last, so the ranks some pair fills come first.
+    r = int(np.isfinite(ranked.min(axis=(0, 1), initial=np.inf)).sum())
     costs = np.full((s, r + 1, m), np.inf)
     costs[:, :r] = ranked[:, :, :r].transpose(1, 2, 0)
     prefix = np.zeros((s, r + 1, m))
     for row in range(r):
         np.add(prefix[:, row], costs[:, row], out=prefix[:, row + 1])
-    return costs, prefix
+    views = rank[:, :, :r].transpose(1, 2, 0) if multicast else None
+    return costs, prefix, views
 
 
 def _gain_column(costs_j, prefix_j, budget: float) -> np.ndarray:
@@ -319,6 +319,28 @@ def _gain_column(costs_j, prefix_j, budget: float) -> np.ndarray:
     # base <= budget < base + next, so the share lies in [0, 1]; past the
     # last view the next cost is +inf and the share 0.
     return full + (budget - prefix_j[full, users]) / costs_j[full, users]
+
+
+def _user_gain(costs_j, prefix_j, i: int, budget: float) -> float:
+    """``_gain_column(costs_j, prefix_j, budget)[i]``, bit for bit: the same
+    formula for one user, whose prefix sums ascend."""
+    if budget <= 0:
+        return 0.0
+    sums = prefix_j[:, i].tolist()
+    full = bisect_right(sums, budget, 1) - 1
+    return full + (budget - sums[full]) / costs_j[full, i]
+
+
+def _pair_items(costs, views, shared, i: int, j: int) -> list:
+    """User i's ``_fill`` items at cell j, read from the gain tables: its
+    rewardable views' ``(cost, group)`` by ascending cost, then view. With
+    ``views`` (multicast), a sharing-group member's group is its view."""
+    row = costs[j, :, i].tolist()
+    row = row[: row.index(np.inf)]
+    if views is None:
+        return [(cost, None) for cost in row]
+    ranked = views[j, : len(row), i].tolist()
+    return [(cost, k if shared[i][k] else None) for cost, k in zip(row, ranked)]
 
 
 def _slot_order(rb_basic: np.ndarray) -> np.ndarray:
@@ -358,8 +380,9 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     unassigned user at each of its eligible cells (``_eligible_cells``) by
     the user's single-user fractional-knapsack gain at the cell's live
     budget, assigns the best pair, and provisionally allocates that user's
-    views. After all users are placed, each cell re-solves its allocation at
-    the true residual budget, which is the returned allocation.
+    views (``_fill``). After all users are placed, each cell re-solves its
+    allocation at the true residual budget, which is the returned
+    allocation.
 
     Eligibility is keyed to the cell budget, not to nbar: it keeps users off
     cells that cannot carry their broadcast yet lets them reach views cached
@@ -372,6 +395,17 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     cost wins, then the lower user, then the lower cell; ``tie_breaks``
     counts the rounds with more than one slot at the maximum.
 
+    The rounds run in batches, one per run at one maximum ``best``. A batch
+    lists the open slots at ``best`` in slot order and takes each in turn
+    whose user is open and which still scores ``best``, re-scored
+    (``_user_gain``) only if an earlier fill of the batch moved its cell's
+    budget; a round ties when a later listed slot is live before its fill.
+    Then the batch closes its users and rewrites each moved cell's gains.
+    This is the one-round-per-scan loop, bit for bit: a fill only lowers
+    its cell's budget and a gain never rises as its budget falls, so a slot
+    below ``best`` stays below it, and while a listed slot is live the
+    first is the round's first maximum (Minoux's accelerated greedy, 1978).
+
     The rounds stop at the first whose best score is 0, and
     ``_settle_zero_rounds`` places the users left at once. This is exact.
     Every open score is then 0 and stays 0: a fill only ever lowers a
@@ -383,7 +417,8 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     m, s = instance.n_users, instance.n_cells
     nbar = compute_nbar(instance)
     budgets = (instance.rb_budget.astype(float) - nbar).tolist()
-    costs, prefix = _single_user_gain_tables(instance)
+    multicast = mode == MULTICAST
+    costs, prefix, views = _single_user_gain_tables(instance, multicast)
 
     gains = np.empty((m, s))
     for j in range(s):
@@ -391,8 +426,7 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
 
     # Slot t holds pair order[t]'s score while the pair is open (eligible,
     # user unassigned), -inf once closed; gains are finite, so -inf marks a
-    # closed pair. Only the assigned user's and the chosen cell's slots
-    # change per round.
+    # closed pair.
     order = _slot_order(instance.rb_basic)
     scores = np.where(_eligible_cells(instance), gains, -np.inf).ravel()[order]
     slot = np.empty(m * s, dtype=np.int64)
@@ -400,33 +434,57 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     user_slots = slot.reshape(m, s)
     cell_slots = user_slots.T.copy()
 
-    assoc = np.full(m, -1, dtype=np.int64)
+    assoc = [-1] * m
     paid = [{} for _ in range(s)]
-    multicast = mode == MULTICAST
+    shared = instance.sharing.tolist()
     tie_breaks = 0
-    for _ in range(m):
-        top = scores.argmax()
-        if scores[top] == 0:
-            tie_breaks += _settle_zero_rounds(scores, order, user_slots, assoc)
-            break
-        # argmax takes the first maximum, so a tie can only lie after it.
-        tie_breaks += int(scores[top + 1:].max(initial=-np.inf) == scores[top])
-        i, j = divmod(int(order[top]), s)
-        assoc[i] = j
-        scores[user_slots[i]] = -np.inf
+    placed = 0
 
-        before = budgets[j]
-        _, budgets[j] = _fill(
-            _view_items(instance, i, j, multicast), budgets[j], paid[j]
+    def live(i, j):
+        """Whether listed pair (i, j) is open and still scores ``best``."""
+        return assoc[i] < 0 and (
+            j not in moved or _user_gain(costs[j], prefix[j], i, budgets[j]) == best
         )
-        # A cell's gains move only with its budget, and are 0 at or below 0.
-        if budgets[j] != before and (before > 0 or budgets[j] > 0):
-            gain = _gain_column(costs[j], prefix[j], budgets[j])
+
+    def next_live():
+        """The batch's next live listed pair, or None."""
+        return next((pair for pair in listed if live(*pair)), None)
+
+    while placed < m:
+        best = scores.max()
+        if best == 0:
+            break
+        users, cells = np.divmod(order[scores == best], s)
+        listed = zip(users.tolist(), cells.tolist())
+        moved = set()  # the cells whose budgets the batch moved
+        picked = []
+        pick = next(listed)  # the first listed pair is live
+        while pick is not None:
+            nxt = next_live()
+            tie_breaks += nxt is not None
+            i, j = pick
+            assoc[i] = j
+            picked.append(i)
+            left = _fill(_pair_items(costs, views, shared, i, j), budgets[j], paid[j])
+            if left != budgets[j]:
+                budgets[j] = left
+                moved.add(j)
+            # The fill may have closed or lowered the next live pair.
+            if nxt is not None and not live(*nxt):
+                nxt = next_live()
+            pick = nxt
+
+        placed += len(picked)
+        scores[user_slots[picked]] = -np.inf
+        for j in moved:
             column = scores[cell_slots[j]]
+            gain = _gain_column(costs[j], prefix[j], budgets[j])
             scores[cell_slots[j]] = np.where(column == -np.inf, column, gain)
 
-    solution, _ = _finalize(instance, assoc, mode)
-    return _report("elva", instance, solution, start, tie_breaks=tie_breaks)
+    assoc = np.array(assoc, dtype=np.int64)
+    if placed < m:
+        tie_breaks += _settle_zero_rounds(scores, order, user_slots, assoc)
+    return _report("elva", _finalize(instance, assoc, mode), start, tie_breaks=tie_breaks)
 
 
 def _cell_value(costs: list, budget: float) -> float:
@@ -564,8 +622,8 @@ def solve_bb(
         # Node budget exhausted before the first dive reached a leaf, or no
         # users: the dive's association (first child at every depth).
         best_assoc = [cell_order[i][0] for i in range(m)]
-    solution, _ = _finalize(instance, np.array(best_assoc, dtype=np.int64), mode)
+    finalized = _finalize(instance, np.array(best_assoc, dtype=np.int64), mode)
     return _report(
-        "bb", instance, solution, start, nodes_explored=nodes, nodes_pruned=pruned,
+        "bb", finalized, start, nodes_explored=nodes, nodes_pruned=pruned,
         node_budget_hit=budget_hit, params={"node_budget": node_budget},
     )

@@ -11,7 +11,11 @@ view tuples and per-cell view sets.
 
 ``fill`` is the enhanced-view fill with builtin ``min`` / ``max``, as it
 was before ``_fill`` spelt the same rule in branches; the oracle for
-``_fill``'s taken shares, budget left and group charges.
+``_fill``'s budget left and group charges, and the source of the shares
+where a test builds an allocation from fills. ``view_items`` is a user's
+fill items at a cell, by ascending cost, then view, built from the instance
+as ELVA did before it read them from its gain tables; ``fill_items`` drops
+their keys, as ``_fill`` takes them.
 
 ``solve_cell_subproblem`` is the unicast fill with ``remaining -= y * cost``.
 After a partial share that subtraction can leave a float remainder, which
@@ -73,7 +77,6 @@ from tiercast.solvers import (
     _gain_column,
     _report,
     _single_user_gain_tables,
-    _view_items,
     compute_nbar,
 )
 from tiercast import solvers
@@ -155,6 +158,21 @@ def is_feasible(instance, solution, mode=UNICAST):
                     )
                 )
     return FeasibilityReport(not violations, tuple(violations))
+
+
+def view_items(instance, i, j, multicast):
+    """User i's rewardable views at cell j as ``(cost, key, group)`` fill
+    items, by ascending enhanced cost, then view; a sharing-group member's
+    group is its view."""
+    costs = instance.rb_enhanced[i, j].tolist()
+    shared = instance.sharing[i].tolist() if multicast else None
+    views = sorted((costs[k], k) for k in np.flatnonzero(instance.w[i, j]).tolist())
+    return [(cost, (i, k), k if shared and shared[k] else None) for cost, k in views]
+
+
+def fill_items(items):
+    """``(cost, key, group)`` items as ``_fill`` takes them: ``(cost, group)``."""
+    return [(cost, group) for cost, _, group in items]
 
 
 def fill(items, left, paid):
@@ -403,7 +421,7 @@ def _elva_full_scan(instance, base, mode, params):
     m, s = instance.n_users, instance.n_cells
     nbar = compute_nbar(instance)
     budgets = (instance.rb_budget.astype(float) - nbar).tolist()
-    costs, prefix = _single_user_gain_tables(instance)
+    costs, prefix, _ = _single_user_gain_tables(instance)
 
     gains = np.empty((m, s))
     for j in range(s):
@@ -424,15 +442,14 @@ def _elva_full_scan(instance, base, mode, params):
         unassigned[i] = False
         ranking.drop_row(i)
 
-        _, budgets[j] = _fill(
-            _view_items(instance, i, j, multicast), budgets[j], paid[j]
-        )
+        items = fill_items(view_items(instance, i, j, multicast))
+        budgets[j] = _fill(items, budgets[j], paid[j])
         gain = _gain_column(costs[j], prefix[j], budgets[j])
         ranking.set_column(j, np.where(unassigned, base[:, j] + gain, -np.inf))
 
-    solution, _ = _finalize(instance, assoc, mode)
     return _report(
-        "elva", instance, solution, start, tie_breaks=tie_breaks, params=params
+        "elva", _finalize(instance, assoc, mode), start, tie_breaks=tie_breaks,
+        params=params,
     )
 
 
@@ -645,4 +662,4 @@ def solve_bruteforce(instance, mode=UNICAST):
         if value > best_value:
             best_value = value
             solution = candidate
-    return _report("bruteforce", instance, solution, start)
+    return _report("bruteforce", (solution, best_value), start)

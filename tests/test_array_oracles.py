@@ -415,16 +415,20 @@ def test_eva_orders_a_view_at_the_largest_cost_after_an_unrewardable_one(mode):
 def test_elva_fill_keeps_the_budget_trajectory_of_its_loop(inst, mode, data):
     # ELVA's own loop stopped at a spent budget; the shared fill lets members
     # ride on. Charges are >= 0, so a spent budget stays spent, and the gain
-    # column, all ELVA reads of it, is the same.
-    costs, prefix = solvers._single_user_gain_tables(inst)
+    # column, all ELVA reads of it, is the same. ELVA's items, read from its
+    # gain tables, are the instance's views by cost, then view.
+    multicast = mode == MULTICAST
+    costs, prefix, views = solvers._single_user_gain_tables(inst, multicast)
+    shared = inst.sharing.tolist()
     mine = (inst.rb_budget.astype(float) - solvers.compute_nbar(inst)).tolist()
     ref = list(mine)
     paid = [{} for _ in range(inst.n_cells)]
     ref_charge = {}
     for i in data.draw(st.permutations(range(inst.n_users))):
         j = data.draw(st.integers(0, inst.n_cells - 1))
-        items = solvers._view_items(inst, i, j, mode == MULTICAST)
-        _, mine[j] = solvers._fill(items, mine[j], paid[j])
+        items = solvers._pair_items(costs, views, shared, i, j)
+        assert items == reference.fill_items(reference.view_items(inst, i, j, multicast))
+        mine[j] = solvers._fill(items, mine[j], paid[j])
         ref[j] = reference.elva_fill(inst, i, j, ref[j], ref_charge, mode)
         if ref[j] > 0:
             assert _bits([mine[j]]) == _bits([ref[j]])
@@ -469,25 +473,23 @@ def fill_cases(draw):
 def test_fill_matches_min_max_loop(case):
     items, left, paid = case
     ref_paid = dict(paid)
-    taken, mine = solvers._fill(items, left, paid)
-    ref_taken, ref = reference.fill(items, left, ref_paid)
-    assert _items(dict(taken)) == _items(dict(ref_taken))
+    mine = solvers._fill(reference.fill_items(items), left, paid)
+    _, ref = reference.fill(items, left, ref_paid)
     assert _bits([mine]) == _bits([ref])
     assert _items(paid) == _items(ref_paid)
 
 
 def _fill_in_turn(inst, users, left):
-    """``_fill`` over each user's ``_view_items`` at cell 0 in multicast, as
-    ELVA fills, against ``reference.fill``; the shares taken and the budget
-    left after each user."""
+    """``_fill`` over each user's views at cell 0 in multicast, as ELVA
+    fills, against ``reference.fill``; the shares ``reference.fill`` takes
+    and the budget left after each user."""
     paid, ref_paid = {}, {}
     ref_left = left
     steps = []
     for i in users:
-        items = solvers._view_items(inst, i, 0, True)
-        taken, left = solvers._fill(items, left, paid)
-        ref_taken, ref_left = reference.fill(items, ref_left, ref_paid)
-        assert _items(dict(taken)) == _items(dict(ref_taken))
+        items = reference.view_items(inst, i, 0, True)
+        left = solvers._fill(reference.fill_items(items), left, paid)
+        taken, ref_left = reference.fill(items, ref_left, ref_paid)
         assert _bits([left]) == _bits([ref_left]) and _items(paid) == _items(ref_paid)
         steps.append((taken, left))
     return steps
@@ -533,7 +535,7 @@ def test_member_rides_the_group_charge_not_a_negative_remainder():
 @settings(max_examples=200, deadline=None)
 @given(instances(sharing=False), st.data())
 def test_gain_column_matches_per_user_loop(inst, data):
-    costs, prefix = solvers._single_user_gain_tables(inst)
+    costs, prefix, _ = solvers._single_user_gain_tables(inst)
     j = data.draw(st.integers(0, inst.n_cells - 1))
     budget = data.draw(st.one_of(st.floats(-2.0, 30.0), st.integers(-2, 30).map(float)))
     mine = solvers._gain_column(costs[j], prefix[j], budget)
@@ -546,20 +548,46 @@ def test_gain_column_matches_per_user_loop(inst, data):
     assert _bits(mine) == _bits(ref)
 
 
+@settings(max_examples=200, deadline=None)
+@given(instances(costs=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1))), st.data())
+def test_user_gain_matches_gain_column(inst, data):
+    # ELVA re-scores one pair with ``_user_gain``, which must give
+    # ``_gain_column``'s bits at spent, subnormal and huge budgets and at
+    # budgets equal to a prefix sum, where the next share is 0. Costs up to
+    # 2**63 - 1 give inexact prefix sums.
+    costs, prefix, _ = solvers._single_user_gain_tables(inst)
+    sums = prefix[np.isfinite(prefix)].tolist()
+    budget = st.one_of(
+        st.sampled_from([0.0, -0.0, -1.0, 5e-324, 2.0**64]),
+        st.sampled_from(sums),
+        st.floats(-2.0, 30.0),
+        st.floats(0.0, 2.0**66),
+    )
+    for j in range(inst.n_cells):
+        b = data.draw(budget)
+        column = solvers._gain_column(costs[j], prefix[j], b)
+        users = [solvers._user_gain(costs[j], prefix[j], i, b) for i in range(inst.n_users)]
+        assert _bits(users) == _bits(column)
+
+
 def _assert_gains_match_loop(inst, budgets):
-    """``_gain_column`` at every cell and budget against the per-user loop;
-    returns the tables."""
-    costs, prefix = solvers._single_user_gain_tables(inst)
+    """``_gain_column`` and ``_user_gain`` at every cell and budget against
+    the per-user loop; returns the tables."""
+    costs, prefix, _ = solvers._single_user_gain_tables(inst)
     for j in range(inst.n_cells):
         for budget in budgets:
             mine = solvers._gain_column(costs[j], prefix[j], budget)
+            users = [
+                solvers._user_gain(costs[j], prefix[j], i, budget)
+                for i in range(inst.n_users)
+            ]
             ref = [
                 reference.single_user_gain(
                     inst.rb_enhanced[i, j][inst.w[i, j].astype(bool)], budget
                 )
                 for i in range(inst.n_users)
             ]
-            assert _bits(mine) == _bits(ref)
+            assert _bits(mine) == _bits(users) == _bits(ref)
     return costs, prefix
 
 
@@ -607,6 +635,18 @@ def test_gain_at_a_budget_equal_to_a_prefix_sum():
     assert solvers._gain_column(costs[0], prefix[0], 3.0).tolist() == [2.0, 1.0, 0.75]
 
 
+def test_gain_at_an_inexact_prefix_sum_counts_the_last_view_whole():
+    # c0 + c1 rounds to the float total, and total - c0 is not c1: the share
+    # of c1 at budget total falls short of 1. Both views fit whole, so the
+    # gain is 2, not 1 + that share.
+    c0, c1 = 2824321496301653000, 2887546693489624576
+    total = float(c0) + float(c1)
+    assert 1 + (total - c0) / c1 < 2
+    inst = _gain_instance([[[1, 1]]], [[[c0, c1]]])
+    costs, prefix = _assert_gains_match_loop(inst, [total])
+    assert solvers._user_gain(costs[0], prefix[0], 0, total) == 2.0
+
+
 def test_gain_at_a_spent_budget_is_zero():
     inst = _gain_instance([[[1, 1]], [[0, 1]]], [[[1, 2]], [[3, 1]]])
     costs, prefix = _assert_gains_match_loop(inst, [0.0, -0.0, -1e-16, -5.0])
@@ -623,8 +663,34 @@ def _assert_same_elva(inst, mode, oracle=reference.solve_elva_full_scan):
     return sol, rep
 
 
+@st.composite
+def tied_instances(draw):
+    """Up to 20 users on 2-4 cells, each pair's views at one cost (as on
+    every preset) of 1 or 2, over budgets that leave 0-8 RBs a cell: most
+    rounds tie, in long runs at one maximum."""
+    m = draw(st.integers(1, 20))
+    s = draw(st.integers(2, 4))
+    e = draw(st.integers(1, 4))
+    w = draw(st.lists(st.integers(0, 1), min_size=m * s * e, max_size=m * s * e))
+    nb = np.array(draw(st.lists(st.integers(1, 2), min_size=m * s, max_size=m * s)))
+    pair_cost = draw(st.lists(st.integers(1, 2), min_size=m * s, max_size=m * s))
+    left = draw(st.lists(st.integers(0, 8), min_size=s, max_size=s))
+    sharing = draw(st.lists(st.integers(0, 1), min_size=m * e, max_size=m * e))
+    nbar = nb.reshape(m, s).min(axis=1).max()
+    return Instance(
+        n_users=m, n_cells=s, n_views=e, w=np.reshape(w, (m, s, e)),
+        rb_budget=nbar + np.array(left), rb_basic=nb.reshape(m, s),
+        rb_enhanced=np.repeat(np.reshape(pair_cost, (m, s, 1)), e, axis=2),
+        sharing=np.reshape(sharing, (m, e)),
+    )
+
+
 @settings(max_examples=300, deadline=None)
-@given(instances(), st.sampled_from([UNICAST, MULTICAST]), st.booleans())
+@given(
+    st.one_of(instances(), tied_instances()),
+    st.sampled_from([UNICAST, MULTICAST]),
+    st.booleans(),
+)
 def test_elva_matches_full_scan_elva(inst, mode, starve):
     # The strategy's budgets fall below some basic costs; ``starve`` also
     # prices user 0 out of every cell, so that it ranks all of them.
@@ -664,13 +730,31 @@ def test_elva_breaks_ties_across_users_by_basic_cost_then_user():
     assert rep.tie_breaks == 3
 
 
+@pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
+def test_elva_rescores_a_listed_pair_after_a_fill_at_its_cell(mode):
+    # Budgets 5 - nbar 3 = 2 at both cells, every view costs 2. Users 0 and
+    # 1 at cell 0 and user 2 at cell 1 tie at gain 1, listed in that order.
+    # User 0's fill spends cell 0, so user 1's pair there drops to 0 and the
+    # next round takes user 2's pair at cell 1. User 1 is then placed at its
+    # first open slot, cell 1; taking its listed pair would put it at cell 0.
+    inst = Instance(
+        n_users=3, n_cells=2, n_views=1, w=[[[1], [0]], [[1], [0]], [[0], [1]]],
+        rb_budget=[5, 5], rb_basic=[[1, 3], [2, 1], [3, 3]],
+        rb_enhanced=np.full((3, 2, 1), 2),
+    )
+    sol, rep, calls = _elva_counting(inst, mode)
+    assert list(sol.assoc) == [0, 1, 1]
+    assert rep.tie_breaks == 1 + 0 + 1
+    assert calls == {"fills": 2, "endgames": 1}
+
+
 def test_elva_skips_a_rewrite_the_fill_leaves_unchanged():
     # Budgets start at 1 (3 - nbar 2). Users 0 and 1 share view 0 at cell 0:
     # user 0's fill spends the budget, and user 1 rides the group's charge,
     # leaving it at 0. User 2 wants nothing and takes cell 1, whose budget
     # stays 1. Only user 0's fill moves a budget, so the solver computes one
-    # gain column after the two initial ones; the full scan rewrites a
-    # column every round, to the same result.
+    # gain column, at the end of its batch, after the two initial ones; the
+    # full scan rewrites a column every round, to the same result.
     inst = _flat_instance(
         [[1, 0], [1, 0], [0, 0]], [[2, 2], [2, 2], [3, 2]], [3, 3],
         sharing=[[1], [1], [0]],
@@ -694,18 +778,18 @@ def _elva_counting(inst, mode):
     """``_assert_same_elva``, and how many rounds filled a user's views and
     how often the zero-score endgame ran."""
     calls = {"fills": 0, "endgames": 0}
-    view_items, settle = solvers._view_items, solvers._settle_zero_rounds
+    fill, settle = solvers._fill, solvers._settle_zero_rounds
 
-    def counted_items(*args):
+    def counted_fill(*args):
         calls["fills"] += 1
-        return view_items(*args)
+        return fill(*args)
 
     def counted_settle(*args):
         calls["endgames"] += 1
         return settle(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_view_items", counted_items)
+        mp.setattr(solvers, "_fill", counted_fill)
         mp.setattr(solvers, "_settle_zero_rounds", counted_settle)
         sol, rep = _assert_same_elva(inst, mode)
     return sol, rep, calls
@@ -798,7 +882,7 @@ def test_elva_settles_a_positive_subnormal_budget_whose_shares_underflow(mode):
         rb_basic=[[1, 1], [1, 1], [2, 1]], rb_enhanced=costs,
         sharing=np.ones((3, e), dtype=np.int8),
     )
-    left = solvers._fill(solvers._view_items(inst, 0, 0, False), 1.0, {})[1]
+    left = solvers._fill(reference.fill_items(reference.view_items(inst, 0, 0, False)), 1.0, {})
     assert 0 < left < np.finfo(float).tiny and left / 10**6 == 0
     sol, rep, calls = _elva_counting(inst, mode)
     assert list(sol.assoc) == [0, 0, 1]

@@ -56,12 +56,14 @@ _TOP_COST_INSTANCE = Instance(
 @example(inst=_TOP_COST_INSTANCE, mode=MULTICAST)
 def test_every_solver_allocates_as_finalize_at_its_association(solve, inst, mode):
     # The one allocation rule: every cell solved exactly at its residual
-    # budget, so that solvers differ only in their associations.
-    sol, _ = solve(inst, mode=mode)
+    # budget, so that solvers differ only in their associations. The report
+    # takes ``_finalize``'s total, the solution's objective bit for bit.
+    sol, rep = solve(inst, mode=mode)
     ref, _ = _finalize(inst, sol.assoc, mode)
     assert [(key, float(y).hex()) for key, y in sol.alloc.items()] == [
         (key, float(y).hex()) for key, y in ref.alloc.items()
     ]
+    assert float(rep.objective).hex() == float(objective(inst, sol)).hex()
 
 
 def test_compute_nbar_single_link():
