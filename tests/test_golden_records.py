@@ -31,6 +31,7 @@ PRESETS = [
     ("fig4", [0, 1, 2]),
     ("fig9", [0, 1, 2]),
     ("fig6", [0]),
+    ("fig7", [0]),
     ("fig8", [0]),
     ("fig10", [0, 1, 2]),
 ]
@@ -72,7 +73,7 @@ def golden():
 
 
 def test_golden_records_cover_every_preset(golden):
-    assert len(golden) == 320
+    assert len(golden) == 340
     assert {key.split("|")[0] for key in golden} == {name for name, _ in PRESETS}
 
 
