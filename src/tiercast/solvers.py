@@ -33,12 +33,15 @@ transmission.
 ELVA takes each run of rounds at one maximum score in one batch
 (``solve_elva``), exactly: a fill only lowers its cell's budget, and a gain
 never rises as its budget falls.
+
+ELVA's re-score of a pair in a batch and bb's value of a cell are
+``_cell_value``, the list form of ``_gain_column``, over each pair's costs
+read from the gain tables by ``_pair_costs``.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,14 +286,14 @@ def solve_eva(
     )
 
 
-def _single_user_gain_tables(instance: Instance, multicast: bool = False):
+def _gain_tables(instance: Instance, multicast: bool = False):
     """Per cell, the enhanced costs of each user's rewardable views sorted
     ascending (equal floats by view) and padded with +inf to R + 1 rows, R
     the largest reward count of any pair, and their prefix sums, which are
     +inf past the view count. Row R is all +inf. Both are (S, R + 1, M), so
     that one cell's tables are contiguous. In multicast, also the view at
     each of the first R ranks, (S, R, M); else None. Back the gain lookups
-    and ELVA's fills."""
+    and every read of a pair's costs (``_pair_costs``)."""
     m, s = instance.n_users, instance.n_cells
     keyed = np.where(instance.w.view(bool), instance.rb_enhanced, np.inf)
     # A second sort is faster than gathering along the ranks.
@@ -321,22 +324,35 @@ def _gain_column(costs_j, prefix_j, budget: float) -> np.ndarray:
     return full + (budget - prefix_j[full, users]) / costs_j[full, users]
 
 
-def _user_gain(costs_j, prefix_j, i: int, budget: float) -> float:
-    """``_gain_column(costs_j, prefix_j, budget)[i]``, bit for bit: the same
-    formula for one user, whose prefix sums ascend."""
+def _cell_value(costs: list, budget: float) -> float:
+    """Fractional-knapsack value of ascending ``costs`` at ``budget``, bit for
+    bit ``_gain_column``'s for one pair: costs are taken while ``spent + cost``
+    stays within the budget, then the share of the next. ELVA re-scores a
+    pair with it, bb values a cell with it over its users' merged costs."""
     if budget <= 0:
         return 0.0
-    sums = prefix_j[:, i].tolist()
-    full = bisect_right(sums, budget, 1) - 1
-    return full + (budget - sums[full]) / costs_j[full, i]
+    spent = 0.0
+    full = 0
+    for cost in costs:
+        if spent + cost > budget:
+            return full + (budget - spent) / cost
+        spent += cost
+        full += 1
+    return float(full)
+
+
+def _pair_costs(costs, i: int, j: int) -> list:
+    """User i's rewardable enhanced costs at cell j, ascending: its gain
+    table row up to the first +inf pad."""
+    row = costs[j, :, i].tolist()
+    return row[: row.index(np.inf)]
 
 
 def _pair_items(costs, views, shared, i: int, j: int) -> list:
     """User i's ``_fill`` items at cell j, read from the gain tables: its
     rewardable views' ``(cost, group)`` by ascending cost, then view. With
     ``views`` (multicast), a sharing-group member's group is its view."""
-    row = costs[j, :, i].tolist()
-    row = row[: row.index(np.inf)]
+    row = _pair_costs(costs, i, j)
     if views is None:
         return [(cost, None) for cost in row]
     ranked = views[j, : len(row), i].tolist()
@@ -398,7 +414,7 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     The rounds run in batches, one per run at one maximum ``best``. A batch
     lists the open slots at ``best`` in slot order and takes each in turn
     whose user is open and which still scores ``best``, re-scored
-    (``_user_gain``) only if an earlier fill of the batch moved its cell's
+    (``_cell_value``) only if an earlier fill of the batch moved its cell's
     budget; a round ties when a later listed slot is live before its fill.
     Then the batch closes its users and rewrites each moved cell's gains.
     This is the one-round-per-scan loop, bit for bit: a fill only lowers
@@ -418,7 +434,7 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     nbar = compute_nbar(instance)
     budgets = (instance.rb_budget.astype(float) - nbar).tolist()
     multicast = mode == MULTICAST
-    costs, prefix, views = _single_user_gain_tables(instance, multicast)
+    costs, prefix, views = _gain_tables(instance, multicast)
 
     gains = np.empty((m, s))
     for j in range(s):
@@ -443,7 +459,7 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     def live(i, j):
         """Whether listed pair (i, j) is open and still scores ``best``."""
         return assoc[i] < 0 and (
-            j not in moved or _user_gain(costs[j], prefix[j], i, budgets[j]) == best
+            j not in moved or _cell_value(_pair_costs(costs, i, j), budgets[j]) == best
         )
 
     def next_live():
@@ -485,22 +501,6 @@ def solve_elva(instance: Instance, mode: str = UNICAST) -> tuple[Solution, Solve
     if placed < m:
         tie_breaks += _settle_zero_rounds(scores, order, user_slots, assoc)
     return _report("elva", _finalize(instance, assoc, mode), start, tie_breaks=tie_breaks)
-
-
-def _cell_value(costs: list, budget: float) -> float:
-    """Fractional-knapsack value of a cell's enhanced ``costs``, sorted
-    ascending, at ``budget``: the running sum takes costs while
-    ``spent + cost`` stays within the budget, then the share of the next."""
-    if budget <= 0:
-        return 0.0
-    spent = 0.0
-    full = 0
-    for cost in costs:
-        if spent + cost > budget:
-            return full + (budget - spent) / cost
-        spent += cost
-        full += 1
-    return float(full)
 
 
 def solve_bb(
@@ -552,14 +552,11 @@ def solve_bb(
 
     # Per depth, the user and its children in branching order, each as
     # (cell, basic cost, the user's enhanced costs there in ascending order).
-    levels = []
-    for i in user_order:
-        children = []
-        for j in cell_order[i]:
-            views = instance.w[i, j].astype(bool)
-            user_costs = instance.rb_enhanced[i, j][views].astype(float).tolist()
-            children.append((j, int(nb[i, j]), sorted(user_costs)))
-        levels.append((i, children))
+    costs, _, _ = _gain_tables(instance)
+    levels = [
+        (i, [(j, int(nb[i, j]), _pair_costs(costs, i, j)) for j in cell_order[i]])
+        for i in user_order
+    ]
 
     contents = [[] for _ in range(s)]
     max_basic = [0] * s

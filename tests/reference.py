@@ -76,7 +76,7 @@ from tiercast.solvers import (
     _finalize,
     _gain_column,
     _report,
-    _single_user_gain_tables,
+    _gain_tables,
     compute_nbar,
 )
 from tiercast import solvers
@@ -421,7 +421,7 @@ def _elva_full_scan(instance, base, mode, params):
     m, s = instance.n_users, instance.n_cells
     nbar = compute_nbar(instance)
     budgets = (instance.rb_budget.astype(float) - nbar).tolist()
-    costs, prefix, _ = _single_user_gain_tables(instance)
+    costs, prefix, _ = _gain_tables(instance)
 
     gains = np.empty((m, s))
     for j in range(s):

@@ -418,7 +418,7 @@ def test_elva_fill_keeps_the_budget_trajectory_of_its_loop(inst, mode, data):
     # column, all ELVA reads of it, is the same. ELVA's items, read from its
     # gain tables, are the instance's views by cost, then view.
     multicast = mode == MULTICAST
-    costs, prefix, views = solvers._single_user_gain_tables(inst, multicast)
+    costs, prefix, views = solvers._gain_tables(inst, multicast)
     shared = inst.sharing.tolist()
     mine = (inst.rb_budget.astype(float) - solvers.compute_nbar(inst)).tolist()
     ref = list(mine)
@@ -535,7 +535,7 @@ def test_member_rides_the_group_charge_not_a_negative_remainder():
 @settings(max_examples=200, deadline=None)
 @given(instances(sharing=False), st.data())
 def test_gain_column_matches_per_user_loop(inst, data):
-    costs, prefix, _ = solvers._single_user_gain_tables(inst)
+    costs, prefix, _ = solvers._gain_tables(inst)
     j = data.draw(st.integers(0, inst.n_cells - 1))
     budget = data.draw(st.one_of(st.floats(-2.0, 30.0), st.integers(-2, 30).map(float)))
     mine = solvers._gain_column(costs[j], prefix[j], budget)
@@ -548,14 +548,33 @@ def test_gain_column_matches_per_user_loop(inst, data):
     assert _bits(mine) == _bits(ref)
 
 
+def _pair_value(costs, i, j, budget):
+    """ELVA's re-score of pair (i, j): ``_cell_value`` over its costs."""
+    return _cell_value(solvers._pair_costs(costs, i, j), budget)
+
+
+def _assert_pair_costs_are_sorted_rewardable_costs(inst, costs):
+    for i, j in itertools.product(range(inst.n_users), range(inst.n_cells)):
+        ref = sorted(float(c) for c in inst.rb_enhanced[i, j][inst.w[i, j] == 1])
+        assert solvers._pair_costs(costs, i, j) == ref
+
+
+@SETTINGS
+@given(instances(costs=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1))))
+def test_pair_costs_are_the_sorted_rewardable_costs(inst):
+    # ELVA's fills and re-scores and bb's children read a pair's costs here.
+    costs, _, _ = solvers._gain_tables(inst)
+    _assert_pair_costs_are_sorted_rewardable_costs(inst, costs)
+
+
 @settings(max_examples=200, deadline=None)
 @given(instances(costs=st.one_of(st.integers(1, 5), st.integers(1, 2**63 - 1))), st.data())
-def test_user_gain_matches_gain_column(inst, data):
-    # ELVA re-scores one pair with ``_user_gain``, which must give
-    # ``_gain_column``'s bits at spent, subnormal and huge budgets and at
-    # budgets equal to a prefix sum, where the next share is 0. Costs up to
-    # 2**63 - 1 give inexact prefix sums.
-    costs, prefix, _ = solvers._single_user_gain_tables(inst)
+def test_cell_value_matches_gain_column(inst, data):
+    # ELVA re-scores one pair with ``_cell_value`` over ``_pair_costs``,
+    # which must give ``_gain_column``'s bits at spent, subnormal and huge
+    # budgets and at budgets equal to a prefix sum, where the next share is
+    # 0. Costs up to 2**63 - 1 give inexact prefix sums.
+    costs, prefix, _ = solvers._gain_tables(inst)
     sums = prefix[np.isfinite(prefix)].tolist()
     budget = st.one_of(
         st.sampled_from([0.0, -0.0, -1.0, 5e-324, 2.0**64]),
@@ -566,21 +585,20 @@ def test_user_gain_matches_gain_column(inst, data):
     for j in range(inst.n_cells):
         b = data.draw(budget)
         column = solvers._gain_column(costs[j], prefix[j], b)
-        users = [solvers._user_gain(costs[j], prefix[j], i, b) for i in range(inst.n_users)]
+        users = [_pair_value(costs, i, j, b) for i in range(inst.n_users)]
         assert _bits(users) == _bits(column)
 
 
 def _assert_gains_match_loop(inst, budgets):
-    """``_gain_column`` and ``_user_gain`` at every cell and budget against
-    the per-user loop; returns the tables."""
-    costs, prefix, _ = solvers._single_user_gain_tables(inst)
+    """``_gain_column`` and ``_cell_value`` over ``_pair_costs`` at every
+    cell and budget against the per-user loop, and ``_pair_costs`` against
+    the sorted rewardable costs; returns the tables."""
+    costs, prefix, _ = solvers._gain_tables(inst)
+    _assert_pair_costs_are_sorted_rewardable_costs(inst, costs)
     for j in range(inst.n_cells):
         for budget in budgets:
             mine = solvers._gain_column(costs[j], prefix[j], budget)
-            users = [
-                solvers._user_gain(costs[j], prefix[j], i, budget)
-                for i in range(inst.n_users)
-            ]
+            users = [_pair_value(costs, i, j, budget) for i in range(inst.n_users)]
             ref = [
                 reference.single_user_gain(
                     inst.rb_enhanced[i, j][inst.w[i, j].astype(bool)], budget
@@ -611,6 +629,7 @@ def test_gain_tables_read_their_pad_row_when_a_pair_rewards_every_view():
     costs, prefix = _assert_gains_match_loop(inst, [6.5, 7.0, 8.5, 100.0])
     assert costs.shape == prefix.shape == (2, 4, 2)
     assert np.isinf(costs[:, 3]).all()
+    assert solvers._pair_costs(costs, 0, 0) == [1.0, 2.0, 4.0]
     assert solvers._gain_column(costs[0], prefix[0], 7.0).tolist() == [3.0, 1.0]
 
 
@@ -620,6 +639,7 @@ def test_gain_tables_of_an_instance_without_rewardable_views():
     costs, prefix = _assert_gains_match_loop(inst, [-1.0, 0.0, 3.0, 1e9])
     assert costs.shape == prefix.shape == (3, 1, 2)
     assert np.isinf(costs).all() and not prefix.any()
+    assert solvers._pair_costs(costs, 1, 2) == []
 
 
 def test_gain_at_a_budget_equal_to_a_prefix_sum():
@@ -644,7 +664,7 @@ def test_gain_at_an_inexact_prefix_sum_counts_the_last_view_whole():
     assert 1 + (total - c0) / c1 < 2
     inst = _gain_instance([[[1, 1]]], [[[c0, c1]]])
     costs, prefix = _assert_gains_match_loop(inst, [total])
-    assert solvers._user_gain(costs[0], prefix[0], 0, total) == 2.0
+    assert _pair_value(costs, 0, 0, total) == 2.0
 
 
 def test_gain_at_a_spent_budget_is_zero():
