@@ -11,6 +11,12 @@ written the same way: its parent directory is created, and a write that fails
 exits 1, a failed ``--topology-out`` taking the instance it follows with it.
 An output that resolves to the same file as an input (the config, instance
 or solution) or as another output is refused, exit 1, before any work starts.
+
+A flag that no run of its command reads is refused, exit 1, after the
+config's checks: the swept field's, ``--eva-p`` without eva, ``--node-budget``
+without bb (which verify runs for ``--oracle``), ``--sharing-fraction``
+without multicast. ``generate`` refuses none: its one instance, at the base
+values, keeps them for later runs.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ class _Parser(argparse.ArgumentParser):
 # The files a command reads, then the files it writes, by argparse dest.
 _INPUTS = ("config", "instance", "solution")
 _OUTPUTS = ("out", "topology_out", "solution_out")
+# Each setting that only some runs read, by the run that reads it.
+_READERS = {"eva_p": "eva", "node_budget": "bb", "sharing_fraction": MULTICAST}
 
 
 def _check_paths(args):
@@ -68,11 +76,9 @@ def _check_paths(args):
 
 
 def _load_config(args) -> ExperimentConfig:
-    """Config from preset, file or defaults; then the flags, which take
-    precedence.
-
-    Raises ``ValueError`` on an invalid preset or config, and ``OSError`` on
-    an unreadable config file."""
+    """Config from preset, file or defaults, then the flags, which take
+    precedence. Raises ``ValueError`` on an invalid preset, config or flag,
+    and ``OSError`` on an unreadable config file."""
     if getattr(args, "preset", None):
         config = preset_config(args.preset)
     elif getattr(args, "config", None):
@@ -80,21 +86,12 @@ def _load_config(args) -> ExperimentConfig:
     else:
         config = ExperimentConfig()
     if args.command == "generate":
-        # One instance at the base values: the flags may set a field that
-        # the preset sweeps.
         config = dataclasses.replace(config, sweep_param="none", sweep_values=[None])
     overrides = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(ExperimentConfig)
         if getattr(args, f.name, None) is not None
     }
-    # A sweep replaces the swept field at every point, so a flag that sets
-    # it would have no effect, even one that restates the default.
-    if config.sweep_param in overrides:
-        raise ValueError(
-            f"{config.sweep_param} is swept, so it cannot be set "
-            f"(got {overrides[config.sweep_param]!r})"
-        )
     if getattr(args, "seeds", None) is not None:
         overrides["seeds"] = list(range(args.seeds))
     if getattr(args, "solvers", None) is not None:
@@ -102,9 +99,14 @@ def _load_config(args) -> ExperimentConfig:
     if getattr(args, "mode", None) is not None:
         overrides["modes"] = args.mode.split(",")
     config = dataclasses.replace(config, **overrides) if overrides else config
-    # verify runs bb only as the oracle: a node budget without it does nothing.
-    if args.command == "verify" and args.node_budget is not None and not args.oracle:
-        raise ValueError("--node-budget sets the node budget of --oracle, which is not given")
+    runs = {"solve": {getattr(args, "solver", None)}, "sweep": {*config.solvers, *config.modes},
+            "verify": {"bb"} if getattr(args, "oracle", False) else set()}
+    runs = runs.get(args.command, set(_READERS.values()))
+    readers = {**_READERS, config.sweep_param: None}  # no run reads the swept field
+    for name, value in overrides.items():
+        if name in readers and readers[name] not in runs:
+            why = f"read only by {readers[name]}, which does not run" if readers[name] else "swept"
+            raise ValueError(f"{name} is {why}, so it cannot be set (got {value!r})")
     return config
 
 
@@ -119,7 +121,7 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--cache-capacity", dest="cache_capacity", type=int)
     parser.add_argument("--views-per-user", dest="views_per_user", type=int)
     parser.add_argument("--rb-budget", dest="rb_budget", type=int)
-    parser.add_argument("--sharing-fraction", dest="sharing_fraction", type=float)
+    parser.add_argument("--sharing-fraction", type=float, help="read only by multicast runs")
     parser.add_argument("--master-seed", dest="master_seed", type=int)
 
 
@@ -259,15 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance", help="instance JSON path")
     solve.add_argument("--solver", required=True, choices=list(SOLVERS))
     solve.add_argument("--mode", default=UNICAST, choices=[UNICAST, MULTICAST])
-    solve.add_argument("--eva-p", dest="eva_p", type=float)
-    solve.add_argument("--node-budget", dest="node_budget", type=int)
+    solve.add_argument("--eva-p", type=float, help="EVA's rank exponent; read only by eva")
+    solve.add_argument("--node-budget", type=int, help="bb's node budget; read only by bb")
     solve.add_argument("--solution-out", dest="solution_out")
     solve.set_defaults(func=cmd_solve)
 
     sweep = sub.add_parser("sweep", help="run a (preset) sweep and write CSV")
     _add_config_flags(sweep)
-    sweep.add_argument("--eva-p", dest="eva_p", type=float)
-    sweep.add_argument("--node-budget", dest="node_budget", type=int)
+    sweep.add_argument("--eva-p", type=float, help="EVA's rank exponent; read only by eva")
+    sweep.add_argument("--node-budget", type=int, help="bb's node budget; read only by bb")
     sweep.add_argument("--seeds", type=int, help="replicate seeds 0..N-1")
     sweep.add_argument("--solvers", help="comma-separated solver list")
     sweep.add_argument("--mode", help="unicast, multicast, or both (comma-separated)")
@@ -281,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--oracle", action="store_true", help="gap to bb's optimum, if bb finishes"
     )
-    verify.add_argument("--node-budget", dest="node_budget", type=int)
+    verify.add_argument("--node-budget", type=int, help="bb's node budget; read only by --oracle")
     verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -290,7 +292,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_paths(args)
-        # Flags not given keep the defaults of ExperimentConfig.
         config = _load_config(args)
     except (OSError, ValueError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -3,8 +3,7 @@
 Each figure-reproduction preset pins one sweep axis over Table-style default
 settings: small scale is 50 users / 10 cells / 5 views, large scale is
 500 / 100 / 20, with 50,000 RBs per cell, 2 Mb basic and enhanced views, and
-a 1,000 m map. On the command line, ``--master-seed`` takes precedence over
-the config file's or preset's master seed.
+a 1,000 m map.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import numpy as np
 from . import solvers
 from .channel import ChannelParams
 from .problem import Instance, MULTICAST, UNICAST
+from .serialize import is_finite_number, is_int
 from .scenario import (
     Topology,
     build_instance,
@@ -83,8 +83,7 @@ class ExperimentConfig:
     preset: str = ""
 
     def __post_init__(self):
-        values = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        _check_fields(type(self), values, "config")
+        _check_fields(type(self), vars(self), "config")
         if self.sweep_param not in SWEEP_PARAMS:
             raise ValueError(f"unknown sweep_param {self.sweep_param!r}")
         for mode in self.modes:
@@ -184,9 +183,8 @@ def _check_fields(cls, data: dict, what: str):
 
 
 def _has_type(value, hint) -> bool:
-    """JSON-value type test: ``bool`` is neither ``int`` nor ``float``, an
-    ``int`` passes as a ``float`` but NaN and infinities do not, and ``None``
-    only for an optional field."""
+    """JSON-value type test, the file loaders' for numbers: ``is_int`` for an
+    ``int``, ``is_finite_number`` for a ``float``; ``None`` only if optional."""
     if isinstance(hint, types.UnionType):
         return any(_has_type(value, arg) for arg in typing.get_args(hint))
     if hint is type(None):
@@ -194,12 +192,10 @@ def _has_type(value, hint) -> bool:
     if typing.get_origin(hint) is list:
         (item,) = typing.get_args(hint)
         return isinstance(value, list) and all(_has_type(v, item) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
+    if hint is int:
+        return is_int(value)
     if hint is float:
-        if isinstance(value, float):
-            return math.isfinite(value)
-        return isinstance(value, int)
+        return is_finite_number(value)
     return isinstance(value, hint)
 
 

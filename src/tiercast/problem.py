@@ -219,6 +219,8 @@ def is_feasible(
     report's ``usage`` is ``rb_usage``'s per-cell array, and ``None`` exactly
     when an ``association`` or ``alloc-index`` violation was reported.
     """
+    if mode not in (UNICAST, MULTICAST):
+        raise ValueError(f"unknown mode {mode!r}")
     violations: list[Violation] = []
 
     assoc = solution.assoc

@@ -36,7 +36,8 @@ positions as lists of ``[x, y]`` pairs, and the map radius. Solutions
 loaded solution sums its objective in the order the solver did. Both
 loaders raise ``ValueError`` on a wrong tag, a missing field or a field of
 the wrong type or size; the solution loader also on a non-finite allocation
-share or a repeated entry.
+share or a repeated entry. Their number tests, ``is_int`` and
+``is_finite_number``, are also the config's for its int and float fields.
 """
 
 from __future__ import annotations
@@ -63,14 +64,14 @@ _WIDTHS = ("<i1", "<i2", "<i4", "<i8")
 _INT64 = range(-(2**63), 2**63)
 
 
-def _is_int(value) -> bool:
+def is_int(value) -> bool:
     """A JSON integer that fits int64 (``true`` and ``2.0`` do not count)."""
     return isinstance(value, int) and not isinstance(value, bool) and value in _INT64
 
 
-def _is_finite_number(value) -> bool:
+def is_finite_number(value) -> bool:
     """A finite JSON number (``true`` does not count)."""
-    return (isinstance(value, float) or _is_int(value)) and math.isfinite(value)
+    return (isinstance(value, float) or is_int(value)) and math.isfinite(value)
 
 
 def _field(data: dict, name: str):
@@ -178,7 +179,7 @@ def instance_to_dict(instance: Instance) -> dict:
 def instance_from_dict(data: dict) -> Instance:
     counts = {name: _field(data, name) for name in _COUNTS}
     for name, value in counts.items():
-        if not _is_int(value) or value < 0:
+        if not is_int(value) or value < 0:
             raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
     arrays = {
         name: _decode(data, name, dtype, tuple(counts[d] for d in dims))
@@ -207,7 +208,7 @@ def solution_to_dict(solution: Solution) -> dict:
 
 def solution_from_dict(data: dict) -> Solution:
     assoc = _field(data, "assoc")
-    if not isinstance(assoc, list) or not all(map(_is_int, assoc)):
+    if not isinstance(assoc, list) or not all(map(is_int, assoc)):
         raise ValueError("assoc must be a list of integer cell indices")
     entries = _field(data, "alloc")
     if not isinstance(entries, list):
@@ -217,12 +218,12 @@ def solution_from_dict(data: dict) -> Solution:
         if not (
             isinstance(entry, list)
             and len(entry) == 3
-            and _is_int(entry[0])
-            and _is_int(entry[1])
+            and is_int(entry[0])
+            and is_int(entry[1])
         ):
             raise ValueError(f"alloc entry {entry!r} is not [user, view, y]")
         i, k, y = entry
-        if not _is_finite_number(y):
+        if not is_finite_number(y):
             raise ValueError(f"alloc entry {entry!r}: y must be a finite number")
         if (i, k) in alloc:
             raise ValueError(f"alloc entry ({i}, {k}) given twice")

@@ -164,6 +164,9 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         ({"channel": [0.0]}, "'channel' must be an object"),
         ({"n_users": True}, "'n_users' must be int, got True"),
         (NESTED, "nested too deeply"),
+        ({"cache_capacity": 2**63}, "'cache_capacity' must be int | None, got 9223372036854775808"),
+        ({"seeds": [0, 2**63]}, "'seeds'"),
+        ({"map_radius": 10**20}, "'map_radius' must be float"),
     ],
     ids=[
         "unknown-key",
@@ -181,6 +184,9 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         "channel-not-an-object",
         "bool-n_users",
         "nested-too-deeply",
+        "cache_capacity-beyond-int64",
+        "seed-beyond-int64",
+        "float-map_radius-beyond-int64",
     ],
 )
 def test_bad_config_payload_is_a_validation_error(payload, named, tmp_path, capsys):
@@ -313,13 +319,36 @@ def test_generate_refuses_a_negative_sharing_fraction(tmp_path, capsys):
 
 
 def test_generate_refuses_a_budget_beyond_int64(tmp_path, capsys):
+    # The config takes an int field by the instance loader's int64 rule, so
+    # the budget stops there, before any generation.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"rb_budget": 10**20}))
     out = tmp_path / "out"
     rc = main(["generate", "--config", str(path), "--out", str(out)])
     assert rc == 1
-    assert "generation failed: rb_budget entries" in capsys.readouterr().err
+    assert (
+        "invalid configuration: config key 'rb_budget' must be int, got 100000000000000000000"
+        in capsys.readouterr().err
+    )
     assert not out.exists()
+
+
+def test_an_int_beyond_int64_is_refused_at_the_config(tmp_path, capsys):
+    # A config int follows serialize.is_int: 2**63 used to pass the config
+    # and end in an OverflowError traceback from place_caches.
+    out = tmp_path / "inst.json"
+    assert main(["generate", *SMALL, "--cache-capacity", str(2**63), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "invalid configuration: config key 'cache_capacity' must be int | None,"
+        " got 9223372036854775808\n"
+    )
+    assert not out.exists()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"n_users": 6, "n_cells": 2, "n_views": 3,
+                                "cache_capacity": 2**63 - 1}))
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 0
+    assert serialize.load_instance(out).n_users == 6
 
 
 def test_solve_bruteforce_small(tmp_path, capsys):
@@ -412,8 +441,8 @@ def test_verify_refuses_a_node_budget_without_the_oracle(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "invalid configuration: --node-budget sets the node budget of --oracle,"
-        " which is not given\n"
+        "invalid configuration: node_budget is read only by bb, which does not run,"
+        " so it cannot be set (got 5)\n"
     )
 
 
@@ -450,6 +479,106 @@ def test_sweep_refuses_a_setting_of_the_swept_field(flags, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid configuration" in err and "is swept" in err
     assert not out.exists()
+
+
+def _unread(flag, value, reader):
+    return (
+        f"invalid configuration: {flag} is read only by {reader}, which does not run,"
+        f" so it cannot be set (got {value})\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["solve", "INST", "--solver", "elva", "--eva-p", "3", "--solution-out", "OUT"],
+         _unread("eva_p", 3.0, "eva")),
+        (["solve", "INST", "--solver", "eva", "--node-budget", "7", "--solution-out", "OUT"],
+         _unread("node_budget", 7, "bb")),
+        (["verify", "INST", "SOL", "--node-budget", "5"], _unread("node_budget", 5, "bb")),
+        (["sweep", "--preset", "fig8", "--seeds", "1", "--node-budget", "5", "--out", "OUT"],
+         _unread("node_budget", 5, "bb")),
+        (["sweep", "--preset", "fig3", "--seeds", "1", "--sharing-fraction", "0.5",
+          "--out", "OUT"], _unread("sharing_fraction", 0.5, "multicast")),
+        (["sweep", "--preset", "fig4", "--seeds", "1", "--mode", "unicast",
+          "--sharing-fraction", "0.5", "--out", "OUT"],
+         _unread("sharing_fraction", 0.5, "multicast")),
+    ],
+    ids=[
+        "solve-elva-eva-p", "solve-eva-node-budget", "verify-node-budget",
+        "sweep-fig8-node-budget", "sweep-fig3-sharing-fraction",
+        "sweep-fig4-unicast-sharing-fraction",
+    ],
+)
+def test_a_flag_that_no_run_reads_is_refused(argv, err, tmp_path, capsys):
+    # Each but verify's used to exit 0 and change nothing.
+    inst = _generate(tmp_path)
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(inst), "--solver", "sinr", "--solution-out", str(sol)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    names = {"INST": str(inst), "SOL": str(sol), "OUT": str(out)}
+    assert main([names.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "INST", "SOL", "--oracle", "--node-budget", "5"],
+        ["sweep", "--preset", "fig3", "--n-users", "6", "--n-cells", "2", "--seeds", "1",
+         "--solvers", "eva", "--eva-p", "2", "--out", "OUT"],
+        ["sweep", "--preset", "fig4", "--n-users", "6", "--n-cells", "2", "--seeds", "1",
+         "--solvers", "sinr", "--sharing-fraction", "0.5", "--out", "OUT"],
+        ["generate", *SMALL, "--sharing-fraction", "1", "--out", "OUT"],
+    ],
+    ids=[
+        "verify-oracle-node-budget", "sweep-fig3-eva-p", "sweep-fig4-sharing-fraction",
+        "generate-sharing-fraction",
+    ],
+)
+def test_a_flag_whose_reader_runs_is_taken(argv, tmp_path, capsys):
+    # solve's eva and bb cases: test_solve_eva_records_p and
+    # test_solve_bb_node_budget_flag.
+    inst = _generate(tmp_path)
+    sol = tmp_path / "sol.json"
+    assert main(["solve", str(inst), "--solver", "sinr", "--solution-out", str(sol)]) == 0
+    out = tmp_path / "out"
+    names = {"INST": str(inst), "SOL": str(sol), "OUT": str(out)}
+    assert main([names.get(a, a) for a in argv]) == 0
+
+
+def test_sweep_refuses_a_config_file_that_sets_its_swept_field(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sweep_param": "n_views", "sweep_values": [1, 2], "n_views": 7}))
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid configuration: n_views is swept, so it cannot be set (got 7)\n"
+    )
+    assert not out.exists()
+
+
+def test_a_saved_preset_config_loads_and_sweeps(tmp_path, capsys):
+    # to_dict writes every field, the swept one at its default included, so
+    # a file is held to the value rule: a rule on which keys a file gives
+    # would refuse every saved config.
+    data = experiments.preset_config("fig3").to_dict()
+    assert data["sweep_param"] == "n_views" and data["n_views"] == 5
+    path = tmp_path / "fig3.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out.csv"
+    rc = main(["sweep", "--config", str(path), "--n-users", "6", "--n-cells", "2",
+               "--seeds", "1", "--solvers", "sinr", "--out", str(out)])
+    assert rc == 0
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["preset"], row["sweep_value"], row["status"]) for row in rows] == [
+        ("fig3", str(n), "ok") for n in (1, 2, 3, 4, 5)
+    ]
 
 
 def test_sweep_refuses_sweep_values_without_a_sweep_param(tmp_path, capsys):

@@ -86,6 +86,17 @@ def test_rb_usage_rejects_an_unknown_mode():
 
 
 @pytest.mark.parametrize(
+    "assoc", [[0, 3], [0, 3, 1], [0, 0, 1]], ids=["short", "out-of-range", "in-range"]
+)
+def test_is_feasible_rejects_an_unknown_mode_before_any_other_check(assoc):
+    # A bad association used to come back as an infeasible report without
+    # the mode ever being read.
+    inst = fig1_instance()
+    with pytest.raises(ValueError, match="unknown mode 'broadcast'"):
+        is_feasible(inst, Solution(assoc=np.array(assoc)), "broadcast")
+
+
+@pytest.mark.parametrize(
     "sharing, message",
     [
         (np.ones((3, 3)), "sharing shape"),
