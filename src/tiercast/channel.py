@@ -60,6 +60,13 @@ class ChannelParams:
         return 10.0 ** ((self.noise_psd - 30.0) / 10.0) * self.rb_bandwidth
 
 
+def distances(cell_positions: np.ndarray, user_positions: np.ndarray) -> np.ndarray:
+    """(M, S) user-to-cell Euclidean distances, the numbers that generation's
+    1 m rule and the zero-distance refusal below both read."""
+    users = np.asarray(user_positions, dtype=float)[:, None, :]
+    return np.linalg.norm(users - np.asarray(cell_positions, dtype=float)[None], axis=2)
+
+
 def link_bits_per_rb(
     cell_positions: np.ndarray,
     user_positions: np.ndarray,
@@ -69,11 +76,7 @@ def link_bits_per_rb(
     """Bits per RB for every (user, cell) link: rb_duration * rb_bandwidth *
     log2(1 + SINR), with every other cell interfering at full power scaled by
     ``interference_scale``, and ``shadow`` the per-link shadow draws in dB."""
-    cell_positions = np.asarray(cell_positions, dtype=float)
-    user_positions = np.asarray(user_positions, dtype=float)
-    dists = np.linalg.norm(
-        user_positions[:, None, :] - cell_positions[None, :, :], axis=2
-    )
+    dists = distances(cell_positions, user_positions)
     if (dists <= 0).any():
         raise ValueError("user collocated with a cell (zero distance)")
     loss = (

@@ -12,13 +12,14 @@ import copy
 import dataclasses
 import functools
 import math
+import re
 import types
 import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import solvers
+from . import metrics, solvers
 from .channel import ChannelParams
 from .problem import Instance, MULTICAST, UNICAST
 from .serialize import is_finite_number, is_int
@@ -178,7 +179,8 @@ def _check_fields(cls, data: dict, what: str):
     for key, value in data.items():
         hint = hints[key]
         if not _has_type(value, hint):
-            name = hint.__name__ if isinstance(hint, type) else hint
+            name = hint.__name__ if type(hint) is type else str(hint)
+            name = re.sub(r"\bint\b", "int64", name)  # the rule is is_int's
             raise ValueError(f"{what} key {key!r} must be {name}, got {value!r}")
 
 
@@ -327,9 +329,6 @@ def run_sweep(config: ExperimentConfig):
     ``AssertionError`` from a solver, is recorded in the row's status and the
     sweep continues; any other exception propagates.
     """
-    # Function-local, so that the benchmark's wrapper of metrics.summarize is called.
-    from .metrics import summarize
-
     for value in config.sweep_values:
         point = config.at_sweep_value(value)
         for seed in config.seeds:
@@ -354,7 +353,7 @@ def run_sweep(config: ExperimentConfig):
                     # solver call, is reworked (ROADMAP item 1b).
                     except (ValueError, AssertionError) as exc:
                         errors[solver] = str(exc)
-                summary = summarize(instance, results, mode) if results else None
+                summary = metrics.summarize(instance, results, mode) if results else None
                 for solver in point.solvers:
                     if solver in errors:
                         yield _row(config, value, seed, mode, solver, errors[solver])

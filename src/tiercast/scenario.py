@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelParams, build_rb_tables
+from .channel import ChannelParams, build_rb_tables, distances
 from .problem import Instance
 
 # Users closer than this to a cell are resampled during generation; the
@@ -44,10 +44,8 @@ class Topology:
         return self.user_positions.shape[0]
 
     def distances(self) -> np.ndarray:
-        """(M, S) user-to-cell Euclidean distances."""
-        return np.linalg.norm(
-            self.user_positions[:, None, :] - self.cell_positions[None, :, :], axis=2
-        )
+        """(M, S) user-to-cell Euclidean distances (``channel.distances``)."""
+        return distances(self.cell_positions, self.user_positions)
 
 
 def _uniform_disc(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
@@ -103,9 +101,7 @@ def generate_topology(
     near = topology.distances().min(axis=1) < MIN_USER_CELL_DISTANCE
     for idx in np.flatnonzero(near):
         draws = 1
-        while (
-            np.linalg.norm(cells - users[idx], axis=1).min() < MIN_USER_CELL_DISTANCE
-        ):
+        while distances(cells, users[idx : idx + 1]).min() < MIN_USER_CELL_DISTANCE:
             if draws == MAX_DRAWS:
                 raise ValueError(
                     f"user {idx}: no draw of {MAX_DRAWS} lies at least "

@@ -21,6 +21,9 @@ and falling density, ties to the views' groups by view and level, then to
 the groups of one by cost, user and view. Each takes clip(budget - before,
 0, length), ``before`` being the exact length ahead in its cell, so no float
 remainder is handed on; a group's members get min(1, its takes' sum / cost).
+A group rides one transmission charged at its members' largest cost, for a
+concave piecewise-linear reward. In unicast the pairs that fit get 1, the next
+the share the budget leaves, the rest no entry, however the float budget rounds.
 
 ELVA's provisional per-user fills go through ``_fill``, in both modes, with
 each pair's views read from the gain tables by ascending cost, then view:
@@ -72,14 +75,6 @@ class SolverReport:
     node_budget_hit: bool | None = None
     tie_breaks: int | None = None
     params: dict = field(default_factory=dict)
-
-
-@dataclass
-class CellAllocation:
-    """Per-cell allocation: (user, view) -> fraction, and its value."""
-
-    alloc: dict[tuple[int, int], float]
-    value: float
 
 
 def _fill(items, left: float, paid: dict) -> float:
@@ -175,32 +170,19 @@ def _ledger_arrays(instance: Instance, assoc, budgets, mode: str):
 
 
 def _one_cell(instance: Instance, cell: int, users, budget: float, mode: str):
-    """``_allocate`` of the distinct ``users`` at ``cell`` alone."""
+    """``_allocate``'s ``(alloc, value)`` for the distinct ``users`` at ``cell`` alone."""
     assoc = np.full(instance.n_users, -1, dtype=np.int64)
     assoc[np.asarray(users, dtype=np.int64)] = cell
     budgets = np.full(instance.n_cells, float(budget))  # only ``cell`` has pairs
-    return CellAllocation(*_allocate(instance, assoc, budgets, mode))
+    return _allocate(instance, assoc, budgets, mode)
 
 
-def solve_cell_subproblem(
-    instance: Instance, cell: int, users, budget: float
-) -> CellAllocation:
-    """Exact fractional-knapsack optimum of the per-cell allocation problem:
-    the (user, view) pairs with w=1 by ascending cost, then user, then view.
-    Those that fit get y=1, the next the share the budget leaves, the rest no
-    entry, however the float budget rounds. The value is the shares' sum."""
+# Aliases only for bench/spans.py to wrap by name; ROADMAP step 1b deletes both.
+def solve_cell_subproblem(instance: Instance, cell: int, users, budget: float):
     return _one_cell(instance, cell, users, budget, UNICAST)
 
 
-def solve_cell_subproblem_multicast(
-    instance: Instance, cell: int, users, budget: float
-) -> CellAllocation:
-    """Exact per-cell optimum under multicast RB accounting: view k's
-    sharing-group members ride one transmission charged at their max cost, a
-    concave piecewise-linear reward, whose segments fill by reward per RB
-    with the pairs outside a group. Ties go to the views' groups by view and
-    level, then to the other pairs by cost, user and view; no float remainder
-    is handed on. The value is the shares' sum in entry order."""
+def solve_cell_subproblem_multicast(instance: Instance, cell: int, users, budget: float):
     return _one_cell(instance, cell, users, budget, MULTICAST)
 
 
@@ -585,7 +567,7 @@ def solve_bb(
             budget = budgets[j] - cell_basic
             if multicast:
                 cell = contents[j] + [i]
-                value = solve_cell_subproblem_multicast(instance, j, cell, budget).value
+                value = _one_cell(instance, j, cell, budget, MULTICAST)[1]
             else:
                 cell = sorted(contents[j] + user_costs)
                 value = _cell_value(cell, budget)

@@ -28,7 +28,8 @@ group and unicast segments that the one-kind group fill replaced. Its
 group members' shares are the kernel's bit for bit; a pair outside a group
 gets take * (1 / cost) here, within 2 ulp of the kernel's charge / cost. Its
 value adds density * take per segment, within 1e-12 relative of the
-kernel's, which adds the shares.
+kernel's, which adds the shares. Both return ``(alloc, value)``, as the
+kernel's one-cell form ``solvers._one_cell`` does.
 
 ``group_fill`` is that one-kind group fill, the per-cell Python loop the
 kernel replaced: the kernel's entries bit for bit and in order.
@@ -69,7 +70,6 @@ from tiercast.problem import (
 from tiercast.problem import objective as ledger_objective
 from tiercast.scenario import MIN_USER_CELL_DISTANCE, _uniform_disc
 from tiercast.solvers import (
-    CellAllocation,
     SolverReport,
     _eligible_cells,
     _fill,
@@ -193,7 +193,7 @@ def fill(items, left, paid):
 
 def solve_cell_subproblem(instance, cell, users, budget):
     if budget < 0:
-        return CellAllocation(alloc={}, value=0.0)
+        return {}, 0.0
     candidates = sorted(
         (int(instance.rb_enhanced[i, cell, k]), i, k)
         for i in users
@@ -209,7 +209,7 @@ def solve_cell_subproblem(instance, cell, users, budget):
         alloc[(i, int(k))] = y
         value += y
         remaining -= y * cost
-    return CellAllocation(alloc=alloc, value=value)
+    return alloc, value
 
 
 def solve_cell_subproblem_multicast(instance, cell, users, budget):
@@ -222,7 +222,7 @@ def solve_cell_subproblem_multicast(instance, cell, users, budget):
     densities decrease within each view.
     """
     if budget < 0:
-        return CellAllocation(alloc={}, value=0.0)
+        return {}, 0.0
 
     # (density, tag, payload) pooled segments; tag orders determinism only.
     segments = []
@@ -274,7 +274,7 @@ def solve_cell_subproblem_multicast(instance, cell, users, budget):
             continue
         for cost, i in group_members[k]:
             alloc[(i, k)] = min(1.0, charge / cost)
-    return CellAllocation(alloc=alloc, value=value)
+    return alloc, value
 
 
 def group_fill(instance, cell, users, budget):
@@ -597,9 +597,7 @@ def solve_bb(instance, node_budget=None, mode=UNICAST):
         if multicast:
             if budget < 0:
                 return 0.0
-            return solvers.solve_cell_subproblem_multicast(
-                instance, j, state.members, budget
-            ).value
+            return solvers._one_cell(instance, j, state.members, budget, MULTICAST)[1]
         return cell_value_from_costs(state.costs, budget)
 
     def descend(t, partial):

@@ -37,7 +37,6 @@ from tiercast.experiments import build_experiment_instance, preset_config
 from tiercast.solvers import (
     _cell_value,
     solve_bb,
-    solve_cell_subproblem,
     solve_elva,
     solve_eva,
 )
@@ -195,31 +194,35 @@ def _assert_cell_matches_loop(inst, cell, users, budget, mode, mine):
     bit for bit and the others' to 2 ulp; and ``group_fill``'s entries, bit
     for bit and in order. Returns the loop's value."""
     if mode == UNICAST:
-        ref = reference.solve_cell_subproblem(inst, cell, users, budget)
-        ref_items = _items(ref.alloc)
+        ref_alloc, ref_value = reference.solve_cell_subproblem(
+            inst, cell, users, budget
+        )
+        ref_items = _items(ref_alloc)
         assert _items(mine) == ref_items[: len(mine)]
         # After a partial share, (y * cost) can leave the loop a float
         # remainder of the budget, which it hands on in shares below 1e-9.
-        assert all(y < 1e-9 for y in list(ref.alloc.values())[len(mine):])
+        assert all(y < 1e-9 for y in list(ref_alloc.values())[len(mine):])
         assert all(y == 1.0 for y in list(mine.values())[:-1])
-        return ref.value
-    ref = reference.solve_cell_subproblem_multicast(inst, cell, users, budget)
-    assert mine.keys() == ref.alloc.keys()
-    for key, y in ref.alloc.items():
+        return ref_value
+    ref_alloc, ref_value = reference.solve_cell_subproblem_multicast(
+        inst, cell, users, budget
+    )
+    assert mine.keys() == ref_alloc.keys()
+    for key, y in ref_alloc.items():
         if inst.sharing[key]:
             assert _bits([mine[key]]) == _bits([y])
         else:
             assert abs(mine[key] - y) <= 2 * math.ulp(y)
     assert _items(mine) == _items(reference.group_fill(inst, cell, users, budget))
-    return ref.value
+    return ref_value
 
 
-def _assert_value_is_the_share_sum(cell, ref_value):
+def _assert_value_is_the_share_sum(alloc, value, ref_value):
     """A one-cell value is its shares' sum in entry order, and within 1e-12
     relative of the loop's."""
-    shares = list(cell.alloc.values())
-    assert _bits([cell.value]) == _bits([sum(shares, 0.0)])
-    assert abs(cell.value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+    shares = list(alloc.values())
+    assert _bits([value]) == _bits([sum(shares, 0.0)])
+    assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
 
 
 @st.composite
@@ -249,9 +252,9 @@ def cell_cases(draw):
 @given(cell_cases())
 def test_unicast_cell_kernel_matches_fill_loop(case):
     inst, cell, users, budget = case
-    mine = solve_cell_subproblem(inst, cell, users, budget)
-    ref_value = _assert_cell_matches_loop(inst, cell, users, budget, UNICAST, mine.alloc)
-    _assert_value_is_the_share_sum(mine, ref_value)
+    alloc, value = solvers._one_cell(inst, cell, users, budget, UNICAST)
+    ref_value = _assert_cell_matches_loop(inst, cell, users, budget, UNICAST, alloc)
+    _assert_value_is_the_share_sum(alloc, value, ref_value)
 
 
 def _two_users_at_49_and_50():
@@ -265,11 +268,11 @@ def test_unicast_cell_kernel_leaves_no_remainder_share():
     # (1 / 49) * 49 rounds below 1, so the loop hands ~2e-18 to the next
     # item; the kernel's take is exact, and the next item gets no entry.
     inst = _two_users_at_49_and_50()
-    mine = solve_cell_subproblem(inst, 0, [0, 1], 1.0)
-    ref = reference.solve_cell_subproblem(inst, 0, [0, 1], 1.0)
-    assert 0 < ref.alloc[(1, 0)] < 1e-9
-    assert _items(mine.alloc) == _items(ref.alloc)[:1] == [((0, 0), (1 / 49).hex())]
-    assert mine.value == 1 / 49
+    alloc, value = solvers._one_cell(inst, 0, [0, 1], 1.0, UNICAST)
+    ref_alloc, _ = reference.solve_cell_subproblem(inst, 0, [0, 1], 1.0)
+    assert 0 < ref_alloc[(1, 0)] < 1e-9
+    assert _items(alloc) == _items(ref_alloc)[:1] == [((0, 0), (1 / 49).hex())]
+    assert value == 1 / 49
 
 
 def test_unicast_cell_kernel_takes_items_while_budget_is_left():
@@ -277,10 +280,10 @@ def test_unicast_cell_kernel_takes_items_while_budget_is_left():
     # positive, so it is recorded at its share of 0; that take spends the
     # budget, where the loop, whose spend rounded to 0, went on.
     inst = _two_users_at_49_and_50()
-    mine = solve_cell_subproblem(inst, 0, [0, 1], 5e-324)
-    ref = reference.solve_cell_subproblem(inst, 0, [0, 1], 5e-324)
-    assert _items(mine.alloc) == _items(ref.alloc)[:1] == [((0, 0), (0.0).hex())]
-    assert _items(ref.alloc)[1:] == [((1, 0), (0.0).hex())]
+    alloc, _ = solvers._one_cell(inst, 0, [0, 1], 5e-324, UNICAST)
+    ref_alloc, _ = reference.solve_cell_subproblem(inst, 0, [0, 1], 5e-324)
+    assert _items(alloc) == _items(ref_alloc)[:1] == [((0, 0), (0.0).hex())]
+    assert _items(ref_alloc)[1:] == [((1, 0), (0.0).hex())]
 
 
 @st.composite
@@ -337,15 +340,17 @@ def _one_cell(enhanced, sharing, w=None):
 @example((_one_cell([[1, 3], [3, 1]], [[1, 0], [1, 0]], [[1, 1], [1, 0]]), 0, [0, 1], 2.0))
 def test_multicast_cell_kernel_matches_two_kind_loop(case):
     inst, cell, users, budget = case
-    mine = solvers.solve_cell_subproblem_multicast(inst, cell, users, budget)
-    ref = reference.solve_cell_subproblem_multicast(inst, cell, users, budget)
-    _assert_cell_matches_loop(inst, cell, users, budget, MULTICAST, mine.alloc)
-    _assert_value_is_the_share_sum(mine, ref.value)
-    alone = [key for key in ref.alloc if not inst.sharing[key]]
+    alloc, value = solvers._one_cell(inst, cell, users, budget, MULTICAST)
+    ref_alloc, ref_value = reference.solve_cell_subproblem_multicast(
+        inst, cell, users, budget
+    )
+    _assert_cell_matches_loop(inst, cell, users, budget, MULTICAST, alloc)
+    _assert_value_is_the_share_sum(alloc, value, ref_value)
+    alone = [key for key in ref_alloc if not inst.sharing[key]]
     # The loop records a pair outside a group as it fills it, and a partial
     # take spends the budget, so every such pair before the last was whole.
     for key in alone[:-1]:
-        assert mine.alloc[key] == 1.0
+        assert alloc[key] == 1.0
 
 
 def test_multicast_cell_kernel_sums_densities_left_to_right():
@@ -357,21 +362,21 @@ def test_multicast_cell_kernel_sums_densities_left_to_right():
         [[0, 1], [0, 1], [0, 1], [1, 0]],
     )
     assert 1 / 4 + 1 / 20 + 1 / 30 == 1 / 3 < 1 / 30 + 1 / 20 + 1 / 4
-    mine = solvers.solve_cell_subproblem_multicast(inst, 0, [0, 1, 2, 3], 3.0)
-    assert mine.alloc == reference.group_fill(inst, 0, [0, 1, 2, 3], 3.0) == {(3, 0): 1.0}
+    alloc, _ = solvers._one_cell(inst, 0, [0, 1, 2, 3], 3.0, MULTICAST)
+    assert alloc == reference.group_fill(inst, 0, [0, 1, 2, 3], 3.0) == {(3, 0): 1.0}
 
 
 def test_multicast_cell_kernel_gives_a_whole_pair_outside_a_group_one():
     # 49 * (1 / 49) rounds below 1; 49 / 49 does not. The group of view 1
     # fills first, then the pairs outside it in fill order.
     inst = _one_cell([[49, 30], [60, 30]], [[0, 1], [0, 1]])
-    mine = solvers.solve_cell_subproblem_multicast(inst, 0, [0, 1], 100.0)
-    ref = reference.solve_cell_subproblem_multicast(inst, 0, [0, 1], 100.0)
-    assert list(mine.alloc.items()) == [
+    alloc, value = solvers._one_cell(inst, 0, [0, 1], 100.0, MULTICAST)
+    ref_alloc, ref_value = reference.solve_cell_subproblem_multicast(inst, 0, [0, 1], 100.0)
+    assert list(alloc.items()) == [
         ((0, 1), 1.0), ((1, 1), 1.0), ((0, 0), 1.0), ((1, 0), 21 / 60)
     ]
-    assert ref.alloc[(0, 0)] == 0.9999999999999999
-    _assert_value_is_the_share_sum(mine, ref.value)
+    assert ref_alloc[(0, 0)] == 0.9999999999999999
+    _assert_value_is_the_share_sum(alloc, value, ref_value)
 
 
 @SETTINGS
@@ -403,9 +408,9 @@ def test_eva_orders_a_view_at_the_largest_cost_after_an_unrewardable_one(mode):
     assert rep.tie_breaks == ref_tie_breaks
     cell = (reference.solve_cell_subproblem_multicast if mode == MULTICAST
             else reference.solve_cell_subproblem)
-    ref = cell(inst, 0, [0, 1], 5.0)
-    assert _items(sol.alloc) == _items(ref.alloc)
-    assert _bits([rep.objective]) == _bits([ref.value])
+    ref_alloc, ref_value = cell(inst, 0, [0, 1], 5.0)
+    assert _items(sol.alloc) == _items(ref_alloc)
+    assert _bits([rep.objective]) == _bits([ref_value])
     assert all(0.0 <= y <= 1.0 for y in sol.alloc.values())
     assert is_feasible(inst, sol, mode).feasible
 

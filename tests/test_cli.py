@@ -162,9 +162,9 @@ def test_missing_config_file_is_a_validation_error(command, tmp_path, capsys):
         ),
         ({"schema": "config/v0"}, "'config/v0'"),
         ({"channel": [0.0]}, "'channel' must be an object"),
-        ({"n_users": True}, "'n_users' must be int, got True"),
+        ({"n_users": True}, "'n_users' must be int64, got True"),
         (NESTED, "nested too deeply"),
-        ({"cache_capacity": 2**63}, "'cache_capacity' must be int | None, got 9223372036854775808"),
+        ({"cache_capacity": 2**63}, "'cache_capacity' must be int64 | None, got 9223372036854775808"),
         ({"seeds": [0, 2**63]}, "'seeds'"),
         ({"map_radius": 10**20}, "'map_radius' must be float"),
     ],
@@ -327,7 +327,7 @@ def test_generate_refuses_a_budget_beyond_int64(tmp_path, capsys):
     rc = main(["generate", "--config", str(path), "--out", str(out)])
     assert rc == 1
     assert (
-        "invalid configuration: config key 'rb_budget' must be int, got 100000000000000000000"
+        "invalid configuration: config key 'rb_budget' must be int64, got 100000000000000000000"
         in capsys.readouterr().err
     )
     assert not out.exists()
@@ -340,7 +340,7 @@ def test_an_int_beyond_int64_is_refused_at_the_config(tmp_path, capsys):
     assert main(["generate", *SMALL, "--cache-capacity", str(2**63), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "invalid configuration: config key 'cache_capacity' must be int | None,"
+        "invalid configuration: config key 'cache_capacity' must be int64 | None,"
         " got 9223372036854775808\n"
     )
     assert not out.exists()

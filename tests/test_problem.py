@@ -226,6 +226,7 @@ def test_is_feasible_empty_solution():
     inst = fig1_instance()
     report = is_feasible(inst, Solution(assoc=np.array([0, 1, 0])))
     assert report.feasible and not report.violations
+    assert str(report) == "feasible"
 
 
 @pytest.mark.parametrize("assoc", [[0, 1], [0, 0, 1, 1], [[0, 0, 1]]])

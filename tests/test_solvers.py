@@ -16,9 +16,9 @@ from tiercast.problem import (
 )
 from tiercast.solvers import (
     _finalize,
+    _one_cell,
     compute_nbar,
     solve_bb,
-    solve_cell_subproblem,
     solve_elva,
     solve_eva,
     solve_sinr,
@@ -96,9 +96,9 @@ def test_bb_single_user_matches_exhaustive_scan(rng):
             continue
         _, report = solve_bb(inst)
         best = max(
-            solve_cell_subproblem(
-                inst, j, [0], float(inst.rb_budget[j] - inst.rb_basic[0, j])
-            ).value
+            _one_cell(
+                inst, j, [0], float(inst.rb_budget[j] - inst.rb_basic[0, j]), UNICAST
+            )[1]
             for j in range(inst.n_cells)
         )
         assert report.objective == pytest.approx(best, abs=1e-9)
@@ -184,8 +184,8 @@ def test_eva_single_cell_within_subproblem_optimum(rng):
             continue
         sol, report = solve_eva(inst)
         residual = float(inst.rb_budget[0] - inst.rb_basic[:, 0].max())
-        best = solve_cell_subproblem(inst, 0, list(range(inst.n_users)), residual)
-        assert report.objective == best.value
+        _, best = _one_cell(inst, 0, list(range(inst.n_users)), residual, UNICAST)
+        assert report.objective == best
     inst = fig1_instance(ample_budget=True)
     inst_one = Instance(
         n_users=3, n_cells=1, n_views=4,
@@ -193,8 +193,8 @@ def test_eva_single_cell_within_subproblem_optimum(rng):
         rb_basic=inst.rb_basic[:, :1], rb_enhanced=inst.rb_enhanced[:, :1, :],
     )
     _, report = solve_eva(inst_one)
-    best = solve_cell_subproblem(inst_one, 0, [0, 1, 2], float(1000 - 4))
-    assert report.objective == best.value
+    _, best = _one_cell(inst_one, 0, [0, 1, 2], float(1000 - 4), UNICAST)
+    assert report.objective == best
 
 
 def test_eva_never_beats_bb(rng):
@@ -443,9 +443,10 @@ def test_bruteforce_single_user_scans_cells():
     )
     _, report = reference.solve_bruteforce(inst_one)
     best = max(
-        solve_cell_subproblem(
-            inst_one, j, [0], float(inst_one.rb_budget[j] - inst_one.rb_basic[0, j])
-        ).value
+        _one_cell(
+            inst_one, j, [0], float(inst_one.rb_budget[j] - inst_one.rb_basic[0, j]),
+            UNICAST,
+        )[1]
         for j in range(inst_one.n_cells)
     )
     assert report.objective == pytest.approx(best)
