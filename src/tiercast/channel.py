@@ -49,7 +49,7 @@ class ChannelParams:
             raise ValueError("RB dimensions must be positive")
         if self.tx_power <= 0:
             raise ValueError("tx_power must be positive")
-        if self.shadow_sigma < 0:
+        if not self.shadow_sigma >= 0:  # refuses NaN too
             raise ValueError("shadow_sigma must be nonnegative")
         if not 0.0 <= self.interference_scale <= 1.0:
             raise ValueError("interference_scale must lie in [0, 1]")
@@ -63,8 +63,11 @@ class ChannelParams:
 def distances(cell_positions: np.ndarray, user_positions: np.ndarray) -> np.ndarray:
     """(M, S) user-to-cell Euclidean distances, the numbers that generation's
     1 m rule and the zero-distance refusal below both read."""
-    users = np.asarray(user_positions, dtype=float)[:, None, :]
-    return np.linalg.norm(users - np.asarray(cell_positions, dtype=float)[None], axis=2)
+    users = np.asarray(user_positions, dtype=float)
+    cells = np.asarray(cell_positions, dtype=float)
+    dx = users[:, 0, None] - cells[None, :, 0]
+    dy = users[:, 1, None] - cells[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def link_bits_per_rb(
@@ -117,7 +120,9 @@ def build_rb_tables(
         raise ValueError("payload sizes must be positive")
 
     rng = np.random.default_rng(seed)
-    shadow = rng.normal(0.0, params.shadow_sigma, size=(n_users, n_cells))
+    sigma = params.shadow_sigma
+    # At sigma 0 this local generator would draw only +0.0: take no draw.
+    shadow = rng.normal(0.0, sigma, size=(n_users, n_cells)) if sigma > 0 else 0.0
     bits = link_bits_per_rb(cell_positions, user_positions, params, shadow)
 
     dead = bits <= 0.0
@@ -132,6 +137,5 @@ def build_rb_tables(
     with np.errstate(divide="ignore"):
         basic = np.clip(np.ceil(basic_size / bits), 1, UNREACHABLE_RBS)
         per_size = np.clip(np.ceil(sizes / bits[:, :, None]), 1, UNREACHABLE_RBS)
-    # The gather lays the view axis outermost in memory; copy it to C order.
-    enhanced = np.ascontiguousarray(per_size.astype(np.int64)[:, :, size_of_view])
+    enhanced = np.take(per_size.astype(np.int64), size_of_view, axis=2)
     return basic.astype(np.int64), enhanced

@@ -96,7 +96,7 @@ class Instance:
 
     def reward_counts(self) -> np.ndarray:
         """(M, S) number of rewardable views per user-cell pair."""
-        return self.w.sum(axis=2, dtype=np.int64)
+        return np.einsum("ijk->ij", self.w, dtype=np.int64)
 
 
 @dataclass

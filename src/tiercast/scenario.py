@@ -160,7 +160,10 @@ def place_caches(
     nearest cell it is, breaking ties by view index.
     """
     n_cells = topology.n_cells
-    n_views = wants.shape[1]
+    wants = np.asarray(wants, dtype=bool)
+    n_views = wants.shape[-1]
+    if wants.shape != (topology.n_users, n_views):
+        raise ValueError(f"wants {wants.shape} must be {(topology.n_users, n_views)}")
     if cache_capacity < 1:
         raise ValueError("cache capacity must be >= 1")
     if n_views > n_cells * cache_capacity:
@@ -172,8 +175,9 @@ def place_caches(
     cached = np.zeros((n_cells, n_views), dtype=bool)
     cached[np.arange(n_views) % n_cells, np.arange(n_views)] = True
 
-    counts = np.zeros((n_cells, n_views), dtype=np.int64)
-    np.add.at(counts, topology.distances().argmin(axis=1), wants)
+    # Demand counts per (nearest cell, view): one bincount over flat keys.
+    keys = topology.distances().argmin(axis=1)[:, None] * n_views + np.arange(n_views)
+    counts = np.bincount(keys[wants], minlength=cached.size).reshape(cached.shape)
     rows = np.arange(n_cells)[:, None]
     ranked = np.argsort(-counts, axis=1, kind="stable")
     free = ~cached[rows, ranked]

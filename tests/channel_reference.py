@@ -1,9 +1,16 @@
 """Scalar link model, one link at a time: the oracle for
-``tiercast.channel.link_bits_per_rb`` and the RB cost tables."""
+``tiercast.channel.link_bits_per_rb`` and the RB cost tables, and the norm
+form of the distance table, the oracle for ``tiercast.channel.distances``."""
 
 import math
 
 import numpy as np
+
+
+def distances(cell_positions, user_positions) -> np.ndarray:
+    """(M, S) user-to-cell distances as ``np.linalg.norm`` over the x-y axis."""
+    users = np.asarray(user_positions, dtype=float)[:, None, :]
+    return np.linalg.norm(users - np.asarray(cell_positions, dtype=float)[None], axis=2)
 
 
 class UnreachableUserError(ValueError):

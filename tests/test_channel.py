@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import channel_reference
 from channel_reference import (
     UnreachableUserError,
     channel_gain,
@@ -18,6 +21,7 @@ from tiercast.channel import (
     UNREACHABLE_RBS,
     ChannelParams,
     build_rb_tables,
+    distances,
     link_bits_per_rb,
 )
 
@@ -67,6 +71,8 @@ def test_params_invariants():
         ChannelParams(tx_power=0)
     with pytest.raises(ValueError):
         ChannelParams(shadow_sigma=-1)
+    with pytest.raises(ValueError, match="shadow_sigma"):
+        ChannelParams(shadow_sigma=float("nan"))
 
 
 @pytest.mark.parametrize("scale", [-1.0, 1.5, 2.0])
@@ -212,6 +218,76 @@ def test_rb_tables_deterministic_per_seed():
     t3 = build_rb_tables(cells, users, p, 2e6, np.array([2e6, 1e6]), seed=10)
     assert (t1[0] == t2[0]).all() and (t1[1] == t2[1]).all()
     assert (t1[0] != t3[0]).any()
+
+
+def _tables_from_bits(bits, basic_size, view_sizes):
+    """The RB tables of ``bits``, one link and one view at a time."""
+    def cost(size, b):
+        return UNREACHABLE_RBS if b == 0.0 else rbs_for_payload(size, b)
+
+    basic = np.array([[cost(basic_size, b) for b in row] for row in bits])
+    enhanced = np.array(
+        [[[cost(size, b) for size in view_sizes] for b in row] for row in bits]
+    )
+    return basic, enhanced
+
+
+@pytest.mark.parametrize("sigma", [0.0, 4.0])
+def test_rb_tables_draw_one_shadow_per_link_from_the_seed(sigma):
+    # The docstring's draw: default_rng(seed).normal(0, sigma, (M, S)); at
+    # sigma 0 that is an all-zero shadow.
+    rng = np.random.default_rng(6)
+    cells = rng.uniform(-500, 500, size=(4, 2))
+    users = rng.uniform(-500, 500, size=(7, 2))
+    sizes = np.array([1e6, 2e6, 1e6])
+    p = ChannelParams(shadow_sigma=sigma, interference_scale=1.0)
+    shadow = (
+        np.random.default_rng(11).normal(0.0, sigma, size=(7, 4))
+        if sigma > 0
+        else np.zeros((7, 4))
+    )
+    bits = link_bits_per_rb(cells, users, p, shadow)
+    basic, enhanced = build_rb_tables(cells, users, p, 2e6, sizes, seed=11)
+    expected_basic, expected_enhanced = _tables_from_bits(bits, 2e6, sizes)
+    assert (basic == expected_basic).all() and (enhanced == expected_enhanced).all()
+    unshadowed, _ = _tables_from_bits(
+        link_bits_per_rb(cells, users, p, np.zeros((7, 4))), 2e6, sizes
+    )
+    assert (basic != unshadowed).any() == (sigma > 0)
+
+
+_coordinate = st.builds(
+    lambda size, negative: -size if negative else size,
+    st.floats(1e-3, 1e6),
+    st.booleans(),
+)
+
+
+@st.composite
+def _layouts(draw):
+    n_cells = draw(st.integers(1, 6))
+    n_users = draw(st.integers(1, 6))
+    point = st.tuples(_coordinate, _coordinate)
+    cells = np.array(draw(st.lists(point, min_size=n_cells, max_size=n_cells)))
+    users = np.array(draw(st.lists(point, min_size=n_users, max_size=n_users)))
+    # Users placed exactly on a cell, at distance 0.
+    on_cell = draw(
+        st.dictionaries(st.integers(0, n_users - 1), st.integers(0, n_cells - 1))
+    )
+    for i, j in on_cell.items():
+        users[i] = cells[j]
+    return cells, users, on_cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(_layouts())
+def test_distances_equal_the_norm_form_bit_for_bit(layout):
+    cells, users, on_cell = layout
+    got = distances(cells, users)
+    assert got.shape == (len(users), len(cells)) and got.dtype == np.float64
+    assert np.array_equal(got, channel_reference.distances(cells, users))
+    for i, j in on_cell.items():
+        assert got[i, j] == 0.0
 
 
 def test_serving_distance_monotonicity():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tiercast.problem import (
     MULTICAST,
@@ -190,6 +192,29 @@ def test_instance_refuses_no_cells():
             rb_budget=np.zeros(0), rb_basic=np.zeros((2, 0)),
             rb_enhanced=np.zeros((2, 0, 2)),
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_users=st.integers(0, 6),
+    n_cells=st.integers(1, 4),
+    n_views=st.integers(1, 25),
+    density=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_users=3, n_cells=2, n_views=1, density=0.3, seed=0)
+@example(n_users=3, n_cells=2, n_views=4, density=0.0, seed=0)
+def test_reward_counts_is_the_int64_view_sum(n_users, n_cells, n_views, density, seed):
+    rng = np.random.default_rng(seed)
+    w = (rng.uniform(size=(n_users, n_cells, n_views)) < density).astype(np.int8)
+    inst = Instance(
+        n_users=n_users, n_cells=n_cells, n_views=n_views, w=w,
+        rb_budget=np.ones(n_cells), rb_basic=np.ones((n_users, n_cells)),
+        rb_enhanced=np.ones((n_users, n_cells, n_views)),
+    )
+    counts = inst.reward_counts()
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, w.sum(axis=2, dtype=np.int64))
 
 
 def test_rb_usage_multicast_max_versus_sum():

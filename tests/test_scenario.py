@@ -224,6 +224,21 @@ def test_place_caches_rejects_uncoverable():
         place_caches(demands, topo, 0)
 
 
+def test_place_caches_refuses_a_mask_with_the_wrong_rows():
+    topo = generate_topology("uniform", 3, 5, seed=17)
+    with pytest.raises(ValueError, match=r"wants \(4, 6\) must be \(5, 6\)"):
+        place_caches(np.ones((4, 6), dtype=bool), topo, 2)
+
+
+def test_place_caches_reads_an_int8_mask_as_bool():
+    # A 0/1 int8 mask indexes the demand keys as a mask, not by position.
+    topo = generate_topology("uniform", 4, 30, seed=23)
+    demands = generate_demands(30, 7, 3, seed=24)
+    for capacity in (2, 3, 5):
+        cached = place_caches(demands, topo, capacity)
+        assert (place_caches(demands.astype(np.int8), topo, capacity) == cached).all()
+
+
 def test_cache_placement_capacity_invariant():
     # Every cell ends with min(capacity, n_views) views cached.
     topo = generate_topology("uniform", 4, 30, seed=23)
