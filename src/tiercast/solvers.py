@@ -26,12 +26,13 @@ concave piecewise-linear reward. In unicast the pairs that fit get 1, the next
 the share the budget leaves, the rest no entry, however the float budget rounds.
 
 ELVA's provisional per-user fills go through ``_fill``, in both modes, with
-each pair's views read from the gain tables by ascending cost, then view:
-each item takes y = min(1, (max(left, 0) + g) / cost), paying
-max(0, y * cost - g) from the budget left, where g is what its sharing group
-already pays (0 for an item outside a group). Once the budget is spent, only
-a member whose group already pays takes a share: it rides the group's
-transmission.
+each pair's views read from the gain tables by ascending cost, then view.
+Each item raises what its sharing group pays, g (0 for an item outside a
+group), to min(cost, g + max(left, 0)), and the budget left pays the rise:
+the view whole for cost - g, or exactly the budget left. While budgets and
+costs are integers below 2**53 (every preset's: budgets of 50,000, costs of
+at most UNREACHABLE_RBS = 2**40), so are the budget left and every charge,
+and each score ELVA reads from a budget is one correctly rounded division.
 
 ELVA takes each run of rounds at one maximum score in one batch
 (``solve_elva``), exactly: a fill only lowers its cell's budget, and a gain
@@ -81,23 +82,17 @@ def _fill(items, left: float, paid: dict) -> float:
     """Fill ``(cost, group)`` items in order from the budget ``left``; return
     the budget left. ``group`` is None outside a sharing group, else the key
     under which ``paid`` holds what the group already pays; ``paid`` is
-    updated in place."""
+    updated in place. Each item takes its view whole or exactly the budget
+    left, by the module docstring's rule: a spent budget changes nothing."""
     for cost, group in items:
-        if left <= 0 and not paid:  # spent, and no group to ride on
+        if left <= 0:
             break
         charge = paid.get(group, 0.0)
-        # The module docstring's min/max rule, bit for bit, in branches.
-        y = ((0.0 if left < 0 else left) + charge) / cost
-        if not y < 1.0:
-            y = 1.0
-        if left <= 0 and y <= 0:
-            continue
-        spend = y * cost
-        if spend > charge:
-            left -= spend - charge
-            charge = spend
-        if group is not None:
-            paid[group] = charge
+        rise = min(cost - charge, left)
+        if rise > 0:
+            left -= rise
+            if group is not None:
+                paid[group] = charge + rise
     return left
 
 

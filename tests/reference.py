@@ -9,13 +9,16 @@ rounds; and, in ``tiercast.scenario``, for the 1 m user redraw, one user
 at a time, and for the demand draw and the cache placement, as per-user
 view tuples and per-cell view sets.
 
-``fill`` is the enhanced-view fill with builtin ``min`` / ``max``, as it
-was before ``_fill`` spelt the same rule in branches; the oracle for
-``_fill``'s budget left and group charges, and the source of the shares
-where a test builds an allocation from fills. ``view_items`` is a user's
-fill items at a cell, by ascending cost, then view, built from the instance
-as ELVA did before it read them from its gain tables; ``fill_items`` drops
-their keys, as ``_fill`` takes them.
+``fill`` is the enhanced-view fill item by item, in two branches: a view
+whose group charge plus the budget left covers its cost is taken whole, and
+a lower charge rises to its cost; any other takes the share that the charge
+plus the budget left buys, and spends exactly the budget left. While
+budgets and costs are integers below 2**53, every step is exact. It is the
+oracle for ``_fill``'s budget left and group charges, and the source of the
+shares where a test builds an allocation from fills. ``view_items`` is a
+user's fill items at a cell, by ascending cost, then view, built from the
+instance as ELVA did before it read them from its gain tables;
+``fill_items`` drops their keys, as ``_fill`` takes them.
 
 ``solve_cell_subproblem`` is the unicast fill with ``remaining -= y * cost``.
 After a partial share that subtraction can leave a float remainder, which
@@ -178,16 +181,21 @@ def fill_items(items):
 def fill(items, left, paid):
     taken = []
     for cost, key, group in items:
-        if left <= 0 and not paid:  # spent, and no group to ride on
-            break
         charge = paid.get(group, 0.0)
-        y = min(1.0, (max(left, 0.0) + charge) / cost)
-        if left <= 0 and y <= 0:
+        budget = left if left > 0 else 0.0
+        if charge + budget >= cost:
+            taken.append((key, 1.0))
+            if charge < cost:
+                left -= cost - charge
+                charge = cost
+        elif charge + budget > 0:
+            taken.append((key, (charge + budget) / cost))
+            left -= budget
+            charge += budget
+        else:
             continue
-        taken.append((key, y))
-        left -= max(0.0, y * cost - charge)
         if group is not None:
-            paid[group] = max(charge, y * cost)
+            paid[group] = charge
     return taken, left
 
 
@@ -451,30 +459,6 @@ def _elva_full_scan(instance, base, mode, params):
         "elva", _finalize(instance, assoc, mode), start, tie_breaks=tie_breaks,
         params=params,
     )
-
-
-def elva_fill(instance, i, j, budget, group_charge, mode=UNICAST):
-    """ELVA's provisional fill of user i's views at cell j: the cell's
-    budget after it. Stops once the budget is spent; ``group_charge`` maps
-    (cell, view) to what the view's sharing group pays."""
-    views = sorted(
-        np.flatnonzero(instance.w[i, j]),
-        key=lambda k: (instance.rb_enhanced[i, j, k], k),
-    )
-    for k in views:
-        if budget <= 0:
-            break
-        cost = float(instance.rb_enhanced[i, j, k])
-        if mode == MULTICAST and instance.sharing[i, k]:
-            gmax = group_charge.get((j, int(k)), 0.0)
-            y = min(1.0, (budget + gmax) / cost)
-            charge = max(0.0, y * cost - gmax)
-            group_charge[(j, int(k))] = max(gmax, y * cost)
-        else:
-            y = min(1.0, budget / cost)
-            charge = y * cost
-        budget -= charge
-    return budget
 
 
 def uniform_topology(n_cells, n_users, map_radius, seed):

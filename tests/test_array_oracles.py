@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import reference
 from tiercast import solvers
+from tiercast.channel import UNREACHABLE_RBS
 from tiercast.problem import (
     FEAS_TOL,
     MULTICAST,
@@ -33,7 +34,7 @@ from tiercast.problem import (
     per_user_rewards,
     rb_usage,
 )
-from tiercast.experiments import build_experiment_instance, preset_config
+from tiercast.experiments import build_experiment_instance, preset_config, run_solver
 from tiercast.solvers import (
     _cell_value,
     solve_bb,
@@ -61,15 +62,16 @@ def _items(alloc):
 
 
 @st.composite
-def instances(draw, sharing=None, costs=st.integers(1, 5)):
-    """Tiny instances; few distinct costs so that ties are common."""
+def instances(draw, sharing=None, costs=st.integers(1, 5), slack=st.integers(0, 12)):
+    """Tiny instances; few distinct costs so that ties are common. A cell's
+    budget is its largest basic cost plus ``slack`` - 4, and at least 1."""
     m = draw(st.integers(1, 6))
     s = draw(st.integers(1, 4))
     e = draw(st.integers(1, 4))
     w = np.array(draw(st.lists(st.integers(0, 1), min_size=m * s * e, max_size=m * s * e)))
     nb = np.array(draw(st.lists(st.integers(1, 3), min_size=m * s, max_size=m * s)))
     ne = np.array(draw(st.lists(costs, min_size=m * s * e, max_size=m * s * e)))
-    slack = np.array(draw(st.lists(st.integers(0, 12), min_size=s, max_size=s)))
+    slack = np.array(draw(st.lists(slack, min_size=s, max_size=s)))
     nb = nb.reshape(m, s)
     mask = None
     if draw(st.booleans()) if sharing is None else sharing:
@@ -418,53 +420,39 @@ def test_eva_orders_a_view_at_the_largest_cost_after_an_unrewardable_one(mode):
 @SETTINGS
 @given(instances(), st.sampled_from([UNICAST, MULTICAST]), st.data())
 def test_elva_fill_keeps_the_budget_trajectory_of_its_loop(inst, mode, data):
-    # ELVA's own loop stopped at a spent budget; the shared fill lets members
-    # ride on. Charges are >= 0, so a spent budget stays spent, and the gain
-    # column, all ELVA reads of it, is the same. ELVA's items, read from its
-    # gain tables, are the instance's views by cost, then view.
+    # ELVA's fills, from its gain tables and its integer budgets, against the
+    # reference fill of the instance's views by cost, then view: the budget
+    # left and the group charges after every fill, bit for bit.
     multicast = mode == MULTICAST
-    costs, prefix, views = solvers._gain_tables(inst, multicast)
+    costs, _, views = solvers._gain_tables(inst, multicast)
     shared = inst.sharing.tolist()
     mine = (inst.rb_budget.astype(float) - solvers.compute_nbar(inst)).tolist()
     ref = list(mine)
     paid = [{} for _ in range(inst.n_cells)]
-    ref_charge = {}
+    ref_paid = [{} for _ in range(inst.n_cells)]
     for i in data.draw(st.permutations(range(inst.n_users))):
         j = data.draw(st.integers(0, inst.n_cells - 1))
-        items = solvers._pair_items(costs, views, shared, i, j)
-        assert items == reference.fill_items(reference.view_items(inst, i, j, multicast))
-        mine[j] = solvers._fill(items, mine[j], paid[j])
-        ref[j] = reference.elva_fill(inst, i, j, ref[j], ref_charge, mode)
-        if ref[j] > 0:
-            assert _bits([mine[j]]) == _bits([ref[j]])
-        else:
-            assert mine[j] <= 0
-        assert _bits(solvers._gain_column(costs[j], prefix[j], mine[j])) == _bits(
-            solvers._gain_column(costs[j], prefix[j], ref[j])
-        )
+        items = reference.view_items(inst, i, j, multicast)
+        assert solvers._pair_items(costs, views, shared, i, j) == reference.fill_items(items)
+        mine[j] = solvers._fill(reference.fill_items(items), mine[j], paid[j])
+        _, ref[j] = reference.fill(items, ref[j], ref_paid[j])
+        assert _bits([mine[j]]) == _bits([ref[j]])
+        assert _items(paid[j]) == _items(ref_paid[j])
 
 
 @st.composite
 def fill_cases(draw):
-    """Fill items with integer costs, as RB tables hold (49 * (1 / 49)
-    rounds below 1), in and out of sharing groups that may recur within one
-    call; a budget that is spent (-0.0 included), fractional or tiny; and
-    charges already paid, some at or above an item's cost, so that a member
-    rides its group."""
+    """Fill items with integer costs, as RB tables hold, up to
+    ``UNREACHABLE_RBS``, in and out of sharing groups that may recur within
+    one call; an integer budget, spent (-0.0 included) or not, as a float or
+    an int; and integer charges already paid, some at or above an item's
+    cost, so that a member rides its group."""
     n = draw(st.integers(0, 6))
-    items = [
-        (draw(st.sampled_from([1, 2, 3, 5, 49])), k, draw(st.one_of(st.none(), st.integers(0, 2))))
-        for k in range(n)
-    ]
-    charges = st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 8.0))
-    paid = draw(st.dictionaries(st.integers(0, 2), charges, max_size=3))
-    left = draw(
-        st.one_of(
-            st.sampled_from([0.0, -0.0, -1.0, -1e-16, 1e-16, 5e-324, 1 / 3, 2.5]),
-            st.floats(-3.0, 20.0),
-            st.integers(-2, 20).map(float),
-        )
-    )
+    costs = st.sampled_from([1, 2, 3, 5, 25, 49, UNREACHABLE_RBS])
+    items = [(draw(costs), k, draw(st.one_of(st.none(), st.integers(0, 2)))) for k in range(n)]
+    paid = draw(st.dictionaries(st.integers(0, 2), st.integers(0, 60).map(float), max_size=3))
+    budgets = st.integers(-3, 60)
+    left = draw(st.one_of(st.sampled_from([0.0, -0.0]), budgets, budgets.map(float)))
     return items, left, paid
 
 
@@ -472,9 +460,9 @@ def fill_cases(draw):
 @given(fill_cases())
 # A rider at a spent budget of -0.0, then a single at that budget.
 @example(([(3, 0, 1), (2, 1, None)], -0.0, {1: 3.0}))
-# 5e-324 / 2 rounds to a share of 0 with the budget still positive: the
-# group enters ``paid`` at 0.0, as ``max(0.0, 0.0)`` put it there.
-@example(([(2, 0, 0), (1, 1, None)], 5e-324, {}))
+# 7 RBs buy 7 / 25 of a view and leave exactly 0; a member at cost 28
+# rides the group's charge of 7, and one at cost 5 takes its view whole.
+@example(([(25, 0, 0), (28, 1, 0), (5, 2, 0)], 7.0, {}))
 def test_fill_matches_min_max_loop(case):
     items, left, paid = case
     ref_paid = dict(paid)
@@ -482,6 +470,12 @@ def test_fill_matches_min_max_loop(case):
     _, ref = reference.fill(items, left, ref_paid)
     assert _bits([mine]) == _bits([ref])
     assert _items(paid) == _items(ref_paid)
+    # Integers stay integers; a budget never rises, and one that started at
+    # 0 or more never goes below 0.
+    assert all(float(v).is_integer() for v in [mine, *paid.values()])
+    assert mine <= left
+    if left >= 0:
+        assert mine >= 0
 
 
 def _fill_in_turn(inst, users, left):
@@ -515,26 +509,18 @@ def test_member_rides_its_group_after_the_budget_is_spent():
     solution = Solution(assoc=np.zeros(3, dtype=np.int64), alloc=alloc)
     assert is_feasible(inst, solution, MULTICAST).feasible
 
-    # The one place ELVA's old loop differed: it stopped at the spent budget.
-    charge = {}
-    budget = reference.elva_fill(inst, 0, 0, 4.0, charge, MULTICAST)
-    for i in (1, 2):
-        assert reference.elva_fill(inst, i, 0, budget, charge, MULTICAST) == 0.0
-
 
 def test_member_rides_the_group_charge_not_a_negative_remainder():
-    # 8 - 1 = 7 RBs buy 7 / 25 of user 0's view; (7 / 25) * 25 rounds above
-    # 7, so the budget left is -8.9e-16. User 1 rides the whole charge, not
-    # charge - 8.9e-16.
+    # 8 - 1 = 7 RBs buy 7 / 25 of user 0's view and leave exactly 0 (where
+    # (7 / 25) * 25 would round above 7). User 1 rides the whole charge of 7.
     inst = Instance(
         n_users=2, n_cells=1, n_views=1, w=np.ones((2, 1, 1)),
         rb_budget=[8], rb_basic=[[1], [1]], rb_enhanced=[[[25]], [[28]]],
         sharing=[[1], [1]],
     )
     (first, left), (second, _) = _fill_in_turn(inst, [0, 1], 7.0)
-    assert first == [((0, 0), 7 / 25)] and left == 7 - 7 / 25 * 25 < 0
-    assert second == [((1, 0), (7 / 25 * 25) / 28)]
-    assert (7 / 25 * 25) / 28 > 0.25
+    assert first == [((0, 0), 7 / 25)] and _bits([left]) == _bits([0.0])
+    assert second == [((1, 0), 0.25)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -885,30 +871,31 @@ def test_elva_settles_multicast_riders_on_a_spent_cell(mode):
         assert sol.alloc[(2, 0)] == 1.0
 
 
-# Ascending costs over which one fill from a budget of 1 leaves 8.095e-320.
-SUBNORMAL_CHAIN = [49, 98, 103, 107, 161, 187, 196, 197, 206, 214, 237, 239,
-                   249, 253, 322, 347, 374, 389, 392, 394]
+# Ascending costs over which a fill that spends y * cost for a share
+# y = budget / cost would leave 8.095e-320 of a budget of 1.
+COST_CHAIN = [49, 98, 103, 107, 161, 187, 196, 197, 206, 214, 237, 239,
+              249, 253, 322, 347, 374, 389, 392, 394]
 
 
 @pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
-def test_elva_settles_a_positive_subnormal_budget_whose_shares_underflow(mode):
-    # Budgets 2 - nbar 1 = 1 and 0. User 0 takes its 20 views at cell 0,
-    # leaving a positive subnormal budget; user 1's one view there costs
-    # 10**6, so its share, budget / 10**6, underflows to 0 and every score
-    # is 0. User 1 takes cell 0 and user 2 its cheaper cell 1.
-    e = len(SUBNORMAL_CHAIN) + 1
+def test_elva_settles_the_rest_once_a_fill_leaves_exactly_0(mode):
+    # Budgets 2 - nbar 1 = 1 and 0. User 0's first view at cell 0 costs 49,
+    # so its fill takes 1 / 49 of it and leaves exactly 0. Every score is
+    # then 0: user 1 takes its first open slot, cell 0, and user 2 its
+    # cheaper cell 1.
+    e = len(COST_CHAIN) + 1
     w = np.zeros((3, 2, e), dtype=np.int8)
     w[0, 0, :-1] = 1
     w[1, 0, -1] = 1
     costs = np.full((3, 2, e), 10**6)
-    costs[0, 0, :-1] = SUBNORMAL_CHAIN
+    costs[0, 0, :-1] = COST_CHAIN
     inst = Instance(
         n_users=3, n_cells=2, n_views=e, w=w, rb_budget=[2, 1],
         rb_basic=[[1, 1], [1, 1], [2, 1]], rb_enhanced=costs,
         sharing=np.ones((3, e), dtype=np.int8),
     )
     left = solvers._fill(reference.fill_items(reference.view_items(inst, 0, 0, False)), 1.0, {})
-    assert 0 < left < np.finfo(float).tiny and left / 10**6 == 0
+    assert left == 0
     sol, rep, calls = _elva_counting(inst, mode)
     assert list(sol.assoc) == [0, 0, 1]
     assert rep.tie_breaks == 1 + 1
@@ -916,11 +903,12 @@ def test_elva_settles_a_positive_subnormal_budget_whose_shares_underflow(mode):
 
 
 @pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
-def test_elva_keeps_a_tiny_positive_score_out_of_the_endgame(mode):
+def test_elva_sends_the_next_user_to_the_endgame_at_exactly_0(mode):
     # Budgets 2 - nbar 1 = 1 and 0. User 0 goes first (1 / 49 beats user
-    # 1's 1 / 100), and 49 * (1 / 49) rounds below 1, so cell 0 keeps
-    # 1.1e-16. User 1's score there, 1.1e-18, is still positive: it takes
-    # cell 0 in a scored round, not its first open slot at cell 1.
+    # 1's 1 / 100) and spends cell 0's budget to exactly 0 (where
+    # 49 * (1 / 49) would round below 1). Every score is then 0, so the
+    # endgame places user 1 at its first open slot, cell 1, and user 2 at
+    # cell 0.
     inst = Instance(
         n_users=3, n_cells=2, n_views=2, w=[[[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [0, 0]]],
         rb_budget=[2, 1], rb_basic=[[1, 1], [2, 1], [1, 1]],
@@ -928,9 +916,9 @@ def test_elva_keeps_a_tiny_positive_score_out_of_the_endgame(mode):
         sharing=[[1, 1], [1, 1], [0, 0]],
     )
     sol, rep, calls = _elva_counting(inst, mode)
-    assert list(sol.assoc) == [0, 0, 0]
-    assert rep.tie_breaks == 1
-    assert calls == {"fills": 2, "endgames": 1}
+    assert list(sol.assoc) == [0, 1, 0]
+    assert rep.tie_breaks == 2
+    assert calls == {"fills": 1, "endgames": 1}
 
 
 @pytest.mark.parametrize("mode", [UNICAST, MULTICAST])
@@ -1118,6 +1106,46 @@ def test_exact_solvers_agree_with_budgets_below_basic_costs(inst, mode):
     if affordable.any(axis=1).all():
         assert is_feasible(inst, bb_sol, mode).feasible
         assert is_feasible(inst, bf_sol, mode).feasible
+
+
+def _unit_record(solution, report):
+    return (*_bb_record(solution, report), report.tie_breaks)
+
+
+def _scale_rbs(inst, k):
+    """``inst`` with every RB quantity k times as large."""
+    return dataclasses.replace(
+        inst, rb_budget=inst.rb_budget * k, rb_basic=inst.rb_basic * k,
+        rb_enhanced=inst.rb_enhanced * k,
+    )
+
+
+# Views of 3 to 103 RBs at budgets 1 to 119 RBs above a cell's largest basic
+# cost: a few views fit, and most fills end in a share.
+@SETTINGS
+@given(instances(costs=st.sampled_from([3, 7, 25, 49, 98, 103]), slack=st.integers(5, 123)))
+def test_no_solver_result_depends_on_the_unit_of_rbs(inst):
+    # Budgets, costs and charges stay integers, and every share and score is
+    # one correctly rounded ratio of them, so k times the RBs moves no bit.
+    for solver, mode in itertools.product(["sinr", "eva", "elva", "bb"], [UNICAST, MULTICAST]):
+        solve = getattr(solvers, f"solve_{solver}")
+        record = _unit_record(*solve(inst, mode=mode))
+        for k in (2, 3, 7):
+            assert _unit_record(*solve(_scale_rbs(inst, k), mode=mode)) == record
+
+
+@pytest.mark.parametrize(
+    "name, value, seed, mode",
+    [("fig9", 2, 1, UNICAST), ("fig4", 5, 1, MULTICAST), ("fig10", None, 0, UNICAST)],
+)
+def test_no_preset_result_depends_on_the_unit_of_rbs(name, value, seed, mode):
+    # Every solver of the preset, bb at the golden records' 2,000 nodes.
+    point = dataclasses.replace(preset_config(name).at_sweep_value(value), node_budget=2000)
+    inst, _ = build_experiment_instance(point, seed)
+    scaled = _scale_rbs(inst, 3)
+    for solver in point.solvers:
+        record = _unit_record(*run_solver(solver, inst, point, mode))
+        assert _unit_record(*run_solver(solver, scaled, point, mode)) == record
 
 
 # Integer costs, as RB tables hold, and fractional ones, whose running sums
