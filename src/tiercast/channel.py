@@ -8,7 +8,7 @@ link carrying ``r`` bit/s delivers ``rb_duration * r`` bits per RB.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,13 +43,17 @@ class ChannelParams:
     interference_scale: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.fc <= 0:
             raise ValueError("carrier frequency must be positive")
         if self.rb_bandwidth <= 0 or self.rb_duration <= 0:
             raise ValueError("RB dimensions must be positive")
         if self.tx_power <= 0:
             raise ValueError("tx_power must be positive")
-        if not self.shadow_sigma >= 0:  # refuses NaN too
+        if self.shadow_sigma < 0:
             raise ValueError("shadow_sigma must be nonnegative")
         if not 0.0 <= self.interference_scale <= 1.0:
             raise ValueError("interference_scale must lie in [0, 1]")
@@ -116,6 +120,9 @@ def build_rb_tables(
     n_views = view_sizes.shape[0]
     if n_users == 0 or n_cells == 0 or n_views == 0:
         raise ValueError("topology and view list must be nonempty")
+    for name, sizes in (("basic_size", basic_size), ("view_sizes", view_sizes)):
+        if not np.isfinite(sizes).all():
+            raise ValueError(f"{name} must be finite")
     if basic_size <= 0 or (view_sizes <= 0).any():
         raise ValueError("payload sizes must be positive")
 

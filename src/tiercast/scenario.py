@@ -71,10 +71,12 @@ def generate_topology(
     """
     if n_cells <= 0 or n_users <= 0:
         raise ValueError("counts must be positive")
-    if not map_radius > 0:
-        raise ValueError(f"map_radius must be positive, got {map_radius}")
+    if not 0 < map_radius < np.inf:
+        raise ValueError(f"map_radius must be positive and finite, got {map_radius}")
     if not hotspot_sigma >= 0:
         raise ValueError(f"hotspot_sigma must be >= 0, got {hotspot_sigma}")
+    if hotspot_sigma == np.inf:
+        raise ValueError("hotspot_sigma must be finite")
     if kind not in ("uniform", "hotspot"):
         raise ValueError(f"unknown topology kind {kind!r}")
     rng = np.random.default_rng(seed)
@@ -131,8 +133,8 @@ def generate_demands(
         raise ValueError(f"views_per_user must be >= 0, got {views_per_user}")
     if views_per_user > n_views:
         raise ValueError("views_per_user exceeds n_views")
-    if not popularity_skew >= 0:
-        raise ValueError(f"popularity_skew must be >= 0, got {popularity_skew}")
+    if not 0 <= popularity_skew < np.inf:
+        raise ValueError(f"popularity_skew must be >= 0 and finite, got {popularity_skew}")
     if views_per_user == n_views:
         # Every user wants every view. The draw would only permute them, and
         # its generator is local to this call, so skipping it moves nothing.

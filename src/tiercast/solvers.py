@@ -245,9 +245,12 @@ def solve_eva(
     best-ranked cells go to the lower basic RB cost, then the lower cell
     index; ``tie_breaks`` counts the users with more than one such cell.
 
-    Raises ``ValueError`` when an eligible cell's rank overflows float64:
-    every overflowed rank would be +inf and tie with the others.
+    Raises ``ValueError`` on a ``p`` below 0 or NaN, and when an eligible
+    cell's rank overflows float64: every overflowed rank would be +inf and
+    tie with the others.
     """
+    if not p >= 0:  # refuses NaN too
+        raise ValueError("eva_p must be at least 0")
     start = time.perf_counter()
     counts = instance.reward_counts().astype(float)
     nb = instance.rb_basic

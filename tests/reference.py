@@ -20,19 +20,18 @@ user's fill items at a cell, by ascending cost, then view, built from the
 instance as ELVA did before it read them from its gain tables;
 ``fill_items`` drops their keys, as ``_fill`` takes them.
 
-``solve_cell_subproblem`` is the unicast fill with ``remaining -= y * cost``.
-After a partial share that subtraction can leave a float remainder, which
-the loop hands on to later pairs in shares below 1e-9; the kernel's exact
-takes leave those entries out, and match every other entry bit for bit. Its
-value adds every share, so it lies within 1e-12 relative of the kernel's.
-
-``solve_cell_subproblem_multicast`` is the per-view loop with separate
-group and unicast segments that the one-kind group fill replaced. Its
-group members' shares are the kernel's bit for bit; a pair outside a group
-gets take * (1 / cost) here, within 2 ulp of the kernel's charge / cost. Its
-value adds density * take per segment, within 1e-12 relative of the
-kernel's, which adds the shares. Both return ``(alloc, value)``, as the
-kernel's one-cell form ``solvers._one_cell`` does.
+``solve_cell_subproblem`` is the unicast fill pair by pair: each takes
+``min(cost, remaining)`` RBs at a share of take / cost, and its value adds
+the shares in order. ``solve_cell_subproblem_multicast`` is the per-view
+loop with separate group and unicast segments that the one-kind group fill
+replaced; a pair outside a group is a segment of its own cost, at a share
+of take / cost. Like the kernel, both take a whole cost or the budget
+left, and subtracting an integer cost from a budget below 2**53 is exact,
+so both give the kernel's shares bit for bit. The multicast loop's value
+adds density * take per segment, another statement of the cell's LP
+objective, within 1e-12 relative of the kernel's, which adds the shares.
+Both return ``(alloc, value)``, as the kernel's one-cell form
+``solvers._one_cell`` does.
 
 ``group_fill`` is that one-kind group fill, the per-cell Python loop the
 kernel replaced: the kernel's entries bit for bit and in order.
@@ -213,10 +212,10 @@ def solve_cell_subproblem(instance, cell, users, budget):
     for cost, i, k in candidates:
         if remaining <= 0:
             break
-        y = min(1.0, remaining / cost)
-        alloc[(i, int(k))] = y
-        value += y
-        remaining -= y * cost
+        take = min(cost, remaining)
+        alloc[(i, int(k))] = take / cost
+        value += take / cost
+        remaining -= take
     return alloc, value
 
 
@@ -275,7 +274,7 @@ def solve_cell_subproblem_multicast(instance, cell, users, budget):
             group_charge[k] = group_charge.get(k, 0.0) + take
         else:
             _, i, k = tag
-            alloc[(i, k)] = take * density  # take / cost
+            alloc[(i, k)] = take / length
 
     for k, charge in group_charge.items():
         if charge <= 0:

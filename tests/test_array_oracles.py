@@ -1,18 +1,15 @@
 """The array code against the scalar loops in ``reference``: exact equality.
 
 Every property compares values by their bits (``float.hex``), dicts by their
-item order, and solver reports by their tie-break counts. The exceptions are
-the allocation kernel's, against the per-cell loops: it gives no entry where
-the unicast loop hands a float remainder on, the multicast loop's shares of
-pairs outside a group are held to 2 ulp, and a cell's value, the shares'
-sum, to 1e-12 relative of the loops' own sums. All run on small instances
-with sharing groups, many equal costs and scores, and allocation dicts built
-in arbitrary order.
+item order, and solver reports by their tie-break counts. The one exception
+is the multicast per-cell loop's value, which adds density * take per
+segment: a cell's value, the sum of its shares, is held to 1e-12 relative
+of it. All run on small instances with sharing groups, many equal costs and
+scores, and allocation dicts built in arbitrary order.
 """
 
 import dataclasses
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -190,41 +187,32 @@ def test_is_feasible_reports_out_of_range_cell_without_indexing_it():
 
 def _assert_cell_matches_loop(inst, cell, users, budget, mode, mine):
     """One cell's kernel entries ``mine``, in order, against the per-cell
-    loop of ``reference`` at ``budget``. Unicast: the loop's entries bit for
-    bit, up to its remainder entries, which the kernel leaves out; a share
-    below 1 only last. Multicast: the two-kind loop's pairs, members' shares
-    bit for bit and the others' to 2 ulp; and ``group_fill``'s entries, bit
-    for bit and in order. Returns the loop's value."""
+    loop of ``reference`` at ``budget``, bit for bit. Unicast: the loop's
+    entries in order. Multicast: the two-kind loop's pairs and shares, and
+    ``group_fill``'s entries in order. Returns the loop's value."""
     if mode == UNICAST:
         ref_alloc, ref_value = reference.solve_cell_subproblem(
             inst, cell, users, budget
         )
-        ref_items = _items(ref_alloc)
-        assert _items(mine) == ref_items[: len(mine)]
-        # After a partial share, (y * cost) can leave the loop a float
-        # remainder of the budget, which it hands on in shares below 1e-9.
-        assert all(y < 1e-9 for y in list(ref_alloc.values())[len(mine):])
-        assert all(y == 1.0 for y in list(mine.values())[:-1])
+        assert _items(mine) == _items(ref_alloc)
         return ref_value
     ref_alloc, ref_value = reference.solve_cell_subproblem_multicast(
         inst, cell, users, budget
     )
-    assert mine.keys() == ref_alloc.keys()
-    for key, y in ref_alloc.items():
-        if inst.sharing[key]:
-            assert _bits([mine[key]]) == _bits([y])
-        else:
-            assert abs(mine[key] - y) <= 2 * math.ulp(y)
+    assert sorted(_items(mine)) == sorted(_items(ref_alloc))
     assert _items(mine) == _items(reference.group_fill(inst, cell, users, budget))
     return ref_value
 
 
-def _assert_value_is_the_share_sum(alloc, value, ref_value):
-    """A one-cell value is its shares' sum in entry order, and within 1e-12
-    relative of the loop's."""
-    shares = list(alloc.values())
-    assert _bits([value]) == _bits([sum(shares, 0.0)])
-    assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+def _assert_value_is_the_share_sum(alloc, value, ref_value, mode):
+    """A one-cell value is its shares' sum in entry order: the unicast
+    loop's bit for bit, and within 1e-12 relative of the multicast loop's,
+    which adds density * take."""
+    assert _bits([value]) == _bits([sum(alloc.values(), 0.0)])
+    if mode == UNICAST:
+        assert _bits([value]) == _bits([ref_value])
+    else:
+        assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
 
 
 @st.composite
@@ -238,7 +226,8 @@ def cell_cases(draw):
         for k in np.flatnonzero(inst.w[i, cell])
     )
     # Budgets at, just off and between the prefix sums of the sorted costs,
-    # plus arbitrary fractions.
+    # plus arbitrary fractions. A cost of 49, whose 49 * (1 / 49) rounds
+    # below 1, tells a share of take / cost from one of take * (1 / cost).
     edge = float(sum(costs[: draw(st.integers(0, len(costs)))]))
     budget = draw(
         st.one_of(
@@ -256,7 +245,7 @@ def test_unicast_cell_kernel_matches_fill_loop(case):
     inst, cell, users, budget = case
     alloc, value = solvers._one_cell(inst, cell, users, budget, UNICAST)
     ref_value = _assert_cell_matches_loop(inst, cell, users, budget, UNICAST, alloc)
-    _assert_value_is_the_share_sum(alloc, value, ref_value)
+    _assert_value_is_the_share_sum(alloc, value, ref_value, UNICAST)
 
 
 def _two_users_at_49_and_50():
@@ -266,26 +255,18 @@ def _two_users_at_49_and_50():
     )
 
 
-def test_unicast_cell_kernel_leaves_no_remainder_share():
-    # (1 / 49) * 49 rounds below 1, so the loop hands ~2e-18 to the next
-    # item; the kernel's take is exact, and the next item gets no entry.
+@pytest.mark.parametrize(
+    "budget, share", [(1.0, 1 / 49), (5e-324, 0.0)], ids=["one-rb", "subnormal"]
+)
+def test_unicast_cell_kernel_spends_a_partial_budget_on_one_item(budget, share):
+    # The first item takes the whole budget: 1 RB buys 1/49 of it, and
+    # 5e-324 RBs a positive take whose share underflows to 0. Either take
+    # leaves nothing, so the second item gets no entry.
     inst = _two_users_at_49_and_50()
-    alloc, value = solvers._one_cell(inst, 0, [0, 1], 1.0, UNICAST)
-    ref_alloc, _ = reference.solve_cell_subproblem(inst, 0, [0, 1], 1.0)
-    assert 0 < ref_alloc[(1, 0)] < 1e-9
-    assert _items(alloc) == _items(ref_alloc)[:1] == [((0, 0), (1 / 49).hex())]
-    assert value == 1 / 49
-
-
-def test_unicast_cell_kernel_takes_items_while_budget_is_left():
-    # 5e-324 / 49 underflows to 0. The first item's take, 5e-324, is
-    # positive, so it is recorded at its share of 0; that take spends the
-    # budget, where the loop, whose spend rounded to 0, went on.
-    inst = _two_users_at_49_and_50()
-    alloc, _ = solvers._one_cell(inst, 0, [0, 1], 5e-324, UNICAST)
-    ref_alloc, _ = reference.solve_cell_subproblem(inst, 0, [0, 1], 5e-324)
-    assert _items(alloc) == _items(ref_alloc)[:1] == [((0, 0), (0.0).hex())]
-    assert _items(ref_alloc)[1:] == [((1, 0), (0.0).hex())]
+    alloc, value = solvers._one_cell(inst, 0, [0, 1], budget, UNICAST)
+    ref_value = _assert_cell_matches_loop(inst, 0, [0, 1], budget, UNICAST, alloc)
+    assert _items(alloc) == [((0, 0), share.hex())]
+    _assert_value_is_the_share_sum(alloc, value, ref_value, UNICAST)
 
 
 @st.composite
@@ -347,7 +328,7 @@ def test_multicast_cell_kernel_matches_two_kind_loop(case):
         inst, cell, users, budget
     )
     _assert_cell_matches_loop(inst, cell, users, budget, MULTICAST, alloc)
-    _assert_value_is_the_share_sum(alloc, value, ref_value)
+    _assert_value_is_the_share_sum(alloc, value, ref_value, MULTICAST)
     alone = [key for key in ref_alloc if not inst.sharing[key]]
     # The loop records a pair outside a group as it fills it, and a partial
     # take spends the budget, so every such pair before the last was whole.
@@ -373,12 +354,11 @@ def test_multicast_cell_kernel_gives_a_whole_pair_outside_a_group_one():
     # fills first, then the pairs outside it in fill order.
     inst = _one_cell([[49, 30], [60, 30]], [[0, 1], [0, 1]])
     alloc, value = solvers._one_cell(inst, 0, [0, 1], 100.0, MULTICAST)
-    ref_alloc, ref_value = reference.solve_cell_subproblem_multicast(inst, 0, [0, 1], 100.0)
+    ref_value = _assert_cell_matches_loop(inst, 0, [0, 1], 100.0, MULTICAST, alloc)
     assert list(alloc.items()) == [
         ((0, 1), 1.0), ((1, 1), 1.0), ((0, 0), 1.0), ((1, 0), 21 / 60)
     ]
-    assert ref_alloc[(0, 0)] == 0.9999999999999999
-    _assert_value_is_the_share_sum(alloc, value, ref_value)
+    _assert_value_is_the_share_sum(alloc, value, ref_value, MULTICAST)
 
 
 @SETTINGS
@@ -1004,9 +984,8 @@ def _assert_cells_match_loops(inst, solution, total, mode):
 @SETTINGS
 @given(st.data(), st.sampled_from([UNICAST, MULTICAST]))
 def test_finalize_matches_the_cell_loops_at_every_cell(data, mode):
-    # Any association, users at cells they cannot afford included. A cost
-    # of 49, whose (1 / 49) * 49 rounds below 1, gives the unicast loop
-    # float remainders.
+    # Any association, users at cells they cannot afford included, and a
+    # cost of 49, whose (1 / 49) * 49 rounds below 1.
     inst = data.draw(instances(costs=st.sampled_from([1, 2, 3, 4, 5, 49])))
     cell = st.integers(0, inst.n_cells - 1)
     assoc = data.draw(st.lists(cell, min_size=inst.n_users, max_size=inst.n_users))

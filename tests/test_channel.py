@@ -1,6 +1,7 @@
 """Channel model: the scalar link oracle (path loss, SINR, per-RB rate) and
 the vectorized RB cost tables checked against it."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,10 @@ from tiercast.channel import (
 
 # a=36.8, b=43.8, c=20, fc=5, with full co-channel interference
 TABLE_PARAMS = ChannelParams(interference_scale=1.0)
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
 
 
 def test_path_loss_at_one_meter_is_intercept():
@@ -73,6 +78,15 @@ def test_params_invariants():
         ChannelParams(shadow_sigma=-1)
     with pytest.raises(ValueError, match="shadow_sigma"):
         ChannelParams(shadow_sigma=float("nan"))
+
+
+@NON_FINITE
+@pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(ChannelParams)])
+def test_params_refuse_a_non_finite_field_by_name(name, value):
+    # A NaN cost used to reach the int64 cast and then Instance's "RB costs
+    # must be >= 1", which named neither the field nor the NaN.
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ChannelParams(**{name: value})
 
 
 @pytest.mark.parametrize("scale", [-1.0, 1.5, 2.0])
@@ -353,6 +367,18 @@ def test_rb_tables_reject_a_nonpositive_payload(basic_size, view_sizes):
     users = np.array([[10.0, 0.0]])
     with pytest.raises(ValueError, match="payload sizes must be positive"):
         build_rb_tables(cells, users, TABLE_PARAMS, basic_size, np.array(view_sizes), seed=0)
+
+
+@NON_FINITE
+@pytest.mark.parametrize("name", ["basic_size", "view_sizes"])
+def test_rb_tables_refuse_a_non_finite_payload_by_name(name, value):
+    # An infinite basic size used to cost every link UNREACHABLE_RBS.
+    sizes = {"basic_size": 2e6, "view_sizes": np.array([2e6, 1e6])}
+    sizes[name] = value if name == "basic_size" else np.array([2e6, value])
+    cells = np.array([[0.0, 0.0]])
+    users = np.array([[10.0, 0.0]])
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        build_rb_tables(cells, users, TABLE_PARAMS, seed=0, **sizes)
 
 
 def test_all_links_dead_raises():

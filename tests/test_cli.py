@@ -351,7 +351,7 @@ def test_an_int_beyond_int64_is_refused_at_the_config(tmp_path, capsys):
     assert serialize.load_instance(out).n_users == 6
 
 
-def test_solve_bruteforce_small(tmp_path, capsys):
+def test_bruteforce_is_no_solver_choice(tmp_path, capsys):
     # bb is the one exact solver: brute force is no solver choice.
     inst = _generate(tmp_path)
     sol_path = tmp_path / "sol.json"
@@ -599,7 +599,7 @@ def test_generate_refuses_a_negative_seed_by_name(tmp_path, capsys):
     assert main(["generate", "--master-seed", "5", "--seed", "-3", "--out", str(out)]) == 0
 
 
-def test_solve_bruteforce_cap_exit_code(tmp_path, capsys):
+def test_cap_is_an_unknown_flag(tmp_path, capsys):
     # Neither command takes an enumeration cap: --cap is an unknown flag.
     inst = _generate(tmp_path)
     for command in (["solve", str(inst), "--solver", "bb"], ["verify", str(inst), str(inst)]):

@@ -93,6 +93,16 @@ def test_hotspot_sigma_below_zero_is_refused_by_name(kind, sigma):
         generate_topology(kind, 3, 5, hotspot_sigma=sigma, seed=0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["map_radius", "hotspot_sigma"])
+@pytest.mark.parametrize("kind", ["uniform", "hotspot"])
+def test_topology_refuses_a_non_finite_length_by_name(kind, name, value):
+    # An infinite radius used to put users at inf, and an infinite sigma to
+    # spin through MAX_DRAWS hotspot draws.
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        generate_topology(kind, 3, 5, seed=0, **{name: value})
+
+
 def test_hotspot_sigma_zero_puts_every_cell_at_the_centre():
     topology = generate_topology("hotspot", 3, 5, hotspot_sigma=0.0, seed=0)
     assert (topology.cell_positions == 0.0).all()
@@ -183,11 +193,12 @@ def test_demands_deterministic_and_validated():
         generate_demands(3, 2, -1)
 
 
-@pytest.mark.parametrize("skew", [-5, -5.0, float("nan")])
+@pytest.mark.parametrize("skew", [-5, -5.0, float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("per_user", [2, 5], ids=["draw", "every-view"])
 def test_negative_popularity_skew_is_refused_by_name(skew, per_user):
     # Refused on both paths: the Zipf draw and the every-view shortcut. A
-    # negative skew would make view 0 the least popular rank.
+    # negative skew would make view 0 the least popular rank, and an
+    # infinite one used to die inside numpy's draw.
     with pytest.raises(ValueError, match="popularity_skew must be >= 0"):
         generate_demands(4, 5, per_user, popularity_skew=skew, seed=0)
 

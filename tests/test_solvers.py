@@ -261,6 +261,14 @@ def test_eva_refuses_a_p_whose_rank_overflows():
     assert report.tie_breaks == 0
 
 
+@pytest.mark.parametrize("p", [float("nan"), -1.0])
+def test_eva_refuses_a_p_below_zero_or_nan(p):
+    # A NaN p used to rank every cell NaN: every user went to cell 0, at an
+    # objective of 0.0 and no tie-breaks, and no error was raised.
+    with pytest.raises(ValueError, match="eva_p must be at least 0"):
+        solve_eva(_three_views_at_10_or_two_at_1(), p=p)
+
+
 def _all_tie_instance():
     """Every cell's budget (2) sits below every enhanced cost (10) and equals
     the best-cell bound nbar, so ELVA's gains are all 0: every round ties at
