@@ -36,15 +36,12 @@ Both return ``(alloc, value)``, as the kernel's one-cell form
 ``group_fill`` is that one-kind group fill, the per-cell Python loop the
 kernel replaced: the kernel's entries bit for bit and in order.
 
-``solve_elva`` is ELVA as it was before it ranked only eligible cells: an
-unaffordable pair scored ``(N_j - nb_ij) * T`` plus its gain, which is
-negative, below every affordable pair. Wherever every user has an
-affordable cell it is the solver's oracle bit for bit, tie-breaks included.
-``solve_elva_full_scan`` ranks eligible cells only, as the solver does, and
-is its oracle everywhere. Both scan the whole score matrix each round
-(``FullMatrixRanking``) and rewrite the chosen cell's gains after every fill.
-They run every round, with its fill, to the last: the rounds after the best
-score first reaches 0, which the solver settles in one step, included.
+``solve_elva_full_scan`` is ELVA's oracle: it ranks eligible cells only,
+as the solver does, scans the whole score matrix each round
+(``FullMatrixRanking``) and rewrites the chosen cell's gains after every
+fill. It runs every round, with its fill, to the last: the rounds after
+the best score first reaches 0, which the solver settles in one step,
+included.
 
 ``solve_bb`` is the other way round: the numpy branch-and-bound that the
 list-based search in ``tiercast.solvers`` replaced, kept as the oracle for
@@ -65,8 +62,6 @@ from tiercast.problem import (
     MULTICAST,
     UNICAST,
     FeasibilityReport,
-    Instance,
-    Solution,
     Violation,
 )
 from tiercast.problem import objective as ledger_objective
@@ -380,52 +375,13 @@ def solve_eva(instance, p=1.0):
     return assoc, tie_breaks
 
 
-def solve_elva(
-    instance: Instance, T: float | None = None, mode: str = UNICAST
-) -> tuple[Solution, SolverReport]:
-    """Submodular-style greedy association with layered budgets.
-
-    Every cell starts from the reduced budget N_j - nbar, where nbar bounds
-    any broadcast cost under best-cell association. Each round scores every
-    unassigned (user, cell) pair by a penalty for unaffordable basic costs
-    plus the user's single-user fractional-knapsack gain at the cell's live
-    budget, assigns the best pair, and provisionally allocates that user's
-    views. After all users are placed, each cell re-solves its allocation at
-    the true residual budget, which is the returned allocation.
-
-    The penalty fires when a pair's basic cost exceeds the cell budget (the
-    association could never be served), scaled by the deficit times T, which
-    by default dominates any achievable reward. Keying the penalty to the
-    cell budget rather than to nbar keeps users away from cells that cannot
-    carry their broadcast while still letting them reach views cached only
-    at cells costlier than their best one.
-
-    Ties among the best-scored pairs go to the lower basic RB cost, then the
-    lower user index, then the lower cell index; ``tie_breaks`` counts the
-    rounds with more than one such pair.
-    """
-    m = instance.n_users
-    if T is None:
-        T = float(m * instance.n_views + 1)
-    penalty = (
-        np.minimum(instance.rb_budget[None, :] - instance.rb_basic.astype(float), 0.0) * T
-    )
-    return _elva_full_scan(instance, penalty, mode, {"T": T})
-
-
 def solve_elva_full_scan(instance, mode=UNICAST):
     """ELVA as the solver states it: each round scans every open pair at its
-    eligible cells (``_eligible_cells``), and every fill rewrites the chosen
-    cell's gains."""
-    base = np.where(_eligible_cells(instance), 0.0, -np.inf)
-    return _elva_full_scan(instance, base, mode, {})
-
-
-def _elva_full_scan(instance, base, mode, params):
-    """ELVA's rounds over the (M, S) scores ``base + gain``, ranked by
-    ``FullMatrixRanking``."""
+    eligible cells (``_eligible_cells``), ranked by ``FullMatrixRanking``,
+    and every fill rewrites the chosen cell's gains."""
     start = time.perf_counter()
     m, s = instance.n_users, instance.n_cells
+    base = np.where(_eligible_cells(instance), 0.0, -np.inf)
     nbar = compute_nbar(instance)
     budgets = (instance.rb_budget.astype(float) - nbar).tolist()
     costs, prefix, _ = _gain_tables(instance)
@@ -455,8 +411,7 @@ def _elva_full_scan(instance, base, mode, params):
         ranking.set_column(j, np.where(unassigned, base[:, j] + gain, -np.inf))
 
     return _report(
-        "elva", _finalize(instance, assoc, mode), start, tie_breaks=tie_breaks,
-        params=params,
+        "elva", _finalize(instance, assoc, mode), start, tie_breaks=tie_breaks, params={}
     )
 
 

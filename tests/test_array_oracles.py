@@ -4,8 +4,10 @@ Every property compares values by their bits (``float.hex``), dicts by their
 item order, and solver reports by their tie-break counts. The one exception
 is the multicast per-cell loop's value, which adds density * take per
 segment: a cell's value, the sum of its shares, is held to 1e-12 relative
-of it. All run on small instances with sharing groups, many equal costs and
-scores, and allocation dicts built in arbitrary order.
+of it. Instances come from ``conftest``'s strategies (``instances``,
+``tied_instances``, ``cell_cases`` and ``multicast_cell_cases``): small,
+with sharing groups and many equal costs and scores. Allocation dicts are
+built in arbitrary order.
 """
 
 import dataclasses
@@ -13,10 +15,17 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from conftest import (
+    cell_cases,
+    every_user_affords_a_cell,
+    instances,
+    multicast_cell_cases,
+    tied_instances,
+)
 from tiercast import solvers
 from tiercast.channel import UNREACHABLE_RBS
 from tiercast.problem import (
@@ -56,36 +65,6 @@ def _bits(values):
 
 def _items(alloc):
     return [(key, float(y).hex()) for key, y in alloc.items()]
-
-
-@st.composite
-def instances(draw, sharing=None, costs=st.integers(1, 5), slack=st.integers(0, 12)):
-    """Tiny instances; few distinct costs so that ties are common. A cell's
-    budget is its largest basic cost plus ``slack`` - 4, and at least 1."""
-    m = draw(st.integers(1, 6))
-    s = draw(st.integers(1, 4))
-    e = draw(st.integers(1, 4))
-    w = np.array(draw(st.lists(st.integers(0, 1), min_size=m * s * e, max_size=m * s * e)))
-    nb = np.array(draw(st.lists(st.integers(1, 3), min_size=m * s, max_size=m * s)))
-    ne = np.array(draw(st.lists(costs, min_size=m * s * e, max_size=m * s * e)))
-    slack = np.array(draw(st.lists(slack, min_size=s, max_size=s)))
-    nb = nb.reshape(m, s)
-    mask = None
-    if draw(st.booleans()) if sharing is None else sharing:
-        mask = np.array(
-            draw(st.lists(st.integers(0, 1), min_size=m * e, max_size=m * e))
-        ).reshape(m, e)
-    # Budgets may fall below a cell's largest basic cost.
-    return Instance(
-        n_users=m,
-        n_cells=s,
-        n_views=e,
-        w=w.reshape(m, s, e),
-        rb_budget=np.maximum(1, nb.max(axis=0) + slack - 4),
-        rb_basic=nb,
-        rb_enhanced=ne.reshape(m, s, e),
-        sharing=mask,
-    )
 
 
 @st.composite
@@ -215,30 +194,6 @@ def _assert_value_is_the_share_sum(alloc, value, ref_value, mode):
         assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
 
 
-@st.composite
-def cell_cases(draw):
-    inst = draw(instances(sharing=False, costs=st.sampled_from([1, 2, 3, 5, 49])))
-    cell = draw(st.integers(0, inst.n_cells - 1))
-    users = draw(st.lists(st.integers(0, inst.n_users - 1), unique=True, max_size=8))
-    costs = sorted(
-        int(inst.rb_enhanced[i, cell, k])
-        for i in users
-        for k in np.flatnonzero(inst.w[i, cell])
-    )
-    # Budgets at, just off and between the prefix sums of the sorted costs,
-    # plus arbitrary fractions. A cost of 49, whose 49 * (1 / 49) rounds
-    # below 1, tells a share of take / cost from one of take * (1 / cost).
-    edge = float(sum(costs[: draw(st.integers(0, len(costs)))]))
-    budget = draw(
-        st.one_of(
-            st.sampled_from([edge, edge + 1e-12, edge - 1e-12, edge + 0.1, edge + 1 / 3]),
-            st.floats(-1.0, 60.0),
-            st.integers(-1, 60).map(float),
-        )
-    )
-    return inst, cell, users, budget
-
-
 @settings(max_examples=300, deadline=None)
 @given(cell_cases())
 def test_unicast_cell_kernel_matches_fill_loop(case):
@@ -267,40 +222,6 @@ def test_unicast_cell_kernel_spends_a_partial_budget_on_one_item(budget, share):
     ref_value = _assert_cell_matches_loop(inst, 0, [0, 1], budget, UNICAST, alloc)
     assert _items(alloc) == [((0, 0), share.hex())]
     _assert_value_is_the_share_sum(alloc, value, ref_value, UNICAST)
-
-
-@st.composite
-def multicast_cell_cases(draw):
-    """A cell whose pairs are all, some or none in sharing groups, a subset
-    of users in any order, and a budget that may be negative, zero, at a
-    prefix of the pair costs or fractional. Costs include 49, whose
-    49 * (1 / 49) rounds below 1."""
-    inst = draw(instances(sharing=False))
-    m, s, e = inst.n_users, inst.n_cells, inst.n_views
-    kind = draw(st.sampled_from(["none", "partial", "all"]))
-    if kind == "partial":
-        mask = draw(st.lists(st.integers(0, 1), min_size=m * e, max_size=m * e))
-    else:
-        mask = [int(kind == "all")] * (m * e)
-    ne = draw(st.lists(st.sampled_from([1, 2, 3, 5, 49]), min_size=m * s * e,
-                       max_size=m * s * e))
-    inst = dataclasses.replace(
-        inst,
-        rb_enhanced=np.array(ne).reshape(m, s, e),
-        sharing=np.array(mask).reshape(m, e),
-    )
-    cell = draw(st.integers(0, inst.n_cells - 1))
-    users = draw(st.lists(st.integers(0, m - 1), unique=True, max_size=m))
-    costs = sorted(inst.rb_enhanced[users, cell][inst.w[users, cell] == 1].tolist())
-    edge = float(sum(costs[: draw(st.integers(0, len(costs)))]))
-    budget = draw(
-        st.one_of(
-            st.sampled_from([-1.0, 0.0, edge, edge + 1 / 3, edge - 1e-12]),
-            st.floats(-2.0, 150.0),
-            st.integers(-1, 150).map(float),
-        )
-    )
-    return inst, cell, users, budget
 
 
 def _one_cell(enhanced, sharing, w=None):
@@ -644,36 +565,14 @@ def test_gain_at_a_spent_budget_is_zero():
     assert _bits(solvers._gain_column(costs[0], prefix[0], -0.0)) == _bits([0.0, 0.0])
 
 
-def _assert_same_elva(inst, mode, oracle=reference.solve_elva_full_scan):
+def _assert_same_elva(inst, mode):
     sol, rep = solve_elva(inst, mode=mode)
-    ref_sol, ref_rep = oracle(inst, mode=mode)
+    ref_sol, ref_rep = reference.solve_elva_full_scan(inst, mode=mode)
     assert list(sol.assoc) == list(ref_sol.assoc)
     assert _items(sol.alloc) == _items(ref_sol.alloc)
     assert _bits([rep.objective]) == _bits([ref_rep.objective])
     assert rep.tie_breaks == ref_rep.tie_breaks
     return sol, rep
-
-
-@st.composite
-def tied_instances(draw):
-    """Up to 20 users on 2-4 cells, each pair's views at one cost (as on
-    every preset) of 1 or 2, over budgets that leave 0-8 RBs a cell: most
-    rounds tie, in long runs at one maximum."""
-    m = draw(st.integers(1, 20))
-    s = draw(st.integers(2, 4))
-    e = draw(st.integers(1, 4))
-    w = draw(st.lists(st.integers(0, 1), min_size=m * s * e, max_size=m * s * e))
-    nb = np.array(draw(st.lists(st.integers(1, 2), min_size=m * s, max_size=m * s)))
-    pair_cost = draw(st.lists(st.integers(1, 2), min_size=m * s, max_size=m * s))
-    left = draw(st.lists(st.integers(0, 8), min_size=s, max_size=s))
-    sharing = draw(st.lists(st.integers(0, 1), min_size=m * e, max_size=m * e))
-    nbar = nb.reshape(m, s).min(axis=1).max()
-    return Instance(
-        n_users=m, n_cells=s, n_views=e, w=np.reshape(w, (m, s, e)),
-        rb_budget=nbar + np.array(left), rb_basic=nb.reshape(m, s),
-        rb_enhanced=np.repeat(np.reshape(pair_cost, (m, s, 1)), e, axis=2),
-        sharing=np.reshape(sharing, (m, e)),
-    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -956,16 +855,6 @@ def test_slot_order_without_users():
     assert sol.assoc.size == 0 and sol.alloc == {} and rep.tie_breaks == 0
 
 
-@settings(max_examples=300, deadline=None)
-@given(instances(), st.sampled_from([UNICAST, MULTICAST]))
-def test_elva_matches_penalty_elva_where_every_user_has_an_affordable_cell(inst, mode):
-    # The old penalty scored an unaffordable pair (N_j - nb_ij) * T + gain
-    # <= E - T < 0, below every affordable pair's gain >= 0, so it was never
-    # a row's best nor tied with it: ranking eligible cells only is the same.
-    assume((inst.rb_basic <= inst.rb_budget).any(axis=1).all())
-    _assert_same_elva(inst, mode, reference.solve_elva)
-
-
 def _assert_cells_match_loops(inst, solution, total, mode):
     """``_finalize``'s result against the per-cell loops, each at its cell's
     integer residual, which is negative at a cell whose broadcast exceeds
@@ -1011,23 +900,16 @@ def test_no_solver_leaves_a_remainder_share(inst, solver, mode):
 
 
 @pytest.mark.parametrize("solver", ["sinr", "elva"])
-def test_solvers_match_with_reference_cell_fill(solver, rng):
+@settings(max_examples=25, deadline=None)
+@given(instances(costs=st.sampled_from([1, 2, 3, 5, 49]), users=st.just(8), cells=st.just(3),
+                 views=st.just(4)))
+def test_solvers_match_with_reference_cell_fill(solver, inst):
     # The allocation kernel inside the solvers' final allocation, on
     # instances with many equal costs, against the per-cell loops.
     solve = getattr(solvers, f"solve_{solver}")
-    for _ in range(40):
-        m, s, e = 8, 3, 4
-        inst = Instance(
-            n_users=m, n_cells=s, n_views=e,
-            w=rng.integers(0, 2, (m, s, e)),
-            rb_budget=rng.integers(5, 40, s),
-            rb_basic=rng.integers(1, 4, (m, s)),
-            rb_enhanced=rng.choice([1, 2, 3, 5, 49], (m, s, e)),
-            sharing=rng.integers(0, 2, (m, e)),
-        )
-        for mode in (UNICAST, MULTICAST):
-            solution, report = solve(inst, mode=mode)
-            _assert_cells_match_loops(inst, solution, report.objective, mode)
+    for mode in (UNICAST, MULTICAST):
+        solution, report = solve(inst, mode=mode)
+        _assert_cells_match_loops(inst, solution, report.objective, mode)
 
 
 def _bb_record(solution, report):
@@ -1081,8 +963,7 @@ def test_exact_solvers_agree_with_budgets_below_basic_costs(inst, mode):
     bb_sol, bb = solve_bb(inst, mode=mode)
     bf_sol, bf = reference.solve_bruteforce(inst, mode=mode)
     assert bb.objective == pytest.approx(bf.objective, abs=1e-9)
-    affordable = inst.rb_basic <= inst.rb_budget[None, :]
-    if affordable.any(axis=1).all():
+    if every_user_affords_a_cell(inst):
         assert is_feasible(inst, bb_sol, mode).feasible
         assert is_feasible(inst, bf_sol, mode).feasible
 

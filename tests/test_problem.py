@@ -17,7 +17,7 @@ from tiercast.problem import (
 )
 from tiercast.solvers import solve_elva, solve_sinr
 
-from conftest import fig1_instance, random_tiny_instance
+from conftest import fig1_instance, instances
 
 
 def _full_alloc_solution(inst, assoc):
@@ -49,9 +49,16 @@ def test_objective_fig1_sinr_association_caps_user1():
     assert per_user_rewards(inst, sol)[1] == pytest.approx(1.0)
 
 
-def test_objective_linear_in_alloc(rng):
-    inst = random_tiny_instance(rng)
-    sol = _full_alloc_solution(inst, rng.integers(0, inst.n_cells, inst.n_users))
+def _associations(inst):
+    cell = st.integers(0, inst.n_cells - 1)
+    return st.lists(cell, min_size=inst.n_users, max_size=inst.n_users).map(np.array)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_objective_linear_in_alloc(data):
+    inst = data.draw(instances())
+    sol = _full_alloc_solution(inst, data.draw(_associations(inst)))
     base = objective(inst, sol)
     scaled = Solution(assoc=sol.assoc.copy(), alloc={k: 0.5 * y for k, y in sol.alloc.items()})
     assert objective(inst, scaled) == pytest.approx(0.5 * base)
@@ -230,21 +237,20 @@ def test_rb_usage_multicast_max_versus_sum():
     assert multi[0] == pytest.approx(4 + 8)  # one shared copy
 
 
-def test_rb_usage_multicast_never_exceeds_unicast(rng):
-    # Exhaustive check over random solutions on random shared instances.
-    checked = 0
-    while checked < 1000:
-        inst = random_tiny_instance(rng, with_sharing=True)
-        assoc = rng.integers(0, inst.n_cells, inst.n_users)
-        sol = Solution(assoc=assoc)
-        for i in range(inst.n_users):
-            for k in range(inst.n_views):
-                if inst.w[i, assoc[i], k] and rng.uniform() < 0.7:
-                    sol.alloc[(i, k)] = float(rng.uniform())
-        uni = rb_usage(inst, sol, UNICAST)
-        multi = rb_usage(inst, sol, MULTICAST)
-        assert (multi <= uni + 1e-9).all()
-        checked += 1
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_rb_usage_multicast_never_exceeds_unicast(data):
+    # Random shares in [0, 1] of some rewarded views on shared instances.
+    inst = data.draw(instances(sharing=True))
+    assoc = data.draw(_associations(inst))
+    keys = [(i, k) for i in range(inst.n_users) for k in np.flatnonzero(inst.w[i, assoc[i]])]
+    shares = st.lists(st.one_of(st.none(), st.floats(0.0, 1.0)), min_size=len(keys),
+                      max_size=len(keys))
+    alloc = {key: y for key, y in zip(keys, data.draw(shares)) if y is not None}
+    sol = Solution(assoc=assoc, alloc=alloc)
+    uni = rb_usage(inst, sol, UNICAST)
+    multi = rb_usage(inst, sol, MULTICAST)
+    assert (multi <= uni + 1e-9).all()
 
 
 def test_is_feasible_empty_solution():

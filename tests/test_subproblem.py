@@ -5,13 +5,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from tiercast import solvers
 from tiercast.problem import MULTICAST, UNICAST, Instance
 from tiercast.solvers import _one_cell
 
-from conftest import random_tiny_instance
+from conftest import cell_cases, instances, multicast_cell_cases
 
 
 def knapsack_lp_vertex_oracle(costs, budget):
@@ -65,18 +67,18 @@ def test_subproblem_negative_budget_flags_infeasible():
     assert value == 0.0 and not alloc
 
 
-def test_subproblem_matches_lp_vertex_oracle(rng):
-    for _ in range(500):
-        n = int(rng.integers(1, 7))
-        costs = [int(c) for c in rng.integers(1, 30, size=n)]
-        budget = float(rng.integers(0, 80))
-        inst = _instance_for_items(costs)
-        alloc, value = _one_cell(inst, 0, list(range(n)), budget, UNICAST)
-        assert value == pytest.approx(
-            knapsack_lp_vertex_oracle(costs, budget), abs=1e-9
-        )
-        fractional = [y for y in alloc.values() if 1e-12 < y < 1 - 1e-12]
-        assert len(fractional) <= 1
+@settings(max_examples=100, deadline=None)
+@given(
+    instances(costs=st.integers(1, 29), cells=st.just(1), views=st.just(1)),
+    st.integers(0, 79).map(float),
+)
+def test_subproblem_matches_lp_vertex_oracle(inst, budget):
+    # One view a user, so at most 6 items: the vertex scan is 2**6 points.
+    costs = inst.rb_enhanced[inst.w == 1].tolist()
+    alloc, value = _one_cell(inst, 0, list(range(inst.n_users)), budget, UNICAST)
+    assert value == pytest.approx(knapsack_lp_vertex_oracle(costs, budget), abs=1e-9)
+    fractional = [y for y in alloc.values() if 1e-12 < y < 1 - 1e-12]
+    assert len(fractional) <= 1
 
 
 def test_subproblem_tie_order_is_deterministic():
@@ -125,55 +127,49 @@ def multicast_lp_oracle(inst, cell, users, budget):
     return -res.fun
 
 
-def test_multicast_subproblem_matches_lp_oracle(rng):
-    for _ in range(300):
-        inst = random_tiny_instance(rng, with_sharing=True)
-        cell = int(rng.integers(inst.n_cells))
-        users = [i for i in range(inst.n_users) if rng.uniform() < 0.8]
-        budget = float(rng.integers(0, 40))
-        _, mine = _one_cell(inst, cell, users, budget, MULTICAST)
-        assert mine == pytest.approx(
-            multicast_lp_oracle(inst, cell, users, budget), abs=1e-7
-        )
+@settings(max_examples=100, deadline=None)
+@given(multicast_cell_cases())
+def test_multicast_subproblem_matches_lp_oracle(case):
+    # A spent budget is worth 0, as the LP's value at 0 is.
+    inst, cell, users, budget = case
+    _, mine = _one_cell(inst, cell, users, budget, MULTICAST)
+    assert mine == pytest.approx(
+        multicast_lp_oracle(inst, cell, users, max(budget, 0.0)), abs=1e-7
+    )
 
 
-def test_multicast_subproblem_dominates_unicast(rng):
-    for _ in range(200):
-        inst = random_tiny_instance(rng, with_sharing=True)
-        cell = int(rng.integers(inst.n_cells))
-        users = list(range(inst.n_users))
-        budget = float(rng.integers(0, 40))
-        _, uni = _one_cell(inst, cell, users, budget, UNICAST)
-        _, multi = _one_cell(inst, cell, users, budget, MULTICAST)
-        assert multi >= uni - 1e-9
+@settings(max_examples=50, deadline=None)
+@given(multicast_cell_cases())
+def test_multicast_subproblem_dominates_unicast(case):
+    inst, cell, users, budget = case
+    _, uni = _one_cell(inst, cell, users, budget, UNICAST)
+    _, multi = _one_cell(inst, cell, users, budget, MULTICAST)
+    assert multi >= uni - 1e-9
 
 
-def test_multicast_subproblem_without_groups_matches_unicast(rng):
-    for _ in range(100):
-        inst = random_tiny_instance(rng, with_sharing=False)
-        cell = int(rng.integers(inst.n_cells))
-        budget = float(rng.integers(0, 40))
-        _, uni = _one_cell(inst, cell, list(range(inst.n_users)), budget, UNICAST)
-        _, multi = _one_cell(inst, cell, list(range(inst.n_users)), budget, MULTICAST)
-        assert multi == pytest.approx(uni, abs=1e-12)
+@settings(max_examples=50, deadline=None)
+@given(cell_cases())
+def test_multicast_subproblem_without_groups_matches_unicast(case):
+    inst, cell, users, budget = case
+    _, uni = _one_cell(inst, cell, users, budget, UNICAST)
+    _, multi = _one_cell(inst, cell, users, budget, MULTICAST)
+    assert multi == pytest.approx(uni, abs=1e-12)
 
 
 @pytest.mark.parametrize(
     "name, mode",
     [("solve_cell_subproblem", UNICAST), ("solve_cell_subproblem_multicast", MULTICAST)],
 )
-def test_each_one_cell_alias_is_the_kernel_in_its_mode(name, mode, rng):
+@settings(max_examples=30, deadline=None)
+@given(case=multicast_cell_cases())
+def test_each_one_cell_alias_is_the_kernel_in_its_mode(name, mode, case):
     # The two public names are aliases for the benchmark to wrap: each is
     # ``_one_cell`` in its own mode, entries, order and value bit for bit,
     # and neither takes a mode.
     alias = getattr(solvers, name)
     assert list(inspect.signature(alias).parameters) == ["instance", "cell", "users", "budget"]
-    for _ in range(100):
-        inst = random_tiny_instance(rng, with_sharing=True)
-        cell = int(rng.integers(inst.n_cells))
-        users = [i for i in range(inst.n_users) if rng.uniform() < 0.8]
-        budget = float(rng.integers(-1, 40))
-        alloc, value = alias(inst, cell, users, budget)
-        kernel_alloc, kernel_value = _one_cell(inst, cell, users, budget, mode)
-        assert list(alloc.items()) == list(kernel_alloc.items())
-        assert value.hex() == kernel_value.hex()
+    inst, cell, users, budget = case
+    alloc, value = alias(inst, cell, users, budget)
+    kernel_alloc, kernel_value = _one_cell(inst, cell, users, budget, mode)
+    assert list(alloc.items()) == list(kernel_alloc.items())
+    assert value.hex() == kernel_value.hex()
