@@ -1,6 +1,7 @@
 """JSON round trips and schema validation."""
 
 import base64
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -19,7 +20,7 @@ from tiercast.solvers import solve_sinr
 
 from conftest import instances
 
-GOLDEN = Path(__file__).parent / "data" / "instance_v6.json"
+GOLDEN = Path(__file__).parent / "data" / "instance_v7.json"
 ARRAYS = ("w", "rb_budget", "rb_basic", "rb_enhanced", "sharing")
 
 
@@ -45,18 +46,23 @@ def _write(tmp_path, payload):
     return path
 
 
-def _b64(values, dtype):
-    return _text(zlib.compress(np.asarray(values, dtype=dtype).tobytes()))
+def _planes(raw, width):
+    """The entries of ``width`` bytes in ``raw`` as byte planes: byte 0 of
+    every entry, then byte 1, and so on."""
+    return b"".join(raw[b::width] for b in range(width))
 
 
 def _packed(values, dtype):
-    """An ``instance/v6`` array field holding ``values`` as ``dtype``."""
-    return {"dtype": dtype, "data": _b64(values, dtype)}
+    """An ``instance/v7`` table field holding ``values`` as ``dtype``: its
+    byte planes, packed with Z_RLE."""
+    planes = _planes(np.asarray(values, dtype=dtype).tobytes(), np.dtype(dtype).itemsize)
+    packer = zlib.compressobj(1, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
+    return {"dtype": dtype, "data": _text(packer.compress(planes) + packer.flush())}
 
 
 def _bits(stream):
-    """An ``instance/v6`` mask field whose packed bits are ``stream``."""
-    return {"dtype": "bits", "data": _text(zlib.compress(stream))}
+    """An ``instance/v7`` mask field whose packed bits are ``stream``."""
+    return {"dtype": "bits", "data": _text(zlib.compress(stream, 1))}
 
 
 def _with_data(data, name, text):
@@ -124,7 +130,7 @@ def test_schema_mismatch_raises(tmp_path):
     path = tmp_path / "inst.json"
     serialize.save_instance(_golden_instance(), path)
     with pytest.raises(
-        ValueError, match="expected schema 'solution/v1', got 'instance/v6'"
+        ValueError, match="expected schema 'solution/v1', got 'instance/v7'"
     ):
         serialize.load_solution(path)
 
@@ -158,19 +164,20 @@ def test_instance_bytes_are_pinned(tmp_path):
 
 def test_golden_arrays_are_little_endian_c_order():
     data = json.loads(GOLDEN.read_text())
-    assert data["schema"] == "instance/v6"
-    # The masks as bits; each table at the narrowest width that holds it:
-    # rb_basic holds 258, rb_enhanced's residual -242 and 65,278, and
-    # rb_budget 2**40 + 1.
+    assert data["schema"] == "instance/v7"
+    # The masks as bits; each table at the narrowest width that holds it,
+    # stored as its byte planes: rb_basic holds 258, rb_enhanced's residual
+    # -242 and 65,278, and rb_budget 2**40 + 1.
     assert {name: data[name]["dtype"] for name in ARRAYS} == {
         "w": "bits", "rb_budget": "<i8", "rb_basic": "<i2",
         "rb_enhanced": "<i4", "sharing": "bits",
     }
     assert _inflate(data["w"]) == bytes([0b10011100])
-    assert _inflate(data["rb_budget"]) == struct.pack("<2q", 300, 2**40 + 1)
-    assert _inflate(data["rb_basic"]) == struct.pack("<4h", 1, 2, 3, 258)
-    assert _inflate(data["rb_enhanced"]) == struct.pack(
-        "<8i", 9, 10, 10, 11, 11, 12, -242, 65278
+    assert _inflate(data["rb_budget"]) == _planes(struct.pack("<2q", 300, 2**40 + 1), 8)
+    # 258 is 02 01 little-endian: the low bytes 01 02 03 02, then the high.
+    assert _inflate(data["rb_basic"]) == bytes([1, 2, 3, 2, 0, 0, 0, 1])
+    assert _inflate(data["rb_enhanced"]) == _planes(
+        struct.pack("<8i", 9, 10, 10, 11, 11, 12, -242, 65278), 4
     )
     assert _inflate(data["sharing"]) == bytes([0b10100000])
 
@@ -193,7 +200,8 @@ def test_arrays_round_trip_at_their_narrowest_width(edges):
     # "<i1" < "<i2" < "<i4" < "<i8" as strings; an empty array is "<i1".
     assert field["dtype"] == max((dtype for _, dtype in edges), default="<i1")
     back = serialize._decode({"x": field}, "x", np.int64, values.shape)
-    assert back.dtype == np.int64 and back.tobytes() == values.tobytes()
+    # A table loads at its stored width.
+    assert back.dtype == np.dtype(field["dtype"]) and back.tolist() == values.tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,6 +214,7 @@ def test_masks_round_trip_as_bits(shape, seed):
     assert _inflate(field) == np.packbits(mask.ravel()).tobytes()
     back = serialize._decode({"x": field}, "x", np.int8, mask.shape)
     assert back.dtype == np.int8 and back.shape == mask.shape and (back == mask).all()
+    assert back.flags.writeable and back.flags.owndata
 
 
 def test_loaded_arrays_are_owned_writable_and_native(tmp_path):
@@ -233,8 +242,8 @@ def _without(data, name):
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        *[(_tagged(version), f"expected schema 'instance/v6', got 'instance/v{version}'")
-          for version in range(1, 6)],
+        *[(_tagged(version), f"expected schema 'instance/v7', got 'instance/v{version}'")
+          for version in range(1, 7)],
         # Decoders that skip unknown characters would read the right bytes.
         (lambda d: _with_data(d, "w", d["w"]["data"][:4] + "*!*!" + d["w"]["data"][4:]),
          "array 'w'"),
@@ -282,6 +291,10 @@ def _without(data, name):
         # The residual at [1, 1, 0] is -242.
         (lambda d: {**d, "rb_basic": _packed([[1, 2], [3, -(2**63) + 241]], "<i8")},
          "array 'rb_enhanced': residual plus rb_basic leaves int64"),
+        # rb_basic at [1, 1] is 258, stored in 2 bytes.
+        (lambda d: {**d, "rb_enhanced": _packed(
+            [[[9, 10], [10, 11]], [[11, 12], [-242, 2**63 - 200]]], "<i8")},
+         "array 'rb_enhanced': residual plus rb_basic leaves int64"),
         (lambda d: {**d, "w": d["w"]["data"]},
          "array 'w': must be an object with 'dtype' and 'data'"),
         (lambda d: {**d, "w": _without(d["w"], "dtype")}, "array 'w': missing field 'dtype'"),
@@ -291,19 +304,46 @@ def _without(data, name):
                                          "dtype": "<i4"}},
          "array 'rb_enhanced': inflates past 32 bytes"),
     ],
-    ids=["v1", "v2", "v3", "v4", "v5", "non-base64", "truncated", "checksum-missing",
+    ids=["v1", "v2", "v3", "v4", "v5", "v6", "non-base64", "truncated", "checksum-missing",
          "one-item-long", "one-item-short", "trailing-bytes", "not-zlib",
          "empty-array-with-bytes", "float-count", "bool-count", "missing-array",
          "sharing-one-byte-long", "unsigned-dtype", "big-endian-dtype",
          "float-dtype", "dtype-not-a-string", "dtype-wider-than-field",
          "mask-under-an-integer-code", "cost-under-bits", "nonzero-pad-bits",
-         "residual-above-int64", "residual-below-int64", "field-not-an-object", "field-without-dtype", "field-without-data",
+         "residual-above-int64", "residual-below-int64", "wide-residual-above-int64",
+         "field-not-an-object", "field-without-dtype", "field-without-data",
          "wide-bytes-under-narrow-dtype"],
 )
 def test_malformed_instance_raises_schema_error(tmp_path, corrupt, message):
     payload = corrupt(serialize.instance_to_dict(_golden_instance()))
     with pytest.raises(ValueError, match=message):
         serialize.load_instance(_write(tmp_path, payload))
+
+
+_TOP4 = 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "rb_basic, rb_enhanced, width",
+    [
+        # Residuals from -2**31 + 2 (over _TOP4 it leaves the least cost, 1)
+        # to _TOP4, for sums that int32 could not hold.
+        ([[_TOP4, 1], [_TOP4, 258]],
+         [[[2**32 - 2, 2**32 - 2], [2**31, 1]], [[1, _TOP4], [258, 263]]], "<i4"),
+        # At 8 bytes the wrap check runs: zero, negative and positive
+        # residuals near the int64 edges pass it.
+        ([[1, 2], [3, 2**62]], [[[1, 11], [12, 2]], [[3, 15], [1, 2**63 - 1]]], "<i8"),
+    ],
+    ids=["i4", "i8"],
+)
+def test_tables_sum_exactly_at_the_edges_of_their_width(tmp_path, rb_basic, rb_enhanced, width):
+    inst = dataclasses.replace(_golden_instance(), rb_basic=rb_basic, rb_enhanced=rb_enhanced)
+    path = tmp_path / "inst.json"
+    serialize.save_instance(inst, path)
+    data = json.loads(path.read_text())
+    assert data["rb_basic"]["dtype"] == data["rb_enhanced"]["dtype"] == width
+    back = serialize.load_instance(path)
+    assert back.rb_enhanced.dtype == np.int64 and back.rb_enhanced.tolist() == rb_enhanced
 
 
 def _peak_bytes_refusing(tmp_path, payload, message):
